@@ -43,8 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--export_embedding", action="store_const", const=True,
                       help="also write the clustering-space coordinates")
     pipe.add_argument("--sparsity_k", type=int, help="atom budget for omp_ssc")
-    pipe.add_argument("--max_iter", type=int, help="coordinate descent sweep cap")
-    pipe.add_argument("--tol", type=float, help="coordinate descent tolerance")
+    pipe.add_argument("--max_iter", type=int, help="LASSO homotopy step cap")
+    pipe.add_argument("--tol", type=float, help="OMP residual-norm stopping tolerance")
     pipe.add_argument("--dump_coefficients", action="store_const", const=True,
                       help="also write the sparse coefficients as triplets")
 

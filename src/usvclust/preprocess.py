@@ -8,6 +8,7 @@ column by column and L2-normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,20 +86,23 @@ def keys_kernel(x) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
     """Row k holds the kernel taps mapping n_in source samples to output k.
 
     Source coordinates use pixel-center alignment; taps that fall outside
     the grid are clamped to the nearest edge sample (edge replication), so
-    each row still sums to 1.
+    each row still sums to 1. Memoized: an archive has only a few distinct
+    (n_in, n_out) pairs, so the result is shared and read-only.
     """
+    x = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    src = np.floor(x).astype(int)[:, None] + np.arange(-1, 3)  # 4 taps per row
+    taps = keys_kernel(x[:, None] - src)
+    rows = np.repeat(np.arange(n_out), 4)
     w = np.zeros((n_out, n_in))
-    scale = n_in / n_out
-    for k in range(n_out):
-        x = (k + 0.5) * scale - 0.5
-        base = int(np.floor(x))
-        for m in range(base - 1, base + 3):
-            w[k, min(max(m, 0), n_in - 1)] += float(keys_kernel(x - m))
+    # unbuffered and in tap order, so clamped taps sum as a scalar loop would
+    np.add.at(w, (rows, np.clip(src, 0, n_in - 1).ravel()), taps.ravel())
+    w.flags.writeable = False
     return w
 
 

@@ -1,5 +1,5 @@
-"""Sparse self-expression: LASSO coordinate descent and orthogonal matching
-pursuit, plus the N x N coefficient matrix built from either.
+"""Sparse self-expression: the LASSO by its homotopy path and orthogonal
+matching pursuit, plus the N x N coefficient matrix built from either.
 
 Each sample is coded against the dictionary of all *other* samples, so the
 coefficient matrix has a structurally zero diagonal.
@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ParameterError, ValidationError
 
 DENOISE_EPS = 0.001
+KKT_TOL = 1e-9  # largest KKT violation a certified LASSO column may have
+_PARALLEL = 1e-12  # correlations closing on the level slower than this never meet it
 
 
 @dataclass
@@ -24,7 +26,8 @@ class SparseCodingConfig:
     method : 'lasso' or 'omp'
     lam : L1 weight for the LASSO route
     sparsity_k : atom budget for the OMP route
-    max_iter, tol : coordinate-descent sweep limit and convergence threshold
+    max_iter : homotopy step cap for the LASSO route
+    tol : OMP residual norm below which no further atom is picked
     denoise_eps : entries with magnitude strictly below this are zeroed
     """
 
@@ -65,43 +68,90 @@ class CoefficientMatrix:
         return self.y.shape[0]
 
 
-def soft_threshold(z: float, lam: float) -> float:
-    """Proximal map of lam * |.|: shrink z toward zero by lam."""
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
+def _kkt_gram(grad: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Per-atom LASSO optimality violation, given the smooth gradient at y.
+
+    The gradient must equal -lam*sign(y_j) on the support and lie in
+    [-lam, lam] elsewhere; the violation is the distance from that.
+    """
+    return np.where(y != 0.0, np.abs(grad + lam * np.sign(y)),
+                    np.maximum(np.abs(grad) - lam, 0.0))
 
 
-def _cd_gram(gram: np.ndarray, corr: np.ndarray, lam: float,
-             max_iter: int, tol: float):
-    """Cyclic coordinate descent on the Gram form of the LASSO.
+def _homotopy(gram: np.ndarray, corr: np.ndarray, lam: float,
+              max_steps: int, barred: int | None = None):
+    """LASSO by the homotopy (LARS-lasso) path on the Gram form.
 
     Minimizes 0.5*||t - A y||^2 + lam*||y||_1 given gram = A^T A and
-    corr = A^T t; the data matrix itself is never touched. Returns
-    (y, converged).
+    corr = A^T t; the data matrix itself is never touched. The path starts
+    at lambda_max with one active atom, and each step lowers the level to
+    the next point where an inactive atom's correlation reaches the level
+    (it enters) or an active coefficient reaches zero (it leaves). Atom
+    ``barred`` never enters. Once the target lam is within reach the
+    support and signs are fixed and solved exactly, then every atom is
+    checked against the KKT conditions. Returns (y, certified); y is the
+    path point reached so far if the step cap runs out first.
     """
-    n = gram.shape[0]
+    n = corr.shape[0]
     y = np.zeros(n)
-    norms_sq = np.diag(gram).copy()
-    c = corr.copy()  # c = corr - gram @ y, the negative smooth gradient
-    for _ in range(max_iter):
-        c = corr - gram @ y  # refresh once per sweep to cancel drift
-        max_delta = 0.0
-        for j in range(n):
-            nsq = norms_sq[j]
-            if nsq <= 0.0:
-                continue
-            z = c[j] + nsq * y[j]
-            new = soft_threshold(z, lam) / nsq
-            delta = new - y[j]
-            if delta != 0.0:
-                y[j] = new
-                c -= delta * gram[:, j]
-                max_delta = max(max_delta, abs(delta))
-        if max_delta < tol:
-            return y, True
+    free = np.ones(n, dtype=bool)  # inactive atoms that may enter
+    if barred is not None:
+        free[barred] = False
+    score = np.where(free, np.abs(corr), 0.0)
+    if score.max(initial=0.0) <= lam:
+        return y, True
+    first = int(np.argmax(score))
+    level = float(score[first])
+    active, signs = [first], [float(np.sign(corr[first]))]
+    free[first] = False
+    dropped = -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_steps):
+            idx = np.array(active)
+            s = np.array(signs)
+            rows = gram[idx]
+            g_aa = rows[:, idx]
+            try:
+                d = np.linalg.solve(g_aa, s)  # dy_A / d(-level)
+            except np.linalg.LinAlgError:
+                return y, False
+            gap = level - lam
+            # inactive correlations move as r - step*a while the level
+            # moves as level - step; entry is where |r_j| meets the level
+            r = corr - y[idx] @ rows
+            a = d @ rows
+            up = np.where(1.0 - a > _PARALLEL,
+                          np.maximum(level - r, 0.0) / (1.0 - a), np.inf)
+            down = np.where(1.0 + a > _PARALLEL,
+                            np.maximum(level + r, 0.0) / (1.0 + a), np.inf)
+            step_in = np.where(free, np.minimum(up, down), np.inf)
+            if dropped >= 0:
+                # it sits on the boundary by construction; letting it back
+                # in at once re-fits it with the wrong sign
+                step_in[dropped] = np.inf
+            enter = int(np.argmin(step_in))
+            ya = y[idx]
+            step_out = np.where(ya * d < 0.0, -ya / d, np.inf)
+            leave = int(np.argmin(step_out))
+            if gap <= step_in[enter] and gap <= step_out[leave]:
+                y[idx] = np.linalg.solve(g_aa, corr[idx] - lam * s)
+                viol = _kkt_gram(y[idx] @ rows - corr, y, lam)
+                if barred is not None:
+                    viol[barred] = 0.0
+                return y, bool(viol.max() <= KKT_TOL)
+            step = min(step_in[enter], step_out[leave])
+            y[idx] += step * d
+            level -= step
+            if step_out[leave] < step_in[enter]:
+                dropped = active.pop(leave)
+                signs.pop(leave)
+                y[dropped] = 0.0
+                free[dropped] = True
+            else:
+                dropped = -1
+                active.append(enter)
+                signs.append(1.0 if up[enter] <= down[enter] else -1.0)
+                free[enter] = False
     return y, False
 
 
@@ -114,12 +164,14 @@ def lasso_column(dictionary: np.ndarray, target: np.ndarray, lam: float,
     dictionary : (d, n) array
     target : (d,) array
     lam : positive L1 weight
-    max_iter : maximum number of full coordinate sweeps
-    tol : maximum coefficient change per sweep below which we stop
+    max_iter : maximum number of homotopy steps (atoms entering or leaving)
+    tol : ignored, kept so existing callers still work; the result is
+        certified by its KKT violation (at most ``KKT_TOL``) instead
 
     Returns
     -------
-    (y, converged) : coefficient vector and whether tol was reached.
+    (y, converged) : coefficient vector and whether the path reached lam
+    within max_iter steps and the result passed the KKT check.
     """
     a = np.asarray(dictionary, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
@@ -127,7 +179,7 @@ def lasso_column(dictionary: np.ndarray, target: np.ndarray, lam: float,
         raise ValidationError("dictionary and target shapes do not match")
     if lam <= 0:
         raise ParameterError(f"lambda must be positive, got {lam}")
-    return _cd_gram(a.T @ a, a.T @ t, lam, max_iter, tol)
+    return _homotopy(a.T @ a, a.T @ t, lam, max_iter)
 
 
 def lasso_objective(dictionary: np.ndarray, target: np.ndarray,
@@ -145,14 +197,9 @@ def kkt_violation(dictionary: np.ndarray, target: np.ndarray,
     part must equal -lam*sign(y_j) on the support and lie in [-lam, lam]
     elsewhere.
     """
+    y = np.asarray(y, dtype=np.float64)
     grad = dictionary.T @ (dictionary @ y - target)
-    viol = 0.0
-    for j in range(len(y)):
-        if y[j] != 0.0:
-            viol = max(viol, abs(grad[j] + lam * np.sign(y[j])))
-        else:
-            viol = max(viol, max(abs(grad[j]) - lam, 0.0))
-    return viol
+    return float(_kkt_gram(grad, y, lam).max(initial=0.0))
 
 
 def lambda_max(dictionary: np.ndarray, target: np.ndarray) -> float:
@@ -250,18 +297,15 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
     if config.method == "lasso":
         gram = x.T @ x
         for j in range(n):
-            keep = np.concatenate([np.arange(j), np.arange(j + 1, n)])
-            col, ok = _cd_gram(
-                gram[np.ix_(keep, keep)], gram[keep, j],
-                config.lam, config.max_iter, config.tol,
-            )
+            y[:, j], ok = _homotopy(gram, gram[:, j], config.lam,
+                                    config.max_iter, barred=j)
             if not ok:
                 n_nonconverged += 1
-            y[keep, j] = col
         if n_nonconverged:
             warnings.warn(
-                f"{n_nonconverged} of {n} columns hit the sweep limit "
-                f"({config.max_iter}) before reaching tol={config.tol}",
+                f"{n_nonconverged} of {n} columns are uncertified: they hit "
+                f"the sweep limit ({config.max_iter} homotopy steps) or "
+                f"broke the KKT conditions by more than {KKT_TOL}",
                 RuntimeWarning,
             )
     else:

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written with different algorithms or
 different numerics than the package (proximal gradient instead of
-coordinate descent, exhaustive search instead of greedy selection, plain
+the homotopy path, exhaustive search instead of greedy selection, plain
 loops instead of matrix tricks) so agreement is meaningful evidence.
 """
 

@@ -113,9 +113,6 @@ def test_spectral_recovers_blocks_and_matches_dense_eigensolver(scoreboard):
             assert int(np.sum(spectrum < 1e-8)) == n_blocks
 
 
-# strong within-class correlations make some coordinate-descent columns
-# stop on the sweep cap; the label checks below are the real gate
-@pytest.mark.filterwarnings("ignore:.*hit the sweep limit.*:RuntimeWarning")
 def test_subspace_clustering_end_to_end(scoreboard, tmp_path):
     with scoreboard("acceptance 4/9 lasso-ssc on synthetic subspaces, "
                     "clean and with outliers"):
@@ -175,7 +172,6 @@ def test_metric_formula_checks(scoreboard, tmp_path):
             assert abs(getattr(result.report, key) - value) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:.*hit the sweep limit.*:RuntimeWarning")
 def test_lasso_ssc_at_least_matches_baselines(scoreboard, tmp_path):
     with scoreboard("acceptance 6/9 method comparison on the fixed segment "
                     "archive + frozen regression values"):
@@ -220,7 +216,6 @@ def test_bicubic_resize_properties_and_reference_match(scoreboard):
             assert np.max(np.abs(got - ref)) <= 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:.*hit the sweep limit.*:RuntimeWarning")
 def test_pipeline_runs_are_byte_identical(scoreboard, tmp_path):
     with scoreboard("acceptance 8/9 identical config and seed give "
                     "byte-identical pipeline outputs"):

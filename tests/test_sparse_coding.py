@@ -1,34 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lasso_objective_ref, lasso_prox_grad, omp_best_subset
-from usvclust import (CoefficientMatrix, ParameterError, SparseCodingConfig,
-                      ValidationError, denoise, lasso_column, omp_column,
-                      self_express)
-from usvclust.sparse_coding import (kkt_violation, lambda_max,
-                                    lasso_objective, soft_threshold)
+from usvclust import (CoefficientMatrix, ParameterError, PreprocessConfig,
+                      SparseCodingConfig, ValidationError, denoise,
+                      generate_segments, lasso_column, omp_column,
+                      self_express, split, vectorize)
+from usvclust.sparse_coding import kkt_violation, lambda_max, lasso_objective
 
 
 def unit_dictionary(d, n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, n))
     return a / np.linalg.norm(a, axis=0)
-
-
-class TestSoftThreshold:
-    def test_shrinks(self):
-        assert soft_threshold(1.0, 0.3) == 0.7
-        assert soft_threshold(-1.0, 0.3) == -0.7
-
-    def test_dead_zone(self):
-        assert soft_threshold(0.2, 0.3) == 0.0
-        assert soft_threshold(-0.3, 0.3) == 0.0
-
-    @given(st.floats(-10, 10), st.floats(0, 5))
-    def test_magnitude_never_grows(self, z, lam):
-        assert abs(soft_threshold(z, lam)) <= abs(z)
 
 
 class TestLassoColumn:
@@ -82,7 +70,8 @@ class TestLassoColumn:
             assert kkt_violation(a, t, y, 0.3) < 1e-6
 
     def test_objective_monotone_over_sweeps(self):
-        # prefix runs of cyclic descent share their trajectory
+        # prefix runs of the homotopy share their path, and the target
+        # objective only falls as the path level comes down to lam
         a = unit_dictionary(10, 15, seed=6)
         t = np.random.default_rng(7).standard_normal(10)
         objs = []
@@ -97,6 +86,54 @@ class TestLassoColumn:
         t = np.random.default_rng(9).standard_normal(5)
         _, ok = lasso_column(a, t, lam=0.001, max_iter=1, tol=1e-14)
         assert not ok
+
+    def test_atom_leaving_the_path(self):
+        # atom 5 enters the support and leaves it again before lam=0.3; the
+        # path must drop it at zero and not let it straight back in
+        a = unit_dictionary(4, 6, seed=3)
+        t = np.random.default_rng(1003).standard_normal(4)
+        y_hi, ok_hi = lasso_column(a, t, lam=0.5)
+        y_lo, ok_lo = lasso_column(a, t, lam=0.3)
+        assert ok_hi and ok_lo
+        assert y_hi[5] != 0.0 and y_lo[5] == 0.0
+        assert kkt_violation(a, t, y_lo, 0.3) < 1e-9
+        ref = lasso_prox_grad(a, t, lam=0.3)
+        assert abs(lasso_objective(a, t, y_lo, 0.3)
+                   - lasso_objective_ref(a, t, ref, 0.3)) < 1e-10
+
+    def test_atom_leaving_the_path_on_segment_features(self):
+        # inlier 86 of this archive: atom 1 is on its support at lam=0.41
+        # and crosses zero at about 0.403, on the way down to 0.3
+        archive, _ = generate_segments(100, 5, 100, outlier_frac=0.1)
+        features = vectorize(archive, PreprocessConfig(f=64, t=64))
+        x = features.select(split(features, 0.8).inlier_idx).data
+        others, target = np.delete(x, 86, axis=1), x[:, 86]
+        y_hi, ok_hi = lasso_column(others, target, lam=0.41)
+        y, ok = lasso_column(others, target, lam=0.3)
+        assert ok_hi and ok
+        assert y_hi[1] != 0.0 and y[1] == 0.0
+        assert kkt_violation(others, target, y, 0.3) < 1e-9
+        # self_express codes the same column on the shared Gram matrix
+        raw = self_express(x, SparseCodingConfig(lam=0.3, denoise_eps=0.0))
+        assert raw.n_nonconverged == 0
+        np.testing.assert_allclose(np.delete(raw.y[:, 86], 86), y, atol=1e-12)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.floats(0.01, 0.5))
+    def test_correlated_dictionary_matches_oracle(self, seed, lam):
+        # atoms cluster around 3 directions, as samples of one class do
+        rng = np.random.default_rng(seed)
+        basis = rng.standard_normal((12, 3))
+        n = int(rng.integers(3, 13))
+        a = basis[:, rng.integers(0, 3, n)] + 0.05 * rng.standard_normal((12, n))
+        a /= np.linalg.norm(a, axis=0)
+        t = basis @ rng.standard_normal(3) + 0.05 * rng.standard_normal(12)
+        y, ok = lasso_column(a, t, lam)
+        assert ok
+        assert kkt_violation(a, t, y, lam) < 1e-9
+        ref = lasso_prox_grad(a, t, lam)
+        assert abs(lasso_objective(a, t, y, lam)
+                   - lasso_objective_ref(a, t, ref, lam)) < 1e-10
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
@@ -225,6 +262,21 @@ class TestSelfExpress:
         with pytest.warns(RuntimeWarning, match="sweep limit"):
             coeffs = self_express(data, cfg)
         assert coeffs.n_nonconverged > 0
+
+    def test_duplicate_columns_certified(self):
+        # every twin is a perfect one-atom code, and twins of an active atom
+        # sit on the lambda boundary for the whole path without entering
+        base = unit_dictionary(6, 8, seed=30)
+        data = np.column_stack([base, base[:, :4], base[:, :2]])
+        for lam in (0.01, 0.3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                raw = self_express(data, SparseCodingConfig(lam=lam, denoise_eps=0.0))
+            assert raw.n_nonconverged == 0
+            for j in range(data.shape[1]):
+                others = np.delete(data, j, axis=1)
+                col = np.delete(raw.y[:, j], j)
+                assert kkt_violation(others, data[:, j], col, lam) < 1e-9
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValidationError):
