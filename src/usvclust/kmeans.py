@@ -45,9 +45,49 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+def _direct_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The n x k x d kernel the labels are defined by.
+
+    numpy sums each distance in an order set by the memory layout of
+    ``points`` (pairwise along C rows, left to right along F columns), so
+    the result is reproduced only by inputs laid out the same way.
+    """
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def _assign(points: np.ndarray, centers: np.ndarray,
+            sq_norms: np.ndarray) -> np.ndarray:
+    """Index of the nearest center for every row, ties to the lowest index.
+
+    Distances are ranked by the expansion ||x||^2 - 2 x.c + ||c||^2, one
+    GEMM and O(n*k) memory; ``sq_norms`` holds ||x||^2 per row. The
+    expansion and the direct sum of squared differences each lie within
+    about (d + 2.5) * eps * (||x||^2 + ||c||^2) of the exact distance, so a
+    row whose runner-up is more than twice that behind its minimum has the
+    same argmin under both. The other rows are ranked by the direct kernel,
+    and the labels equal those of ``_direct_sq_dist`` bit for bit.
+    """
+    n, d = points.shape
+    center_sq = np.einsum("ij,ij->i", centers, centers)
+    d2 = points @ centers.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += center_sq
+    labels = np.argmin(d2, axis=1)
+    slack = 8.0 * (d + 2) * np.finfo(np.float64).eps * (sq_norms + center_sq.max())
+    near = d2 <= (d2.min(axis=1) + slack)[:, None]
+    tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+    # blocks of n // k rows keep the fallback within O(n*d) memory; each is
+    # copied in the memory order of ``points`` and padded to two rows, the
+    # smallest block whose sums follow the same order as the full kernel's
+    step = max(2, n // centers.shape[0])
+    for lo in range(0, tied.size, step):
+        rows = tied[lo:lo + step]
+        block = np.empty_like(points, shape=(max(rows.size, 2), d))
+        block[:rows.size] = points[rows]
+        block[rows.size:] = points[rows[0]]
+        labels[rows] = np.argmin(_direct_sq_dist(block, centers)[:rows.size], axis=1)
+    return labels
 
 
 def _repair_empty(points: np.ndarray, centers: np.ndarray,
@@ -67,8 +107,8 @@ def _repair_empty(points: np.ndarray, centers: np.ndarray,
     return labels
 
 
-def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator,
-                max_iter: int):
+def _lloyd_once(points: np.ndarray, sq_norms: np.ndarray, k: int,
+                rng: np.random.Generator, max_iter: int):
     centers = _plus_plus_init(points, k, rng)
     labels = np.full(points.shape[0], -1)
     trace: list[float] = []
@@ -76,7 +116,7 @@ def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator,
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        new_labels = _assign(points, centers)
+        new_labels = _assign(points, centers, sq_norms)
         new_labels = _repair_empty(points, centers, new_labels, k)
         for c in range(k):
             centers[c] = points[new_labels == c].mean(axis=0)
@@ -115,10 +155,11 @@ def kmeans(points: np.ndarray, k: int, seed: int,
         raise ParameterError(f"k={k} out of range for {n} points")
     if n_init < 1 or max_iter < 1:
         raise ParameterError("n_init and max_iter must be >= 1")
+    sq_norms = np.einsum("ij,ij->i", points, points)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
-        run = _lloyd_once(points, k, rng, max_iter)
+        run = _lloyd_once(points, sq_norms, k, rng, max_iter)
         if best is None or run[2] < best[2]:
             best = run
     labels, centers, inertia, iterations, converged, trace = best

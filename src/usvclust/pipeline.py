@@ -14,7 +14,7 @@ import numpy as np
 from . import ingest, metrics
 from .assign import ClusterModel, assign_outliers, centroids
 from .config import PipelineConfig
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ParameterError, ValidationError
 from .kmeans import kmeans, pca_reduce
 from .outlier_split import Partition, split
 from .preprocess import FeatureMatrix, PreprocessConfig, normalize_columns, vectorize
@@ -100,6 +100,11 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
     part = split(features, cfg.tau, gram=gram)
     if len(part.inlier_idx) == 0:
         raise ValidationError(f"every sample is an outlier at tau={cfg.tau}")
+    n_inliers = len(part.inlier_idx)
+    if max(cfg.k) > n_inliers:
+        raise ParameterError(
+            f"k={max(cfg.k)} exceeds the {n_inliers} inliers at tau={cfg.tau}"
+        )
     inliers = features.select(part.inlier_idx)
     inl_gram = gram[np.ix_(part.inlier_idx, part.inlier_idx)]
     coeffs = None

@@ -185,3 +185,14 @@ def reference_bicubic(image, f, t):
                     acc += wi * wj * img[ri, cj]
             out[i, j] = acc
     return np.maximum(out, 0.0)
+
+
+def nearest_center_direct(points, centers):
+    """Nearest center per row from the full n x k x d difference tensor.
+
+    This is the kernel k-means ranked distances with before the Gram
+    expansion, kept verbatim: the labels are defined by its rounding, and
+    numpy's argmin sends exact ties to the lowest index.
+    """
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)

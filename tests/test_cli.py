@@ -109,6 +109,21 @@ class TestPipeline:
         assert main(base + ["--method", "agnes"]) == 2  # argparse choices
         assert main(["pipeline"]) == 2  # no input/output_dir anywhere
 
+    def test_k_above_inlier_count_refused_before_solving(
+            self, archive_path, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("self_express ran before the K check")
+
+        monkeypatch.setattr("usvclust.pipeline.self_express", no_solve)
+        out = tmp_path / "o"
+        code = run("pipeline", "--input", archive_path, "--output_dir", out,
+                   "--method", "lasso_ssc", "--k", "2,500", "--tau", "0.8",
+                   "--f", 12, "--t", 12)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "k=500" in err and "inliers at tau=0.8" in err
+        assert not out.exists()
+
     def test_missing_input_exits_3(self, tmp_path):
         assert run("pipeline", "--input", tmp_path / "nope.ssca",
                    "--output_dir", tmp_path / "o") == 3

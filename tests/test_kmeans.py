@@ -1,9 +1,16 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usvclust import ParameterError, kmeans, pca_reduce
+from oracles import nearest_center_direct
+from usvclust import ParameterError, generate_segments, kmeans, pca_reduce, vectorize
+
+# the package exports the function ``kmeans`` under the module's name
+km = importlib.import_module("usvclust.kmeans")
 
 
 class TestKMeans:
@@ -76,6 +83,148 @@ class TestKMeans:
     def test_bad_n_init(self):
         with pytest.raises(ParameterError):
             kmeans(np.zeros((3, 2)), 2, seed=0, n_init=0)
+
+
+def _sq_norms(points):
+    return np.einsum("ij,ij->i", points, points)
+
+
+def _assign_case(case, seed, n, k, d, offset=0.0):
+    """Points and centers for one equivalence case, C-ordered."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, d))
+    centers = rng.standard_normal((k, d))
+    if case == "members":
+        centers = points[rng.choice(n, size=min(k, n), replace=False)].copy()
+    elif case == "duplicate" and k > 1:
+        centers[k - 1] = centers[0]  # an exact tie belongs to center 0
+    elif case == "mirror" and k > 1:
+        # every point on the plane halfway between centers 0 and 1: the two
+        # distances agree up to rounding, and rounding alone picks the label
+        v = centers[0] - centers[1]
+        points -= np.outer(points @ v / (v @ v), v)
+        points = 0.5 * (centers[0] + centers[1]) + 0.1 * points
+    return points + offset, centers + offset
+
+
+def _lay_out(points, order):
+    """A copy of ``points`` in C or F order, or a view of the leading
+    columns of a wider C array, as the spectral embedding passes them."""
+    if order == "view":
+        wide = np.zeros((points.shape[0], points.shape[1] + 3))
+        wide[:, :points.shape[1]] = points
+        return wide[:, :points.shape[1]]
+    return np.asarray(points, order=order)
+
+
+def _layouts_disagree(points, centers):
+    return not np.array_equal(nearest_center_direct(points, centers),
+                              nearest_center_direct(np.asfortranarray(points), centers))
+
+
+class TestAssignKernel:
+    """``_assign`` must give exactly the labels of the direct kernel."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["random", "members", "duplicate", "mirror"]),
+           st.integers(0, 2**31 - 1), st.integers(1, 40), st.integers(1, 8),
+           st.integers(1, 70), st.sampled_from([0.0, 1e4]),
+           st.sampled_from(["C", "F", "view"]))
+    def test_matches_direct_kernel(self, case, seed, n, k, d, offset, order):
+        points, centers = _assign_case(case, seed, n, k, d, offset)
+        points = _lay_out(points, order)
+        got = km._assign(points, centers, _sq_norms(points))
+        np.testing.assert_array_equal(got, nearest_center_direct(points, centers))
+
+    def _count_fallback(self, monkeypatch):
+        calls = []
+        direct = km._direct_sq_dist
+
+        def counting(points, centers):
+            calls.append(points.shape[0])
+            return direct(points, centers)
+
+        monkeypatch.setattr(km, "_direct_sq_dist", counting)
+        return calls
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_duplicate_center_ties_go_to_lowest_index(self, monkeypatch, order):
+        calls = self._count_fallback(monkeypatch)
+        points, centers = _assign_case("duplicate", 7, 30, 4, 600)
+        points = _lay_out(points, order)
+        got = km._assign(points, centers, _sq_norms(points))
+        assert calls, "near-tie rows must be decided by the direct kernel"
+        np.testing.assert_array_equal(got, nearest_center_direct(points, centers))
+        assert np.any(got == 0) and not np.any(got == 3)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("order", ["C", "F", "view"])
+    def test_rounding_ties_follow_the_layout(self, order, offset):
+        # numpy sums the direct kernel pairwise along C rows but left to
+        # right along F columns, so on the mirror plane the two layouts pick
+        # different labels; the fallback must reproduce each
+        points, centers = _assign_case("mirror", 1, 200, 3, 4096, offset)
+        assert _layouts_disagree(points, centers)
+        points = _lay_out(points, order)
+        got = km._assign(points, centers, _sq_norms(points))
+        np.testing.assert_array_equal(got, nearest_center_direct(points, centers))
+
+    def test_single_tied_row_keeps_layout_rounding(self, monkeypatch):
+        # one near-tie row in an F-ordered input is a fallback block of one
+        # row, which must still be summed in the F order of the full kernel
+        mirror, centers = _assign_case("mirror", 1, 200, 3, 4096)
+        c_labels = nearest_center_direct(mirror, centers)
+        f_labels = nearest_center_direct(np.asfortranarray(mirror), centers)
+        row = mirror[np.flatnonzero(c_labels != f_labels)[0]]
+        points = np.asfortranarray(np.vstack([np.repeat(centers[2:], 11, axis=0), row]))
+        calls = self._count_fallback(monkeypatch)
+        got = km._assign(points, centers, _sq_norms(points))
+        assert calls == [2]
+        np.testing.assert_array_equal(got, nearest_center_direct(points, centers))
+
+    def test_separated_rows_skip_fallback(self, monkeypatch):
+        calls = self._count_fallback(monkeypatch)
+        rng = np.random.default_rng(3)
+        centers = 10.0 * rng.standard_normal((5, 300))
+        points = centers[rng.integers(5, size=80)] + 0.1 * rng.standard_normal((80, 300))
+        got = km._assign(points, centers, _sq_norms(points))
+        assert calls == []
+        np.testing.assert_array_equal(got, nearest_center_direct(points, centers))
+
+
+@pytest.fixture(scope="module")
+def segment_features():
+    archive, _ = generate_segments(60, 5, seed=4, outlier_frac=0.0)
+    return vectorize(archive).data.T  # F-ordered; inlier selection makes it C
+
+
+class TestKMeansBitIdentical:
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_whole_run_matches_direct_kernel_lloyd(
+            self, segment_features, monkeypatch, order):
+        points = _lay_out(segment_features, order)
+        assert points.shape == (60, 4096)
+        fast = kmeans(points, 6, seed=3)
+        monkeypatch.setattr(km, "_assign",
+                            lambda p, c, sq_norms: nearest_center_direct(p, c))
+        ref = kmeans(points, 6, seed=3)
+        np.testing.assert_array_equal(fast.labels, ref.labels)
+        np.testing.assert_array_equal(fast.centers, ref.centers)
+        assert fast.inertia == ref.inertia
+        assert fast.inertia_trace == ref.inertia_trace
+        assert fast.iterations == ref.iterations
+
+
+def test_peak_memory_stays_near_input_size():
+    # the direct kernel held an n x k x d tensor, about 30x the input here
+    points = np.random.default_rng(12).standard_normal((200, 4096))
+    tracemalloc.start()
+    try:
+        kmeans(points, 30, seed=0, n_init=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * points.nbytes
 
 
 class TestPcaReduce:
