@@ -30,8 +30,20 @@ MANIFEST_NAME = "manifest.csv"
 _FLOAT_FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT_FMT % x
+def _row_fmt(width: int) -> str:
+    """A %-format string for one CSV row of ``width`` floats.
+
+    Each row is then formatted by a single ``row_fmt % tuple(row)`` on
+    Python floats (``ndarray.tolist()``), which gives the same bytes as
+    formatting every value with ``_FLOAT_FMT`` and joining with commas.
+    """
+    return ",".join([_FLOAT_FMT] * width)
+
+
+def _write_matrix_csv(mat: np.ndarray, path) -> None:
+    row_fmt = _row_fmt(mat.shape[1]) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.writelines(row_fmt % tuple(row) for row in mat.tolist())
 
 
 @dataclass(frozen=True)
@@ -171,10 +183,7 @@ def _write_archive_csv(archive: SegmentArchive, path: Path) -> None:
     for i, seg in enumerate(archive.segments):
         name = f"seg_{i:05d}.csv"
         rows.append((seg.id, name))
-        with open(path / name, "w", newline="") as fh:
-            for row in seg.energy:
-                fh.write(",".join(_fmt(v) for v in row))
-                fh.write("\n")
+        _write_matrix_csv(seg.energy, path / name)
     with open(path / MANIFEST_NAME, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "file"])
@@ -300,10 +309,7 @@ def write_centroids(model, out_dir) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for rank, cluster in enumerate(order):
         mat = model.centroids[cluster].reshape((f, t), order="F")
-        with open(out_dir / f"centroid_{rank:02d}.csv", "w", newline="") as fh:
-            for row in mat:
-                fh.write(",".join(_fmt(v) for v in row))
-                fh.write("\n")
+        _write_matrix_csv(mat, out_dir / f"centroid_{rank:02d}.csv")
 
 
 def read_centroid_dir(path) -> np.ndarray:
@@ -334,8 +340,11 @@ def write_vectors(ids, coords: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + [f"dim{j}" for j in range(coords.shape[1])])
-        for sid, row in zip(ids, coords):
-            writer.writerow([sid] + [_fmt(v) for v in row])
+        row_fmt = _row_fmt(coords.shape[1])
+        for sid, row in zip(ids, coords.tolist()):
+            # csv quotes the id where it must; the formatted floats never need it
+            cells = (row_fmt % tuple(row)).split(",") if row else []
+            writer.writerow([sid, *cells])
 
 
 def read_vectors(path):
@@ -368,8 +377,9 @@ def read_vectors(path):
 def write_coefficient_triplets(y: np.ndarray, path) -> None:
     """Dump the nonzeros of a coefficient matrix as ``row,col,value`` CSV."""
     rows, cols = np.nonzero(y)
+    row_fmt = "%d,%d," + _FLOAT_FMT + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "col", "value"])
-        for r, c in zip(rows, cols):
-            writer.writerow([int(r), int(c), _fmt(y[r, c])])
+        fh.write("row,col,value\n")
+        fh.writelines(row_fmt % triplet
+                      for triplet in zip(rows.tolist(), cols.tolist(),
+                                         y[rows, cols].tolist()))

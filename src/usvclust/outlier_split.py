@@ -67,9 +67,11 @@ def split(features: FeatureMatrix, tau: float, gram: np.ndarray | None = None) -
         raise ParameterError("need at least 2 samples to define nearest neighbors")
     if gram is None:
         gram = cosine_gram(features.data)
-    g = np.array(gram, dtype=np.float64, copy=True)
-    np.fill_diagonal(g, -np.inf)
-    best = g.max(axis=1)
+    # best cosine to any other sample: the diagonal is masked out of the
+    # row maxima rather than overwritten in a float copy of the matrix
+    others = ~np.eye(features.n, dtype=bool)
+    best = np.asarray(gram, dtype=np.float64).max(axis=1, where=others,
+                                                  initial=-np.inf)
     outlier_mask = best < tau
     idx = np.arange(features.n)
     return Partition(inlier_idx=idx[~outlier_mask], outlier_idx=idx[outlier_mask], tau=tau)

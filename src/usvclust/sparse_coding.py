@@ -17,6 +17,7 @@ from .errors import ParameterError, ValidationError
 DENOISE_EPS = 0.001
 KKT_TOL = 1e-9  # largest KKT violation a certified LASSO column may have
 _PARALLEL = 1e-12  # correlations closing on the level slower than this never meet it
+_RANK_TOL = 1e-10  # an OMP atom this close (squared, relative) to the active span is dependent
 
 
 @dataclass
@@ -207,14 +208,58 @@ def lambda_max(dictionary: np.ndarray, target: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(dictionary).T @ np.asarray(target))))
 
 
+def _omp_gram(gram: np.ndarray, corr: np.ndarray, tt: float, sparsity_k: int,
+              tol: float, barred: int | None = None) -> np.ndarray:
+    """Orthogonal matching pursuit on the Gram form (Batch-OMP).
+
+    Codes a target t against a dictionary A given gram = A^T A,
+    corr = A^T t and tt = t @ t; the data matrix itself is never touched.
+    Each round picks the atom with the largest absolute correlation with
+    the residual, corr - gram[:, active] @ coef, and re-fits the active
+    coefficients by the normal equations on gram[active][:, active]. Their
+    Cholesky factor grows by one row per atom, and the new pivot squared is
+    the Schur complement of the atom against the active span: its squared
+    distance from that span. An atom whose Schur complement is at most
+    ``_RANK_TOL * gram[j, j]`` is dependent on the active set; it is
+    dropped and the previous solution returned. The pursuit stops early
+    once the squared residual norm, tt - corr[active] @ coef, is below
+    tol**2. Atom ``barred`` is never picked.
+    """
+    y = np.zeros(corr.shape[0])
+    active: list[int] = []
+    coef = np.zeros(0)
+    chol = np.zeros((sparsity_k, sparsity_k))  # lower factor, one row per atom
+    for m in range(sparsity_k):
+        resid_corr = corr - coef @ gram[active]
+        resid_corr[active] = 0.0
+        if barred is not None:
+            resid_corr[barred] = 0.0
+        j = int(np.argmax(np.abs(resid_corr)))
+        if resid_corr[j] == 0.0:
+            break
+        w = np.linalg.solve(chol[:m, :m], gram[active, j])
+        schur = gram[j, j] - w @ w
+        if schur <= _RANK_TOL * gram[j, j]:
+            break
+        chol[m, :m] = w
+        chol[m, m] = np.sqrt(schur)
+        active.append(j)
+        low = chol[:m + 1, :m + 1]
+        coef = np.linalg.solve(low.T, np.linalg.solve(low, corr[active]))
+        if tt - corr[active] @ coef < tol * tol:
+            break
+    y[active] = coef
+    return y
+
+
 def omp_column(dictionary: np.ndarray, target: np.ndarray, sparsity_k: int,
                tol: float = 1e-7) -> np.ndarray:
     """Orthogonal matching pursuit with at most ``sparsity_k`` atoms.
 
     Atoms are picked by largest absolute correlation with the residual and
-    the active coefficients are re-fit by least squares each round. If the
-    active set goes rank deficient the newest atom is dropped and the
-    previous solution is returned.
+    the active coefficients are re-fit by least squares each round, all on
+    the Gram form (see ``_omp_gram``). If the newest atom is dependent on
+    the active set it is dropped and the previous solution is returned.
     """
     a = np.asarray(dictionary, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
@@ -225,28 +270,7 @@ def omp_column(dictionary: np.ndarray, target: np.ndarray, sparsity_k: int,
         raise ParameterError(
             f"sparsity budget {sparsity_k} out of range for {n_atoms} atoms"
         )
-    y = np.zeros(n_atoms)
-    active: list[int] = []
-    coef = np.zeros(0)
-    residual = t.copy()
-    for _ in range(sparsity_k):
-        corr = a.T @ residual
-        corr[active] = 0.0
-        j = int(np.argmax(np.abs(corr)))
-        if corr[j] == 0.0:
-            break
-        active.append(j)
-        sub = a[:, active]
-        sol, _, rank, _ = np.linalg.lstsq(sub, t, rcond=None)
-        if rank < len(active):
-            active.pop()
-            break
-        coef = sol
-        residual = t - sub @ coef
-        if np.linalg.norm(residual) < tol:
-            break
-    y[active] = coef
-    return y
+    return _omp_gram(a.T @ a, a.T @ t, float(t @ t), sparsity_k, tol)
 
 
 def denoise(coeffs: CoefficientMatrix, eps: float | None = None) -> CoefficientMatrix:
@@ -294,8 +318,8 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
         )
     y = np.zeros((n, n))
     n_nonconverged = 0
+    gram = x.T @ x
     if config.method == "lasso":
-        gram = x.T @ x
         for j in range(n):
             y[:, j], ok = _homotopy(gram, gram[:, j], config.lam,
                                     config.max_iter, barred=j)
@@ -304,15 +328,14 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
         if n_nonconverged:
             warnings.warn(
                 f"{n_nonconverged} of {n} columns are uncertified: they hit "
-                f"the sweep limit ({config.max_iter} homotopy steps) or "
+                f"the step limit ({config.max_iter} homotopy steps) or "
                 f"broke the KKT conditions by more than {KKT_TOL}",
                 RuntimeWarning,
             )
     else:
         for j in range(n):
-            keep = np.concatenate([np.arange(j), np.arange(j + 1, n)])
-            y[keep, j] = omp_column(x[:, keep], x[:, j], config.sparsity_k,
-                                    tol=config.tol)
+            y[:, j] = _omp_gram(gram, gram[:, j], gram[j, j],
+                                config.sparsity_k, config.tol, barred=j)
     lam = config.lam if config.method == "lasso" else None
     raw = CoefficientMatrix(
         y=y, method=config.method, lam=lam,

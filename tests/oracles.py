@@ -3,7 +3,8 @@
 Everything here is deliberately written with different algorithms or
 different numerics than the package (proximal gradient instead of
 the homotopy path, exhaustive search instead of greedy selection, plain
-loops instead of matrix tricks) so agreement is meaningful evidence.
+loops instead of matrix tricks, least squares on the data instead of the
+Gram form) so agreement is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+
+from usvclust.errors import ParameterError, ValidationError
 
 
 def lasso_objective_ref(dictionary, target, y, lam):
@@ -196,3 +199,48 @@ def nearest_center_direct(points, centers):
     """
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(d2, axis=1)
+
+
+def omp_column_lstsq(dictionary: np.ndarray, target: np.ndarray, sparsity_k: int,
+                     tol: float = 1e-7) -> np.ndarray:
+    """Orthogonal matching pursuit with at most ``sparsity_k`` atoms.
+
+    The package's OMP before the Gram form, kept verbatim: it works on the
+    d-dimensional data and re-fits by ``lstsq`` on the dictionary columns.
+
+    Atoms are picked by largest absolute correlation with the residual and
+    the active coefficients are re-fit by least squares each round. If the
+    active set goes rank deficient the newest atom is dropped and the
+    previous solution is returned.
+    """
+    a = np.asarray(dictionary, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    if a.ndim != 2 or t.ndim != 1 or a.shape[0] != t.shape[0]:
+        raise ValidationError("dictionary and target shapes do not match")
+    n_atoms = a.shape[1]
+    if not 1 <= sparsity_k <= n_atoms:
+        raise ParameterError(
+            f"sparsity budget {sparsity_k} out of range for {n_atoms} atoms"
+        )
+    y = np.zeros(n_atoms)
+    active: list[int] = []
+    coef = np.zeros(0)
+    residual = t.copy()
+    for _ in range(sparsity_k):
+        corr = a.T @ residual
+        corr[active] = 0.0
+        j = int(np.argmax(np.abs(corr)))
+        if corr[j] == 0.0:
+            break
+        active.append(j)
+        sub = a[:, active]
+        sol, _, rank, _ = np.linalg.lstsq(sub, t, rcond=None)
+        if rank < len(active):
+            active.pop()
+            break
+        coef = sol
+        residual = t - sub @ coef
+        if np.linalg.norm(residual) < tol:
+            break
+    y[active] = coef
+    return y

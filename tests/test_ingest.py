@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,3 +288,63 @@ class TestVectors:
         path = tmp_path / "y.csv"
         write_coefficient_triplets(y, path)
         assert path.read_text() == "row,col,value\n0,1,0.5\n1,0,-0.25\n"
+
+
+AWKWARD = np.array([-0.0, 5e-324, 1e308, 3.0, -2.0, 2.0**53, 1e16, 0.1,
+                    1.0 / 3.0, -1.5e-300, np.nan, np.inf, -np.inf, 0.0])
+NONNEG = np.array([0.0, -0.0, 5e-324, 1e308, 3.0, 2.0**53, 0.1, 1.0 / 3.0])
+
+
+def per_value_matrix(mat):
+    # the writers' bytes before row-at-a-time formatting: one %.17g per value
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in mat)
+
+
+def per_value_rows(header, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestWriterBytes:
+    """Each CSV writer's bytes equal per-value %.17g formatting."""
+
+    def test_archive_csv(self, tmp_path):
+        energy = np.resize(NONNEG, (3, 5))
+        write_archive(SegmentArchive((SpectroSegment("a", energy),)), tmp_path / "arch")
+        path = tmp_path / "arch" / "seg_00000.csv"
+        assert path.read_bytes() == per_value_matrix(energy).encode()
+
+    def test_centroids(self, tmp_path):
+        cents = np.vstack([AWKWARD, AWKWARD[::-1]])
+        part = Partition(np.arange(3), np.array([], dtype=int), 0.8)
+        model = ClusterModel(
+            ids=("a", "b", "c"), labels=np.array([1, 0, 1]), centroids=cents,
+            partition=part, k=2, method="kmeans",
+            inlier_labels=np.array([1, 0, 1]), feature_shape=(2, 7))
+        write_centroids(model, tmp_path / "c")
+        for rank, cluster in enumerate((1, 0)):
+            mat = cents[cluster].reshape((2, 7), order="F")
+            path = tmp_path / "c" / f"centroid_{rank:02d}.csv"
+            assert path.read_bytes() == per_value_matrix(mat).encode()
+
+    @pytest.mark.parametrize("width", [0, 1, 7])
+    def test_vectors(self, tmp_path, width):
+        ids = ["plain", "a,b", 'q"x', "", "line\nbreak"]
+        coords = np.resize(AWKWARD, (len(ids), width))
+        write_vectors(ids, coords, tmp_path / "v.csv")
+        expected = per_value_rows(
+            ["id"] + [f"dim{j}" for j in range(width)],
+            [[sid] + ["%.17g" % v for v in row] for sid, row in zip(ids, coords)])
+        assert (tmp_path / "v.csv").read_bytes() == expected.encode()
+
+    def test_coefficient_triplets(self, tmp_path):
+        y = np.resize(AWKWARD, (4, 4))
+        write_coefficient_triplets(y, tmp_path / "y.csv")
+        rows, cols = np.nonzero(y)
+        expected = per_value_rows(
+            ["row", "col", "value"],
+            [[int(r), int(c), "%.17g" % y[r, c]] for r, c in zip(rows, cols)])
+        assert (tmp_path / "y.csv").read_bytes() == expected.encode()

@@ -106,6 +106,20 @@ class TestSplit:
         assert part1.inlier_idx.tolist() == part2.inlier_idx.tolist()
         assert part1.outlier_idx.tolist() == part2.outlier_idx.tolist()
 
+    def test_supplied_gram_untouched_and_boundary_exact(self):
+        from usvclust import cosine_gram
+
+        fm = random_unit_features(25, 4, seed=6)
+        gram = cosine_gram(fm.data)
+        gram.flags.writeable = False
+        before = gram.copy()
+        ref = np.where(np.eye(25, dtype=bool), -np.inf, gram).max(axis=1)
+        for i in (0, 11, 24):
+            # best == tau keeps a sample; the next float up drops it
+            assert i in split(fm, ref[i], gram=gram).inlier_idx
+            assert i in split(fm, np.nextafter(ref[i], 2.0), gram=gram).outlier_idx
+        np.testing.assert_array_equal(gram, before)
+
     def test_partition_covers_everything(self):
         fm = random_unit_features(20, 3, seed=4)
         part = split(fm, 0.9)

@@ -1,11 +1,13 @@
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lasso_objective_ref, lasso_prox_grad, omp_best_subset
+from oracles import (lasso_objective_ref, lasso_prox_grad, omp_best_subset,
+                     omp_column_lstsq)
 from usvclust import (CoefficientMatrix, ParameterError, PreprocessConfig,
                       SparseCodingConfig, ValidationError, denoise,
                       generate_segments, lasso_column, omp_column,
@@ -217,6 +219,103 @@ class TestOmpColumn:
         np.testing.assert_array_equal(omp_column(a, np.zeros(4), 2), 0.0)
 
 
+def assert_same_omp(dictionary, target, k):
+    ref = omp_column_lstsq(dictionary, target, k)
+    y = omp_column(dictionary, target, k)
+    np.testing.assert_array_equal(np.nonzero(y)[0], np.nonzero(ref)[0])
+    np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-10)
+
+
+def random_omp_case(seed, near_duplicates):
+    """A unit dictionary, a target and a budget of at most half the
+    dimension, so every active set the pursuit reaches is well conditioned.
+    Near-duplicates replace some columns by a perturbed copy of another at
+    an angle of roughly 0.05 to 0.5 rad."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(5, 61))
+    n = int(rng.integers(2, 41))
+    a = unit_dictionary(d, n, seed)
+    if near_duplicates:
+        for col in rng.choice(n, size=int(rng.integers(1, n // 2 + 2))):
+            u = rng.standard_normal(d)
+            v = a[:, rng.integers(n)] + rng.uniform(0.05, 0.5) * u / np.linalg.norm(u)
+            a[:, col] = v / np.linalg.norm(v)
+    k = int(rng.integers(1, max(1, min(n, d // 2)) + 1))
+    return a, rng.standard_normal(d), k
+
+
+@lru_cache(maxsize=None)
+def segment_features(seed):
+    archive, _ = generate_segments(40, 5, seed=seed, outlier_frac=0.1)
+    data = vectorize(archive, PreprocessConfig()).data
+    data.flags.writeable = False  # one array is shared by every caller
+    return data
+
+
+class TestOmpGramForm:
+    """The Gram-form pursuit against the per-column least-squares one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_random_unit_dictionaries(self, seed):
+        assert_same_omp(*random_omp_case(seed, near_duplicates=False))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_near_duplicate_columns(self, seed):
+        assert_same_omp(*random_omp_case(seed, near_duplicates=True))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 39), st.integers(1, 15))
+    def test_segment_dictionaries(self, seed, j, k):
+        x = segment_features(seed)
+        assert_same_omp(np.delete(x, j, axis=1), x[:, j], k)
+
+    def test_self_express_bars_own_atom(self):
+        x = segment_features(1)
+        n = x.shape[1]
+        cfg = SparseCodingConfig(method="omp", sparsity_k=10, denoise_eps=0.0)
+        y = self_express(x, cfg).y
+        for j in range(n):
+            keep = np.concatenate([np.arange(j), np.arange(j + 1, n)])
+            col = omp_column(x[:, keep], x[:, j], cfg.sparsity_k, tol=cfg.tol)
+            assert y[j, j] == 0.0
+            np.testing.assert_array_equal(np.nonzero(y[keep, j])[0], np.nonzero(col)[0])
+            np.testing.assert_allclose(y[keep, j], col, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("tol, n_atoms", [(1e-4, 1), (1e-6, 2)])
+    def test_tolerance_is_on_the_residual_norm(self, tol, n_atoms):
+        # one atom leaves a residual of norm 1e-5, which the squared-norm
+        # test in the Gram form must still compare against tol, not tol**2
+        q, _ = np.linalg.qr(np.random.default_rng(32).standard_normal((5, 5)))
+        target = q[:, 0] + 1e-5 * q[:, 1]
+        y = omp_column(q, target, sparsity_k=3, tol=tol)
+        assert np.count_nonzero(y) == n_atoms
+        np.testing.assert_allclose(y, omp_column_lstsq(q, target, 3, tol), atol=1e-12)
+
+    @pytest.mark.parametrize("ratio, kept", [(0.5, False), (2.0, True)])
+    def test_rank_drop_threshold(self, ratio, kept):
+        # the second atom's squared distance from the first is ratio times
+        # the documented 1e-10 of its squared norm; the target needs it
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(6)
+        x /= np.linalg.norm(x)
+        perp = rng.standard_normal(6)
+        perp -= (perp @ x) * x
+        perp /= np.linalg.norm(perp)
+        sin = np.sqrt(ratio * 1e-10)
+        twin = np.sqrt(1.0 - sin * sin) * x + sin * perp
+        target = x - 0.3 * perp  # x is picked first, then its twin
+        y = omp_column(np.column_stack([x, twin]), target, sparsity_k=2)
+        assert y[0] != 0.0
+        if kept:
+            assert y[1] != 0.0
+            np.testing.assert_allclose(y[0] * x + y[1] * twin, target, atol=1e-6)
+        else:
+            assert y[1] == 0.0
+            assert abs(y[0] - x @ target) < 1e-12
+
+
 class TestSelfExpress:
     def test_two_identical_columns_closed_form(self):
         v = np.array([1.0, 0.0])
@@ -259,7 +358,7 @@ class TestSelfExpress:
     def test_nonconvergence_warns_but_proceeds(self):
         data = unit_dictionary(4, 25, seed=23)
         cfg = SparseCodingConfig(method="lasso", lam=0.01, max_iter=1, tol=1e-14)
-        with pytest.warns(RuntimeWarning, match="sweep limit"):
+        with pytest.warns(RuntimeWarning, match="step limit"):
             coeffs = self_express(data, cfg)
         assert coeffs.n_nonconverged > 0
 
