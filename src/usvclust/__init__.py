@@ -8,7 +8,7 @@ from .ingest import SegmentArchive, SpectroSegment, read_archive, write_archive
 from .kmeans import KMeansResult, kmeans, pca_reduce
 from .metrics import (MetricsReport, hmean_cosine_distance, report,
                       std_cosine_distance)
-from .outlier_split import Partition, cosine_similarity, split
+from .outlier_split import Partition, split
 from .pipeline import evaluate, load_features, run_pipeline, write_outputs
 from .preprocess import (FeatureMatrix, PreprocessConfig, clip_below_mean,
                          resize_bicubic, vectorize)
@@ -29,8 +29,7 @@ __all__ = [
     "SubspaceSpec", "UsvClustError", "ValidationError",
     "affinity_from_coefficients", "affinity_from_cosine", "assign_outliers",
     "build_config", "centroids", "clip_below_mean", "cosine_gram",
-    "cosine_similarity", "denoise", "embed",
-    "evaluate", "generate_segments", "generate_subspaces",
+    "denoise", "embed", "evaluate", "generate_segments", "generate_subspaces",
     "hmean_cosine_distance", "kmeans", "lasso_column", "load_features",
     "omp_column", "pca_reduce", "read_archive", "read_config_file", "report",
     "resize_bicubic", "run_pipeline", "self_express", "spectral_cluster",

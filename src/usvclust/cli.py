@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import ingest, metrics, synth
-from .config import build_config, parse_k, parse_tau, read_config_file, METHODS
+from .config import SETTINGS, build_config, parse_setting, read_config_file
 from .errors import (FormatError, NumericalError, ParameterError,
                      UsvClustError, ValidationError)
 from .pipeline import evaluate, load_features, run_pipeline, write_outputs
@@ -28,25 +28,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pipe = sub.add_parser("pipeline", help="run the full clustering pipeline")
     pipe.add_argument("--config", help="flat key = value config file")
-    pipe.add_argument("--input", help="segment archive (dir or .ssca) or vector CSV")
-    pipe.add_argument("--output_dir", help="directory for labels, centroids, metrics")
-    pipe.add_argument("--method", choices=METHODS)
-    pipe.add_argument("--k", help="cluster count or comma list, e.g. 20,40,60")
-    pipe.add_argument("--tau", help="outlier threshold in (-1,1], or preset dba/c57")
-    pipe.add_argument("--lambda", dest="lam", type=float,
-                      help="L1 weight for lasso_ssc")
-    pipe.add_argument("--denoise_eps", type=float,
-                      help="zero coefficients below this magnitude")
-    pipe.add_argument("--f", type=int, help="target frequency bins")
-    pipe.add_argument("--t", type=int, help="target time bins")
-    pipe.add_argument("--seed", type=int)
-    pipe.add_argument("--export_embedding", action="store_const", const=True,
-                      help="also write the clustering-space coordinates")
-    pipe.add_argument("--sparsity_k", type=int, help="atom budget for omp_ssc")
-    pipe.add_argument("--max_iter", type=int, help="LASSO homotopy step cap")
-    pipe.add_argument("--tol", type=float, help="OMP residual-norm stopping tolerance")
-    pipe.add_argument("--dump_coefficients", action="store_const", const=True,
-                      help="also write the sparse coefficients as triplets")
+    for key, fld in SETTINGS.items():
+        # flags stay text until _cmd_pipeline parses them like file values:
+        # argparse's type= would not catch the ParameterError of parse_tau
+        store = {"action": "store_const", "const": True} if isinstance(fld.default, bool) else {}
+        pipe.add_argument(f"--{key}", dest=fld.name, help=fld.metadata["help"], **store)
 
     syn = sub.add_parser("synth", help="generate synthetic datasets")
     syn_sub = syn.add_subparsers(dest="synth_kind", required=True)
@@ -97,23 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pipeline(args) -> int:
     file_values = read_config_file(args.config) if args.config else None
-    flag_values = {
-        "input": args.input,
-        "output_dir": args.output_dir,
-        "method": args.method,
-        "k": parse_k(args.k) if args.k is not None else None,
-        "tau": parse_tau(args.tau) if args.tau is not None else None,
-        "lam": args.lam,
-        "denoise_eps": args.denoise_eps,
-        "f": args.f,
-        "t": args.t,
-        "seed": args.seed,
-        "export_embedding": args.export_embedding,
-        "sparsity_k": args.sparsity_k,
-        "max_iter": args.max_iter,
-        "tol": args.tol,
-        "dump_coefficients": args.dump_coefficients,
-    }
+    flags = vars(args)
+    flag_values = dict(parse_setting(key, flags[fld.name])
+                       for key, fld in SETTINGS.items() if flags[fld.name] is not None)
     cfg = build_config(file_values, flag_values)
     results = run_pipeline(cfg)
     write_outputs(cfg, results)

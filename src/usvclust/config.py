@@ -3,14 +3,17 @@
 Command-line flags override file values, which override the defaults
 below. The file format is deliberately plain text: one assignment per
 line, ``#`` starts a comment line, keys named exactly like the flags.
+Both come from one table, the fields of ``PipelineConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ParameterError
+from .preprocess import PreprocessConfig
+from .sparse_coding import SparseCodingConfig
 
 METHODS = ("kmeans", "cs_sc", "lasso_ssc", "omp_ssc")
 
@@ -61,29 +64,44 @@ def _parse_bool(value) -> bool:
     raise ParameterError(f"expected a boolean, got {value!r}")
 
 
+# parsers by the type of a field's default; any other type is its own parser
+_PARSERS = {bool: _parse_bool, tuple: parse_k}
+
+
+def _setting(default, help: str, key: str | None = None, parse=None):
+    """A PipelineConfig field with its help text, its parser for config-file
+    and flag text, and its external key when that is not the field name."""
+    if parse is None:
+        parse = _PARSERS.get(type(default), type(default))
+    return field(default=default, metadata={"help": help, "parse": parse, "key": key})
+
+
 @dataclass
 class PipelineConfig:
     """Everything a pipeline run depends on.
 
-    ``lam`` is spelled ``lambda`` in config files and on the command line;
-    the Python keyword forces the shorter attribute name.
+    Each field is one setting: the config-file key and the ``pipeline``
+    flag are both made from it (see ``SETTINGS``). ``lam`` is spelled
+    ``lambda`` in config files and on the command line; the Python keyword
+    forces the shorter attribute name.
     """
 
-    input: str = ""
-    output_dir: str = ""
-    method: str = "lasso_ssc"
-    k: tuple[int, ...] = (20, 40, 60)
-    tau: float = 0.8
-    lam: float = 0.3
-    denoise_eps: float = 0.001
-    f: int = 64
-    t: int = 64
-    seed: int = 0
-    export_embedding: bool = False
-    sparsity_k: int = 10
-    max_iter: int = 1000
-    tol: float = 1e-7
-    dump_coefficients: bool = False
+    input: str = _setting("", "segment archive (dir or .ssca) or vector CSV")
+    output_dir: str = _setting("", "directory for labels, centroids, metrics")
+    method: str = _setting("lasso_ssc", "clustering method: " + ", ".join(METHODS))
+    k: tuple[int, ...] = _setting((20, 40, 60), "cluster count or comma list, e.g. 20,40,60")
+    tau: float = _setting(0.8, "outlier threshold in (-1,1], or preset dba/c57",
+                          parse=parse_tau)
+    lam: float = _setting(0.3, "L1 weight for lasso_ssc", key="lambda")
+    denoise_eps: float = _setting(0.001, "zero coefficients below this magnitude")
+    f: int = _setting(64, "target frequency bins")
+    t: int = _setting(64, "target time bins")
+    seed: int = _setting(0, "k-means seed")
+    export_embedding: bool = _setting(False, "also write the clustering-space coordinates")
+    sparsity_k: int = _setting(10, "atom budget for omp_ssc")
+    max_iter: int = _setting(1000, "LASSO homotopy step cap")
+    tol: float = _setting(1e-7, "OMP residual-norm stopping tolerance")
+    dump_coefficients: bool = _setting(False, "also write the sparse coefficients as triplets")
 
     def __post_init__(self):
         self.k = parse_k(self.k)
@@ -99,44 +117,38 @@ class PipelineConfig:
         for kk in self.k:
             if kk < 1:
                 raise ParameterError(f"k values must be >= 1, got {kk}")
-        if self.lam <= 0:
-            raise ParameterError(f"lambda must be positive, got {self.lam}")
-        if self.denoise_eps < 0:
-            raise ParameterError(f"denoise_eps must be >= 0, got {self.denoise_eps}")
-        if self.f < 2 or self.t < 2:
-            raise ParameterError(f"f and t must be >= 2, got {self.f}x{self.t}")
-        if self.sparsity_k < 1:
-            raise ParameterError(f"sparsity_k must be >= 1, got {self.sparsity_k}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol <= 0:
-            raise ParameterError(f"tol must be positive, got {self.tol}")
+        # the stage configs check the remaining ranges
+        self.coding()
+        PreprocessConfig(f=self.f, t=self.t)
+
+    def coding(self) -> SparseCodingConfig:
+        """The self-expression settings: LASSO for lasso_ssc, OMP otherwise."""
+        return SparseCodingConfig(
+            method="lasso" if self.method == "lasso_ssc" else "omp",
+            lam=self.lam, sparsity_k=self.sparsity_k, max_iter=self.max_iter,
+            tol=self.tol, denoise_eps=self.denoise_eps,
+        )
 
 
-# how each config key is coerced; "lambda" is the external spelling of lam
-_COERCERS = {
-    "input": str,
-    "output_dir": str,
-    "method": str,
-    "k": parse_k,
-    "tau": parse_tau,
-    "lambda": float,
-    "denoise_eps": float,
-    "f": int,
-    "t": int,
-    "seed": int,
-    "export_embedding": _parse_bool,
-    "sparsity_k": int,
-    "max_iter": int,
-    "tol": float,
-    "dump_coefficients": _parse_bool,
-}
+# external key (config-file key and flag name) -> PipelineConfig field
+SETTINGS = {fld.metadata["key"] or fld.name: fld for fld in fields(PipelineConfig)}
 
-_KEY_TO_FIELD = {key: ("lam" if key == "lambda" else key) for key in _COERCERS}
+
+def parse_setting(key: str, value):
+    """Parse a config-file or flag value of the setting ``key``.
+
+    Returns (field name, parsed value). A value its parser rejects raises
+    ParameterError naming the key and the value.
+    """
+    fld = SETTINGS[key]
+    try:
+        return fld.name, fld.metadata["parse"](value)
+    except ValueError as exc:
+        raise ParameterError(f"bad value for {key}: {exc}") from None
 
 
 def read_config_file(path) -> dict:
-    """Parse a flat config file into {field_name: coerced_value}."""
+    """Parse a flat config file into {field_name: parsed value}."""
     path = Path(path)
     if not path.exists():
         raise ParameterError(f"config file not found: {path}")
@@ -149,15 +161,13 @@ def read_config_file(path) -> dict:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
-        if key not in _COERCERS:
+        if key not in SETTINGS:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[_KEY_TO_FIELD[key]] = _COERCERS[key](val)
-        except ParameterError:
-            raise
-        except ValueError as exc:
-            raise ParameterError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+            name, value = parse_setting(key, val.strip())
+        except ParameterError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from None
+        values[name] = value
     return values
 
 

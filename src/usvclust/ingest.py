@@ -294,22 +294,28 @@ def read_labels(path):
 
 
 def write_centroids(model, out_dir) -> None:
-    """Write one F x T CSV per centroid, ``centroid_00.csv`` being the
-    largest cluster (descending inlier cluster size, ties by cluster index)."""
-    if model.feature_shape is None:
-        raise ValidationError("model has no feature shape; cannot reshape centroids")
-    f, t = model.feature_shape
-    if model.centroids.shape[1] != f * t:
-        raise ValidationError(
-            f"centroid length {model.centroids.shape[1]} != {f}*{t}"
-        )
+    """Write the centroids in descending inlier cluster size, ties by
+    cluster index, so rank 00 is the largest cluster.
+
+    With a feature shape each centroid becomes one F x T CSV,
+    ``centroid_XX.csv``; without one they form a single vector table,
+    ``centroids.csv``, whose row ids are ``centroid_XX``.
+    """
     sizes = np.bincount(model.inlier_labels, minlength=model.k)
-    order = np.argsort(-sizes, kind="stable")
+    cents = model.centroids[np.argsort(-sizes, kind="stable")]
+    shape = model.feature_shape
+    if shape is not None and cents.shape[1] != shape[0] * shape[1]:
+        raise ValidationError(
+            f"centroid length {cents.shape[1]} != {shape[0]}*{shape[1]}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for rank, cluster in enumerate(order):
-        mat = model.centroids[cluster].reshape((f, t), order="F")
-        _write_matrix_csv(mat, out_dir / f"centroid_{rank:02d}.csv")
+    names = [f"centroid_{rank:02d}" for rank in range(model.k)]
+    if shape is None:
+        write_vectors(names, cents, out_dir / "centroids.csv")
+        return
+    for name, cent in zip(names, cents):
+        _write_matrix_csv(cent.reshape(shape, order="F"), out_dir / f"{name}.csv")
 
 
 def read_centroid_dir(path) -> np.ndarray:

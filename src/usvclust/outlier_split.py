@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError
 from .preprocess import FeatureMatrix
 from .spectral import cosine_gram
 
@@ -30,22 +30,6 @@ class Partition:
     @property
     def n(self) -> int:
         return len(self.inlier_idx) + len(self.outlier_idx)
-
-
-def cosine_similarity(a, b) -> float:
-    """cos(a, b), clamped into [-1, 1] against rounding.
-
-    Either vector being zero is a validation error (the angle is undefined).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValidationError(f"vectors must share one shape, got {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine of a zero vector is undefined")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def split(features: FeatureMatrix, tau: float, gram: np.ndarray | None = None) -> Partition:

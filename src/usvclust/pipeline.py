@@ -1,11 +1,14 @@
 """End-to-end runs: preprocess, split, cluster per method, assign, measure.
 
 All results for every requested K are computed before anything is written,
-so a failing run leaves no partial output directory behind.
+and the outputs are moved into place only once all of them are written, so
+a failing run leaves no partial output directory behind.
 """
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,9 +21,9 @@ from .errors import FormatError, ParameterError, ValidationError
 from .kmeans import kmeans, pca_reduce
 from .outlier_split import Partition, split
 from .preprocess import FeatureMatrix, PreprocessConfig, normalize_columns, vectorize
-from .sparse_coding import SparseCodingConfig, self_express
+from .sparse_coding import self_express
 from .spectral import (affinity_from_coefficients, affinity_from_cosine,
-                       cosine_gram, embed)
+                       cosine_gram, spectral_cluster)
 
 
 def load_features(path, f: int = 64, t: int = 64):
@@ -55,13 +58,11 @@ class KResult:
 
 
 def cluster_inliers(inliers: FeatureMatrix, cfg: PipelineConfig, k: int,
-                    gram: np.ndarray | None = None,
-                    coeffs: np.ndarray | None = None):
+                    affinity: np.ndarray | None):
     """Label the inlier columns with the configured method.
 
-    Returns (labels, embedding coords or None). ``gram`` is the inlier
-    cosine matrix for cs_sc; ``coeffs`` a precomputed coefficient matrix
-    for the SSC methods.
+    Returns (labels, embedding coords or None). ``affinity`` is the inlier
+    affinity of the spectral methods; raw kmeans does not use it.
     """
     if cfg.method == "kmeans":
         result = kmeans(inliers.data.T, k, seed=cfg.seed)
@@ -69,26 +70,12 @@ def cluster_inliers(inliers: FeatureMatrix, cfg: PipelineConfig, k: int,
         if cfg.export_embedding:
             coords = pca_reduce(inliers.data.T, min(k, inliers.n, inliers.d))
         return result.labels, coords
-    if cfg.method == "cs_sc":
-        if gram is None:
-            gram = cosine_gram(inliers.data)
-        affinity = affinity_from_cosine(gram)
-    else:
-        if coeffs is None:
-            coeffs = compute_coefficients(inliers, cfg).y
-        affinity = affinity_from_coefficients(coeffs)
-    emb = embed(affinity, k)
-    result = kmeans(emb.coords, k, seed=cfg.seed)
-    return result.labels, (emb.coords if cfg.export_embedding else None)
+    labels, coords = spectral_cluster(affinity, k, cfg.seed)
+    return labels, (coords if cfg.export_embedding else None)
 
 
 def compute_coefficients(inliers: FeatureMatrix, cfg: PipelineConfig):
-    sc_cfg = SparseCodingConfig(
-        method="lasso" if cfg.method == "lasso_ssc" else "omp",
-        lam=cfg.lam, sparsity_k=cfg.sparsity_k,
-        max_iter=cfg.max_iter, tol=cfg.tol, denoise_eps=cfg.denoise_eps,
-    )
-    return self_express(inliers.data, sc_cfg)
+    return self_express(inliers.data, cfg.coding())
 
 
 def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
@@ -106,13 +93,15 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
             f"k={max(cfg.k)} exceeds the {n_inliers} inliers at tau={cfg.tau}"
         )
     inliers = features.select(part.inlier_idx)
-    inl_gram = gram[np.ix_(part.inlier_idx, part.inlier_idx)]
-    coeffs = None
-    if cfg.method in ("lasso_ssc", "omp_ssc"):
+    affinity = coeffs = None
+    if cfg.method == "cs_sc":
+        affinity = affinity_from_cosine(gram[np.ix_(part.inlier_idx, part.inlier_idx)])
+    elif cfg.method != "kmeans":
         coeffs = compute_coefficients(inliers, cfg).y
+        affinity = affinity_from_coefficients(coeffs)
     results = []
     for k in cfg.k:
-        labels, emb = cluster_inliers(inliers, cfg, k, gram=inl_gram, coeffs=coeffs)
+        labels, emb = cluster_inliers(inliers, cfg, k, affinity)
         model = assign_outliers(features, part, labels, k, cfg.method,
                                 feature_shape=shape)
         rep = metrics.report(features, model)
@@ -125,73 +114,53 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
     return results
 
 
-def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> list[Path]:
+def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
     """Write labels, centroids, per-K reports and the sweep CSV.
 
     With a single K everything lands in output_dir; a K sweep gets one
-    ``k_<K>/`` subdirectory per value. Any failure removes whatever was
-    already created.
+    ``k_<K>/`` subdirectory per value. Everything is written to a staging
+    directory next to output_dir first and moved in only once complete, so
+    a failure leaves output_dir as it was. Each entry moved in replaces the
+    one of the same name, so a rerun leaves no file of the previous run in
+    a directory it writes.
     """
-    out = Path(cfg.output_dir)
-    created: list[Path] = []
-    out_preexisting = out.exists()
+    out = Path(cfg.output_dir).resolve()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # stage is made inside a private mkdtemp directory, not as one, so that
+    # it gets the usual permissions instead of mkdtemp's 0700
+    holder = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    stage = holder / out.name
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        stage.mkdir()
         for res in results:
-            sub = out if len(results) == 1 else out / f"k_{res.k}"
-            sub.mkdir(parents=True, exist_ok=True)
-            if sub != out:
-                created.append(sub)
-            labels_path = sub / "labels.csv"
-            ingest.write_labels(res.model, labels_path)
-            created.append(labels_path)
-            cent_dir = sub / "centroids"
-            if res.model.feature_shape is not None:
-                ingest.write_centroids(res.model, cent_dir)
-            else:
-                cent_dir.mkdir(parents=True, exist_ok=True)
-                sizes = np.bincount(res.model.inlier_labels, minlength=res.model.k)
-                order = np.argsort(-sizes, kind="stable")
-                ingest.write_vectors(
-                    [f"centroid_{r:02d}" for r in range(res.model.k)],
-                    res.model.centroids[order],
-                    cent_dir / "centroids.csv",
-                )
-            created.append(cent_dir)
-            report_path = sub / "metrics.txt"
-            metrics.write_report(res.report, report_path)
-            created.append(report_path)
+            sub = stage if len(results) == 1 else stage / f"k_{res.k}"
+            sub.mkdir(exist_ok=True)
+            ingest.write_labels(res.model, sub / "labels.csv")
+            ingest.write_centroids(res.model, sub / "centroids")
+            metrics.write_report(res.report, sub / "metrics.txt")
             if res.embedding is not None:
-                emb_path = sub / "embedding.csv"
-                ingest.write_vectors(res.embedding_ids, res.embedding, emb_path)
-                created.append(emb_path)
+                ingest.write_vectors(res.embedding_ids, res.embedding,
+                                     sub / "embedding.csv")
             if res.coefficients is not None:
-                coef_path = sub / "coefficients.csv"
-                ingest.write_coefficient_triplets(res.coefficients, coef_path)
-                created.append(coef_path)
-        sweep_path = out / "metrics.csv"
-        with open(sweep_path, "w", newline="") as fh:
+                ingest.write_coefficient_triplets(res.coefficients,
+                                                  sub / "coefficients.csv")
+        with open(stage / "metrics.csv", "w", newline="") as fh:
             fh.write(metrics.MetricsReport.csv_header())
             fh.write("\n")
             for res in results:
                 fh.write(res.report.csv_row())
                 fh.write("\n")
-        created.append(sweep_path)
-    except BaseException:
-        for path in reversed(created):
-            if path.is_dir():
-                for child in sorted(path.rglob("*"), reverse=True):
-                    if child.is_file():
-                        child.unlink()
-                    else:
-                        child.rmdir()
-                path.rmdir()
-            elif path.exists():
-                path.unlink()
-        if not out_preexisting and out.exists() and not any(out.iterdir()):
-            out.rmdir()
-        raise
-    return created
+        # shutil.move renames, and copies where output_dir is a mount point
+        if not out.exists():
+            shutil.move(stage, out)
+        else:
+            for entry in stage.iterdir():
+                target = out / entry.name
+                if target.is_dir():
+                    shutil.rmtree(target)
+                shutil.move(entry, target)
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
 
 
 def evaluate(labels_path, input_path, f: int = 64, t: int = 64,

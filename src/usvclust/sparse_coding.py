@@ -157,7 +157,7 @@ def _homotopy(gram: np.ndarray, corr: np.ndarray, lam: float,
 
 
 def lasso_column(dictionary: np.ndarray, target: np.ndarray, lam: float,
-                 max_iter: int = 1000, tol: float = 1e-7):
+                 max_iter: int = 1000):
     """Solve min_y 0.5*||target - dictionary @ y||^2 + lam*||y||_1.
 
     Parameters
@@ -166,8 +166,6 @@ def lasso_column(dictionary: np.ndarray, target: np.ndarray, lam: float,
     target : (d,) array
     lam : positive L1 weight
     max_iter : maximum number of homotopy steps (atoms entering or leaving)
-    tol : ignored, kept so existing callers still work; the result is
-        certified by its KKT violation (at most ``KKT_TOL``) instead
 
     Returns
     -------
@@ -183,13 +181,6 @@ def lasso_column(dictionary: np.ndarray, target: np.ndarray, lam: float,
     return _homotopy(a.T @ a, a.T @ t, lam, max_iter)
 
 
-def lasso_objective(dictionary: np.ndarray, target: np.ndarray,
-                    y: np.ndarray, lam: float) -> float:
-    """Value of the LASSO objective at y."""
-    r = target - dictionary @ y
-    return 0.5 * float(r @ r) + lam * float(np.abs(y).sum())
-
-
 def kkt_violation(dictionary: np.ndarray, target: np.ndarray,
                   y: np.ndarray, lam: float) -> float:
     """Worst first-order optimality violation of y for the LASSO.
@@ -201,11 +192,6 @@ def kkt_violation(dictionary: np.ndarray, target: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     grad = dictionary.T @ (dictionary @ y - target)
     return float(_kkt_gram(grad, y, lam).max(initial=0.0))
-
-
-def lambda_max(dictionary: np.ndarray, target: np.ndarray) -> float:
-    """Smallest lam for which the all-zero vector is already optimal."""
-    return float(np.max(np.abs(np.asarray(dictionary).T @ np.asarray(target))))
 
 
 def _omp_gram(gram: np.ndarray, corr: np.ndarray, tt: float, sparsity_k: int,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, ValidationError
+from .kmeans import kmeans
 
 _COS_SNAP = 1e-12
 
@@ -70,12 +71,6 @@ class SpectralEmbedding:
     eigenvalues: np.ndarray
 
 
-def laplacian_spectrum(affinity: np.ndarray) -> np.ndarray:
-    """All eigenvalues of L_rw for ``affinity``, ascending."""
-    _, w = _eig_lrw(affinity)
-    return w
-
-
 def embed(affinity: np.ndarray, k: int) -> SpectralEmbedding:
     """Embed samples as the k smallest-eigenvalue eigenvectors of L_rw."""
     a = np.asarray(affinity, dtype=np.float64)
@@ -83,12 +78,6 @@ def embed(affinity: np.ndarray, k: int) -> SpectralEmbedding:
         raise ValidationError("affinity must be square")
     if k < 1 or k > a.shape[0]:
         raise ParameterError(f"k={k} out of range for {a.shape[0]} samples")
-    u, w = _eig_lrw(a, return_vectors=True)
-    return SpectralEmbedding(coords=u[:, :k], eigenvalues=w[:k])
-
-
-def _eig_lrw(affinity: np.ndarray, return_vectors: bool = False):
-    a = np.asarray(affinity, dtype=np.float64)
     if np.any(a < 0):
         raise ValidationError("affinity must be nonnegative")
     deg = a.sum(axis=1)
@@ -102,19 +91,14 @@ def _eig_lrw(affinity: np.ndarray, return_vectors: bool = False):
     m = a * np.outer(s, s)
     lsym = np.eye(a.shape[0]) - m
     try:
-        if return_vectors:
-            w, u = np.linalg.eigh(lsym)
-            return s[:, None] * u, w
-        return None, np.linalg.eigvalsh(lsym)
+        w, u = np.linalg.eigh(lsym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    return SpectralEmbedding(coords=(s[:, None] * u)[:, :k], eigenvalues=w[:k])
 
 
-def spectral_cluster(affinity: np.ndarray, k: int, seed: int,
-                     n_init: int = 10, max_iter: int = 300) -> np.ndarray:
-    """k-means on the spectral embedding; returns the label vector."""
-    from .kmeans import kmeans
-
-    emb = embed(affinity, k)
-    result = kmeans(emb.coords, k, seed=seed, n_init=n_init, max_iter=max_iter)
-    return result.labels
+def spectral_cluster(affinity: np.ndarray, k: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-means on the spectral embedding; returns (labels, embedding coords)."""
+    coords = embed(affinity, k).coords
+    return kmeans(coords, k, seed=seed).labels, coords

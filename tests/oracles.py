@@ -24,6 +24,27 @@ def lasso_objective_ref(dictionary, target, y, lam):
     return 0.5 * np.sum(r * r) + lam * np.sum(np.abs(y))
 
 
+def lambda_max(dictionary, target):
+    """Smallest lam for which the all-zero vector is already optimal."""
+    return float(np.max(np.abs(np.asarray(dictionary).T @ np.asarray(target))))
+
+
+def cosine_similarity(a, b) -> float:
+    """cos(a, b), clamped into [-1, 1] against rounding.
+
+    Either vector being zero is a validation error (the angle is undefined).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValidationError(f"vectors must share one shape, got {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ValidationError("cosine of a zero vector is undefined")
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+
+
 def lasso_prox_grad(dictionary, target, lam, max_iter=1_000_000, tol=1e-14):
     """FISTA with a constant 1/L step, run essentially to convergence."""
     a = np.asarray(dictionary, dtype=np.float64)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import cosine_similarity
 from usvclust import (FeatureMatrix, Partition, ValidationError,
-                      assign_outliers, centroids, cosine_similarity)
+                      assign_outliers, centroids)
 
 
 def unit_features(raw):

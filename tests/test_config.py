@@ -1,7 +1,11 @@
+import dataclasses
+import re
+
 import pytest
 
-from usvclust import ParameterError, PipelineConfig
-from usvclust.config import build_config, parse_k, parse_tau, read_config_file
+from usvclust import ParameterError, PipelineConfig, cli
+from usvclust.config import (SETTINGS, build_config, parse_k, parse_tau,
+                             read_config_file)
 
 
 class TestParseTau:
@@ -138,3 +142,58 @@ class TestConfigFile:
     def test_unknown_flag_field_rejected(self):
         with pytest.raises(ParameterError, match="unknown config fields"):
             build_config(None, {"input": "a", "output_dir": "b", "shrink": 2})
+
+
+# a non-default value for every PipelineConfig field, as flag/file text;
+# True marks a bare flag (written "true" in a file)
+NON_DEFAULT = {
+    "input": "in.ssca", "output_dir": "out", "method": "cs_sc", "k": "3,4",
+    "tau": "c57", "lam": "0.25", "denoise_eps": "0.01", "f": "32", "t": "16",
+    "seed": "7", "export_embedding": True, "sparsity_k": "5",
+    "max_iter": "50", "tol": "1e-5", "dump_coefficients": True,
+}
+KEYS = {fld.name: key for key, fld in SETTINGS.items()}
+
+
+class TestOneFieldTable:
+    """Every field is reachable the same way as a flag and as a file key."""
+
+    def _config(self, monkeypatch, argv):
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            return []
+
+        monkeypatch.setattr(cli, "run_pipeline", capture)
+        monkeypatch.setattr(cli, "write_outputs", lambda cfg, results: None)
+        assert cli.main(["pipeline", *argv]) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("name", [fld.name for fld in
+                                      dataclasses.fields(PipelineConfig)])
+    def test_flag_equals_file_line(self, name, tmp_path, monkeypatch):
+        values = {"input": "base.ssca", "output_dir": "base_out", name: NON_DEFAULT[name]}
+        argv, lines = [], []
+        for field_name, value in values.items():
+            key = KEYS[field_name]
+            argv += [f"--{key}"] if value is True else [f"--{key}", value]
+            lines.append(f"{key} = {'true' if value is True else value}")
+        path = tmp_path / "run.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        from_flags = self._config(monkeypatch, argv)
+        from_file = self._config(monkeypatch, ["--config", str(path)])
+        assert from_flags == from_file
+        fld = next(f for f in dataclasses.fields(PipelineConfig) if f.name == name)
+        assert getattr(from_flags, name) != fld.default
+
+    @pytest.mark.parametrize("key", sorted(SETTINGS))
+    def test_help_lists_flag(self, key, capsys):
+        assert cli.main(["pipeline", "--help"]) == 0
+        assert re.search(rf"--{key}\b", capsys.readouterr().out)
+
+    def test_bad_flag_value_names_flag(self, capsys):
+        assert cli.main(["pipeline", "--input", "a", "--output_dir", "b",
+                         "--seed", "soon"]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "soon" in err

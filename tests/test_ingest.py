@@ -256,10 +256,16 @@ class TestCentroids:
         back = read_centroid_dir(tmp_path / "c")
         np.testing.assert_array_equal(back[0], vec)
 
-    def test_no_shape_rejected(self, tmp_path):
-        model = self._model([0], np.ones((1, 4)), 1, None)
-        with pytest.raises(ValidationError):
-            write_centroids(model, tmp_path / "c")
+    def test_no_shape_writes_vector_table(self, tmp_path):
+        # sizes 2, 3, 3: the two tied clusters keep their index order
+        labels = [2, 0, 1, 2, 0, 1, 1, 2]
+        cents = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0]])
+        model = self._model(labels, cents, 3, None)
+        write_centroids(model, tmp_path / "c")
+        assert [p.name for p in (tmp_path / "c").iterdir()] == ["centroids.csv"]
+        ids, back = read_vectors(tmp_path / "c" / "centroids.csv")
+        assert ids == ["centroid_00", "centroid_01", "centroid_02"]
+        np.testing.assert_array_equal(back, cents[[1, 2, 0]])
 
 
 class TestVectors:

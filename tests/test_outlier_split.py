@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_split
-from usvclust import (FeatureMatrix, ParameterError, ValidationError,
-                      cosine_similarity, split)
+from oracles import brute_force_split, cosine_similarity
+from usvclust import FeatureMatrix, ParameterError, ValidationError, split
 
 
 def unit_features(raw):

@@ -157,6 +157,55 @@ class TestWriteOutputs:
         assert not (out / "labels.csv").exists()
         assert not (out / "centroids").exists()
 
+    def test_rerun_replaces_previous_outputs(self, segment_archive, tmp_path):
+        # a K=6 run then a K=4 run into the same directory: only the second
+        # run's centroids may be read back, so `metrics` agrees with the report
+        out = tmp_path / "out"
+        for k in (6, 4):
+            cfg = make_cfg(segment_archive, out, k=k)
+            results = run_pipeline(cfg)
+            write_outputs(cfg, results)
+        cents = ingest.read_centroid_dir(out / "centroids")
+        assert cents.shape[0] == 4
+        stored = dict(line.split("=", 1)
+                      for line in (out / "metrics.txt").read_text().splitlines())
+        assert stored["k"] == "4"
+        assert abs(metrics.hmean_cosine_distance(cents)
+                   - float(stored["d_cos_hmean"])) < 1e-12
+        assert abs(metrics.std_cosine_distance(cents)
+                   - float(stored["d_cos_std"])) < 1e-12
+
+    def test_no_staging_directory_left(self, segment_archive, tmp_path,
+                                       monkeypatch):
+        out = tmp_path / "out"
+        cfg = make_cfg(segment_archive, out)
+        results = run_pipeline(cfg)
+        write_outputs(cfg, results)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        monkeypatch.setattr(metrics, "write_report",
+                            lambda rep, path: (_ for _ in ()).throw(OSError()))
+        with pytest.raises(OSError):
+            write_outputs(cfg, results)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_current_directory_as_output_dir(self, segment_archive, tmp_path,
+                                             monkeypatch):
+        out = tmp_path / "here"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        cfg = make_cfg(segment_archive, ".")
+        write_outputs(cfg, run_pipeline(cfg))
+        assert (out / "labels.csv").is_file()
+        assert [p.name for p in tmp_path.iterdir()] == ["here"]
+
+    def test_fresh_output_dir_has_default_permissions(self, segment_archive,
+                                                      tmp_path):
+        out = tmp_path / "out"
+        cfg = make_cfg(segment_archive, out)
+        write_outputs(cfg, run_pipeline(cfg))
+        (tmp_path / "plain").mkdir()
+        assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
 
 class TestEvaluate:
     def test_matches_pipeline_report(self, segment_archive, tmp_path):
