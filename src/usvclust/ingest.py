@@ -15,6 +15,7 @@ are value-exact.
 from __future__ import annotations
 
 import csv
+import itertools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -347,37 +348,56 @@ def write_vectors(ids, coords: np.ndarray, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + [f"dim{j}" for j in range(coords.shape[1])])
         row_fmt = _row_fmt(coords.shape[1])
-        for sid, row in zip(ids, coords.tolist()):
+        # one row of Python floats at a time, not the whole table's
+        for sid, row in zip(ids, coords):
             # csv quotes the id where it must; the formatted floats never need it
-            cells = (row_fmt % tuple(row)).split(",") if row else []
+            cells = (row_fmt % tuple(row.tolist())).split(",") if row.size else []
             writer.writerow([sid, *cells])
 
 
 def read_vectors(path):
-    """Read an ``id,dim0..`` table; returns (ids, N x K array)."""
+    """Read an ``id,dim0..`` table; returns (ids, N x K array).
+
+    Ids may be csv-quoted, as ``write_vectors`` writes them. The numbers
+    are parsed by numpy's C text reader, which reads the same doubles as
+    ``float`` but refuses underscores such as ``1_0``.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file at line 1") from None
+        first = fh.readline()
+        if not first:
+            raise FormatError(f"{path}: empty file at line 1")
+        header = next(csv.reader([first]))
         if len(header) < 2 or header[0] != "id" or any(
             h != f"dim{j}" for j, h in enumerate(header[1:])
         ):
             raise FormatError(f"{path}: bad header at line 1")
         dim = len(header) - 1
-        ids, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise FormatError(f"{path}: expected {dim + 1} fields at line {lineno}")
-            ids.append(row[0])
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad number at line {lineno}") from exc
-    coords = np.array(rows, dtype=np.float64).reshape(len(ids), dim)
-    return ids, coords
+        row = fh.readline()
+        if not row:  # loadtxt would warn that it found no data
+            return [], np.empty((0, dim))
+        expected = f"{path}: expected an id and {dim} numbers at line"
+        lineno = 1
+
+        def lines():
+            # loadtxt pulls an iterable's lines one at a time as it parses,
+            # so ``lineno`` is the line it was reading when it fails. It
+            # skips blank lines, so those outside a quoted id fail here.
+            nonlocal lineno
+            quoted = False
+            for lineno, line in enumerate(itertools.chain([row], fh), start=2):
+                if not quoted and not line.strip("\r\n"):
+                    raise FormatError(f"{expected} {lineno}, got a blank line")
+                quoted ^= line.count('"') % 2 == 1
+                yield line
+
+        try:
+            table = np.loadtxt(lines(), dtype=[("id", object), ("v", np.float64, (dim,))],
+                               delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except ValueError as exc:
+            detail = str(exc).split(" at row ")[0]
+            raise FormatError(f"{expected} {lineno}: {detail}") from exc
+    return table["id"].tolist(), np.ascontiguousarray(table["v"])
 
 
 def write_coefficient_triplets(y: np.ndarray, path) -> None:

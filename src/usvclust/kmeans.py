@@ -25,14 +25,31 @@ class KMeansResult:
     inertia_trace: tuple[float, ...]
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_dist_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of ``points`` to ``center``."""
+    return ((points - center) ** 2).sum(axis=1)
+
+
+def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator,
+                    memo: dict[int, np.ndarray]) -> np.ndarray:
     """k-means++ seeding: each next center is drawn with probability
-    proportional to squared distance from the centers chosen so far."""
+    proportional to squared distance from the centers chosen so far.
+
+    Centers are data rows, so ``memo`` keeps each drawn row's distance
+    vector by row index and the restarts of one ``kmeans`` call share it.
+    A vector is computed once, from the center's copy in ``centers``, so it
+    holds the same bits a fresh computation would; it is never written to.
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+
+    def take(i: int, row: int) -> np.ndarray:
+        centers[i] = points[row]
+        if row not in memo:
+            memo[row] = _sq_dist_to(points, centers[i])
+        return memo[row]
+
+    d2 = take(0, int(rng.integers(n)))
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -40,8 +57,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             nxt = int(rng.choice(n, p=probs))
         else:
             nxt = int(rng.integers(n))
-        centers[i] = points[nxt]
-        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, take(i, nxt))
     return centers
 
 
@@ -108,8 +124,9 @@ def _repair_empty(points: np.ndarray, centers: np.ndarray,
 
 
 def _lloyd_once(points: np.ndarray, sq_norms: np.ndarray, k: int,
-                rng: np.random.Generator, max_iter: int):
-    centers = _plus_plus_init(points, k, rng)
+                rng: np.random.Generator, max_iter: int,
+                memo: dict[int, np.ndarray]):
+    centers = _plus_plus_init(points, k, rng, memo)
     labels = np.full(points.shape[0], -1)
     trace: list[float] = []
     converged = False
@@ -157,9 +174,11 @@ def kmeans(points: np.ndarray, k: int, seed: int,
         raise ParameterError("n_init and max_iter must be >= 1")
     sq_norms = np.einsum("ij,ij->i", points, points)
     rng = np.random.default_rng(seed)
+    # seeding distances by center row, at most min(n, k * n_init) x n floats
+    memo: dict[int, np.ndarray] = {}
     best = None
     for _ in range(n_init):
-        run = _lloyd_once(points, sq_norms, k, rng, max_iter)
+        run = _lloyd_once(points, sq_norms, k, rng, max_iter, memo)
         if best is None or run[2] < best[2]:
             best = run
     labels, centers, inertia, iterations, converged, trace = best

@@ -7,6 +7,7 @@ a failing run leaves no partial output directory behind.
 
 from __future__ import annotations
 
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .outlier_split import Partition, split
 from .preprocess import FeatureMatrix, PreprocessConfig, normalize_columns, vectorize
 from .sparse_coding import self_express
 from .spectral import (affinity_from_coefficients, affinity_from_cosine,
-                       cosine_gram, spectral_cluster)
+                       cosine_gram, embed)
 
 
 def load_features(path, f: int = 64, t: int = 64):
@@ -58,11 +59,12 @@ class KResult:
 
 
 def cluster_inliers(inliers: FeatureMatrix, cfg: PipelineConfig, k: int,
-                    affinity: np.ndarray | None):
+                    embedding: np.ndarray | None):
     """Label the inlier columns with the configured method.
 
-    Returns (labels, embedding coords or None). ``affinity`` is the inlier
-    affinity of the spectral methods; raw kmeans does not use it.
+    Returns (labels, embedding coords or None). ``embedding`` holds the
+    spectral methods' inlier coordinates for the largest K of the run;
+    its first k columns are clustered. Raw kmeans does not use it.
     """
     if cfg.method == "kmeans":
         result = kmeans(inliers.data.T, k, seed=cfg.seed)
@@ -70,7 +72,10 @@ def cluster_inliers(inliers: FeatureMatrix, cfg: PipelineConfig, k: int,
         if cfg.export_embedding:
             coords = pca_reduce(inliers.data.T, min(k, inliers.n, inliers.d))
         return result.labels, coords
-    labels, coords = spectral_cluster(affinity, k, cfg.seed)
+    # a view with the strides of embed(affinity, k).coords: the k-means
+    # near-tie fallback sums in the layout of its input
+    coords = embedding[:, :k]
+    labels = kmeans(coords, k, seed=cfg.seed).labels
     return labels, (coords if cfg.export_embedding else None)
 
 
@@ -93,15 +98,18 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
             f"k={max(cfg.k)} exceeds the {n_inliers} inliers at tau={cfg.tau}"
         )
     inliers = features.select(part.inlier_idx)
-    affinity = coeffs = None
-    if cfg.method == "cs_sc":
-        affinity = affinity_from_cosine(gram[np.ix_(part.inlier_idx, part.inlier_idx)])
-    elif cfg.method != "kmeans":
-        coeffs = compute_coefficients(inliers, cfg).y
-        affinity = affinity_from_coefficients(coeffs)
+    embedding = coeffs = None
+    if cfg.method != "kmeans":
+        if cfg.method == "cs_sc":
+            affinity = affinity_from_cosine(gram[np.ix_(part.inlier_idx, part.inlier_idx)])
+        else:
+            coeffs = compute_coefficients(inliers, cfg).y
+            affinity = affinity_from_coefficients(coeffs)
+        # one eigensolve per run; each K clusters the leading K columns
+        embedding = embed(affinity, max(cfg.k)).coords
     results = []
     for k in cfg.k:
-        labels, emb = cluster_inliers(inliers, cfg, k, affinity)
+        labels, emb = cluster_inliers(inliers, cfg, k, embedding)
         model = assign_outliers(features, part, labels, k, cfg.method,
                                 feature_shape=shape)
         rep = metrics.report(features, model)
@@ -114,15 +122,21 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
     return results
 
 
+# every top-level entry write_outputs can create
+_OUTPUT_NAMES = re.compile(
+    r"labels\.csv|metrics\.txt|metrics\.csv|centroids|embedding\.csv"
+    r"|coefficients\.csv|k_\d+")
+
+
 def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
     """Write labels, centroids, per-K reports and the sweep CSV.
 
     With a single K everything lands in output_dir; a K sweep gets one
     ``k_<K>/`` subdirectory per value. Everything is written to a staging
     directory next to output_dir first and moved in only once complete, so
-    a failure leaves output_dir as it was. Each entry moved in replaces the
-    one of the same name, so a rerun leaves no file of the previous run in
-    a directory it writes.
+    a failure leaves output_dir as it was. Before the move, every entry a
+    run can write (``_OUTPUT_NAMES``) is removed from output_dir, so no
+    file of a previous run is left; entries of other names stay.
     """
     out = Path(cfg.output_dir).resolve()
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -154,11 +168,14 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
         if not out.exists():
             shutil.move(stage, out)
         else:
+            for old in out.iterdir():
+                if _OUTPUT_NAMES.fullmatch(old.name):
+                    if old.is_dir() and not old.is_symlink():
+                        shutil.rmtree(old)
+                    else:
+                        old.unlink()
             for entry in stage.iterdir():
-                target = out / entry.name
-                if target.is_dir():
-                    shutil.rmtree(target)
-                shutil.move(entry, target)
+                shutil.move(entry, out / entry.name)
     finally:
         shutil.rmtree(holder, ignore_errors=True)
 

@@ -265,3 +265,44 @@ def omp_column_lstsq(dictionary: np.ndarray, target: np.ndarray, sparsity_k: int
             break
     y[active] = coef
     return y
+
+
+def plus_plus_init(points, k, rng):
+    """k-means++ seeding that recomputes every center's distance vector.
+
+    The package's seeding before it kept the distance vectors of drawn rows
+    across restarts, kept verbatim: its draws from ``rng`` define the
+    centers, so the package must consume ``rng`` and pick rows exactly
+    as this does.
+    """
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            probs = d2 / total
+            nxt = int(rng.choice(n, p=probs))
+        else:
+            nxt = int(rng.integers(n))
+        centers[i] = points[nxt]
+        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+    return centers
+
+
+def cosine_gram_ref(data):
+    """All-pairs cosine of the columns of ``data``, snapped and clipped.
+
+    The package's ``cosine_gram`` before it symmetrized in place, kept
+    verbatim: each output bit is defined by this expression.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    norms = np.linalg.norm(data, axis=0)
+    unit = data / norms
+    g = unit.T @ unit
+    g = (g + g.T) / 2.0
+    g = np.clip(g, -1.0, 1.0)
+    g[g > 1.0 - 1e-12] = 1.0
+    return g

@@ -289,6 +289,61 @@ class TestVectors:
         with pytest.raises(FormatError):
             read_vectors(path)
 
+    @pytest.mark.parametrize("width", [1, 4096])
+    def test_round_trip_widths(self, tmp_path, width):
+        coords = np.random.default_rng(width).standard_normal((3, width))
+        path = tmp_path / "v.csv"
+        write_vectors(["a", "b", "c"], coords, path)
+        ids, back = read_vectors(path)
+        assert ids == ["a", "b", "c"]
+        np.testing.assert_array_equal(back.view(np.int64), coords.view(np.int64))
+        assert back.flags.c_contiguous
+
+    def test_awkward_values_bit_exact(self, tmp_path):
+        coords = np.vstack([AWKWARD, AWKWARD[::-1]])
+        path = tmp_path / "v.csv"
+        write_vectors(["x", "y"], coords, path)
+        _, back = read_vectors(path)
+        np.testing.assert_array_equal(back.view(np.int64), coords.view(np.int64))
+
+    def test_quoted_ids(self, tmp_path):
+        ids = ["a,b", 'q"x', "line\nbreak", "two\n\nblank", "", "crlf\r\nin"]
+        coords = np.arange(2.0 * len(ids)).reshape(len(ids), 2)
+        path = tmp_path / "v.csv"
+        write_vectors(ids, coords, path)
+        back_ids, back = read_vectors(path)
+        assert back_ids == ids
+        np.testing.assert_array_equal(back, coords)
+
+    def test_crlf_and_hash_in_id(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_bytes(b"id,dim0,dim1\r\n#a,1,2\r\nb#,0.5,-3e2\r\n")
+        ids, back = read_vectors(path)
+        assert ids == ["#a", "b#"]
+        np.testing.assert_array_equal(back, [[1.0, 2.0], [0.5, -300.0]])
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("id,dim0,dim1\n")
+        ids, back = read_vectors(path)
+        assert ids == [] and back.shape == (0, 2)
+
+    @pytest.mark.parametrize("body, line", [
+        ("a,1,2\nb,3\nc,5,6\n", 3),             # ragged: a field short
+        ("a,1,2\nb,3,4\nc,5,6,7\n", 4),         # ragged: a field over
+        ("a,1,2\nb,3,x\n", 3),                  # bad number
+        ("a,1,2\nb,3,\n", 3),                   # empty number
+        ("a,1_0,2\n", 2),                        # underscores are refused
+        ("a,1,2\n\nc,5,6\n", 3),                # blank line
+        ('"a\nb",1,2\nc,x,6\n', 4),             # after an id spanning lines
+        ("a,1,2\nb,3,4\n\n", 4),                # blank last line
+    ])
+    def test_errors_name_the_line(self, tmp_path, body, line):
+        path = tmp_path / "v.csv"
+        path.write_text("id,dim0,dim1\n" + body)
+        with pytest.raises(FormatError, match=rf"at line {line}\b"):
+            read_vectors(path)
+
     def test_triplets(self, tmp_path):
         y = np.array([[0.0, 0.5], [-0.25, 0.0]])
         path = tmp_path / "y.csv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nearest_center_direct
+from oracles import nearest_center_direct, plus_plus_init
 from usvclust import ParameterError, generate_segments, kmeans, pca_reduce, vectorize
 
 # the package exports the function ``kmeans`` under the module's name
@@ -213,6 +213,66 @@ class TestKMeansBitIdentical:
         assert fast.inertia == ref.inertia
         assert fast.inertia_trace == ref.inertia_trace
         assert fast.iterations == ref.iterations
+
+
+def _seeding_case(case, order):
+    rng = np.random.default_rng(8)
+    if case == "distinct":
+        points = rng.standard_normal((40, 300)) + 1e3
+    elif case == "duplicates":
+        points = rng.standard_normal((12, 300))[rng.integers(12, size=40)]
+    else:  # every distance is 0: each center is drawn uniformly
+        points = np.ones((40, 300))
+    return _lay_out(points, order)
+
+
+class TestSeedingMemo:
+    """The restarts share each drawn row's distance vector, and the seeding
+    still draws exactly the centers of the recomputing oracle."""
+
+    @staticmethod
+    def _assert_matches_oracle_seeding(monkeypatch, points, k, seed):
+        fast = kmeans(points, k, seed=seed, n_init=10)
+        monkeypatch.setattr(km, "_plus_plus_init",
+                            lambda p, k, rng, memo: plus_plus_init(p, k, rng))
+        ref = kmeans(points, k, seed=seed, n_init=10)
+        np.testing.assert_array_equal(fast.labels, ref.labels)
+        np.testing.assert_array_equal(fast.centers, ref.centers)
+        assert fast.inertia == ref.inertia
+        assert fast.inertia_trace == ref.inertia_trace
+        assert fast.iterations == ref.iterations
+
+    @pytest.mark.parametrize("order", ["C", "F", "view"])
+    @pytest.mark.parametrize("case", ["distinct", "duplicates", "identical"])
+    def test_whole_run_matches_oracle_seeding(self, monkeypatch, case, order):
+        self._assert_matches_oracle_seeding(
+            monkeypatch, _seeding_case(case, order), 6, seed=5)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_segment_features_match_oracle_seeding(self, segment_features,
+                                                   monkeypatch, order):
+        self._assert_matches_oracle_seeding(
+            monkeypatch, _lay_out(segment_features, order), 20, seed=0)
+
+    def test_each_row_computed_at_most_once_per_call(self, monkeypatch):
+        rows = []
+        sq_dist_to = km._sq_dist_to
+
+        def counting(points, center):
+            rows.append(center.tobytes())
+            return sq_dist_to(points, center)
+
+        monkeypatch.setattr(km, "_sq_dist_to", counting)
+        points = _seeding_case("distinct", "C")
+        counts = []
+        for _ in range(2):
+            rows.clear()
+            kmeans(points, 8, seed=1, n_init=10)
+            # 80 draws from 40 distinct rows, each computed once
+            assert len(rows) == len(set(rows)) <= 40
+            counts.append(len(rows))
+        # the memo lives for one call: the second call computes its own
+        assert counts[0] == counts[1]
 
 
 def test_peak_memory_stays_near_input_size():

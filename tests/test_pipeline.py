@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from usvclust import (FormatError, MetricsReport, PipelineConfig,
-                      ValidationError, evaluate, generate_segments,
-                      generate_subspaces, load_features, run_pipeline,
+                      ValidationError, affinity_from_cosine, cosine_gram,
+                      evaluate, generate_segments, generate_subspaces,
+                      load_features, run_pipeline, spectral_cluster, split,
                       write_outputs, SubspaceSpec)
 from usvclust import ingest, metrics
 from usvclust.pipeline import KResult
@@ -93,6 +94,31 @@ class TestRunPipeline:
         assert np.all(np.diag(res.coefficients) == 0.0)
 
 
+    def test_one_eigensolve_per_sweep(self, segment_archive, tmp_path,
+                                      monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        results = run_pipeline(make_cfg(segment_archive, tmp_path / "out",
+                                        k="2,4,3", export_embedding=True))
+        assert len(calls) == 1
+        # each K's slice equals, in values and strides, its own embedding
+        features, _ = load_features(segment_archive, f=12, t=12)
+        gram = cosine_gram(features.data)
+        idx = split(features, 0.8, gram=gram).inlier_idx
+        affinity = affinity_from_cosine(gram[np.ix_(idx, idx)])
+        for res in results:
+            labels, coords = spectral_cluster(affinity, res.k, seed=0)
+            np.testing.assert_array_equal(res.embedding, coords)
+            assert res.embedding.strides == coords.strides
+            np.testing.assert_array_equal(res.model.inlier_labels, labels)
+
+
 class TestWriteOutputs:
     def test_single_k_layout(self, segment_archive, tmp_path):
         out = tmp_path / "out"
@@ -174,6 +200,39 @@ class TestWriteOutputs:
                    - float(stored["d_cos_hmean"])) < 1e-12
         assert abs(metrics.std_cosine_distance(cents)
                    - float(stored["d_cos_std"])) < 1e-12
+
+    @staticmethod
+    def _run_into(segment_archive, out, **kw):
+        cfg = make_cfg(segment_archive, out, **kw)
+        write_outputs(cfg, run_pipeline(cfg))
+
+    def test_single_then_sweep_leaves_no_single_k_files(self, segment_archive,
+                                                        tmp_path):
+        out = tmp_path / "out"
+        self._run_into(segment_archive, out, k=3, export_embedding=True)
+        self._run_into(segment_archive, out, k="2,3")
+        assert sorted(p.name for p in out.iterdir()) == ["k_2", "k_3", "metrics.csv"]
+
+    def test_sweep_then_single_leaves_no_k_dirs(self, segment_archive, tmp_path):
+        out = tmp_path / "out"
+        self._run_into(segment_archive, out, k="2,4", method="lasso_ssc",
+                       dump_coefficients=True)
+        self._run_into(segment_archive, out, k=3)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "centroids", "labels.csv", "metrics.csv", "metrics.txt"]
+        assert ingest.read_centroid_dir(out / "centroids").shape[0] == 3
+
+    def test_rerun_keeps_entries_of_other_names(self, segment_archive, tmp_path):
+        out = tmp_path / "out"
+        self._run_into(segment_archive, out, k="2,3")
+        for name in ("notes.txt", "k_2.csv", "k_x", "labels.csv.bak"):
+            (out / name).write_text("mine\n")
+        (out / "plots").mkdir()
+        self._run_into(segment_archive, out, k=3)
+        for name in ("notes.txt", "k_2.csv", "k_x", "labels.csv.bak"):
+            assert (out / name).read_text() == "mine\n"
+        assert (out / "plots").is_dir()
+        assert not (out / "k_2").exists() and not (out / "k_3").exists()
 
     def test_no_staging_directory_left(self, segment_archive, tmp_path,
                                        monkeypatch):

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_lsym_eigvals
+from oracles import cosine_gram_ref, reference_lsym_eigvals
 from usvclust import (NumericalError, ParameterError, ValidationError,
                       affinity_from_coefficients, affinity_from_cosine,
-                      cosine_gram, embed, spectral_cluster)
+                      cosine_gram, embed, spectral, spectral_cluster)
 
 
 def block_affinity(sizes, weight=1.0):
@@ -41,6 +43,34 @@ class TestCosineGram:
     def test_zero_column_rejected(self):
         with pytest.raises(ValidationError):
             cosine_gram(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("d, n", [(5, 1), (5, 2), (9, 65), (300, 130)])
+    def test_bits_match_reference(self, d, n):
+        data = np.random.default_rng(n).standard_normal((d, n))
+        data[:, n // 2] = -2.0 * data[:, 0]
+        data[:, n - 1] = 3.0 * data[:, 0]
+        got = cosine_gram(data)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      cosine_gram_ref(data).view(np.int64))
+
+    # sizes around the band of rows symmetrized at a time
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_symmetrize_matches_average_with_transpose(self, n):
+        g = np.random.default_rng(n).standard_normal((n, n))
+        want = (g + g.T) / 2.0
+        spectral._symmetrize(g)
+        np.testing.assert_array_equal(g.view(np.int64), want.view(np.int64))
+
+    def test_peak_memory_one_gram_and_a_band(self):
+        # averaging with a copied transpose held a second N x N array
+        data = np.random.default_rng(3).standard_normal((20, 500))
+        tracemalloc.start()
+        try:
+            g = cosine_gram(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * g.nbytes
 
 
 class TestAffinityFromCoefficients:
