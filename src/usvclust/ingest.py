@@ -29,6 +29,8 @@ VERSION = 1
 MANIFEST_NAME = "manifest.csv"
 
 _FLOAT_FMT = "%.17g"
+# an id holding one of these, or an empty one, goes through csv's quoting
+_CSV_QUOTED = frozenset(',"\r\n')
 
 
 def _row_fmt(width: int) -> str:
@@ -218,25 +220,33 @@ def _read_archive_csv(path: Path) -> SegmentArchive:
 
 
 def _read_matrix_csv(path: Path) -> np.ndarray:
-    rows = []
-    width = None
+    """Read one comma-separated matrix; blank lines are skipped.
+
+    The numbers are parsed by numpy's C text reader, which reads the same
+    doubles as ``float`` but refuses underscores such as ``1_0``.
+    """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise FormatError(f"{path}: ragged row at line {lineno}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad number at line {lineno}") from exc
-    if not rows:
-        raise FormatError(f"{path}: empty matrix")
-    return np.array(rows, dtype=np.float64)
+            if line.strip():
+                break
+        else:
+            raise FormatError(f"{path}: empty matrix")
+        width = line.count(",") + 1
+
+        def lines():
+            # loadtxt pulls one line at a time as it parses, so ``lineno``
+            # and ``line`` belong to the row it was reading when it fails
+            nonlocal lineno, line
+            yield line
+            for lineno, line in enumerate(fh, start=lineno + 1):
+                if line.strip():
+                    yield line
+
+        try:
+            return np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            what = "ragged row" if line.count(",") + 1 != width else "bad number"
+            raise FormatError(f"{path}: {what} at line {lineno}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +357,17 @@ def write_vectors(ids, coords: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + [f"dim{j}" for j in range(coords.shape[1])])
-        row_fmt = _row_fmt(coords.shape[1])
+        if coords.shape[1] == 0:
+            writer.writerows([sid] for sid in ids)
+            return
+        row_fmt = _row_fmt(coords.shape[1]) + "\n"
         # one row of Python floats at a time, not the whole table's
         for sid, row in zip(ids, coords):
-            # csv quotes the id where it must; the formatted floats never need it
-            cells = (row_fmt % tuple(row.tolist())).split(",") if row.size else []
-            writer.writerow([sid, *cells])
+            cells = row_fmt % tuple(row.tolist())
+            if isinstance(sid, str) and sid and _CSV_QUOTED.isdisjoint(sid):
+                fh.write(sid + "," + cells)
+            else:  # csv quotes the id where it must; the floats never need it
+                writer.writerow([sid, *cells[:-1].split(",")])
 
 
 def read_vectors(path):

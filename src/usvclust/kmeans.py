@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 
+# bytes of one block of rows in a seeding distance computation; small
+# enough that the block's difference and square stay in cache
+_SEED_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -25,40 +29,84 @@ class KMeansResult:
     inertia_trace: tuple[float, ...]
 
 
-def _sq_dist_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Squared distance of every row of ``points`` to ``center``."""
-    return ((points - center) ** 2).sum(axis=1)
+class _SeedDistances:
+    """The k-means++ distance vectors of one ``kmeans`` call, by drawn row.
+
+    ``self(r)`` is ``((points - points[r]) ** 2).sum(axis=1)`` bit for bit.
+    Centers are data rows, so each drawn row's vector is computed once and
+    the restarts share it: ``table`` holds one vector per drawn row, at most
+    ``min(n, k * n_init)`` of them, and ``slot`` maps a row to its vector.
+
+    numpy sums each row of that temporary pairwise when the temporary is
+    C-ordered (or has a single row) and left to right when it is F-ordered,
+    as it is for F-ordered ``points``. The rows are computed in blocks of
+    the same memory order, in one reused buffer. The entry of a row that
+    was drawn before is copied from that row's own vector: ``(a - b) ** 2``
+    and ``(b - a) ** 2`` are the same bits and each row is summed in the
+    same order, so every unordered pair of rows is computed at most once.
+    """
+
+    def __init__(self, points: np.ndarray, c_points: np.ndarray, capacity: int):
+        n, self.d = points.shape
+        self.f_order = n > 1 and abs(points.strides[0]) < abs(points.strides[1])
+        # blocks gather from a C-contiguous source: F blocks are (d, m)
+        # columns of points.T, C blocks (m, d) rows of ``c_points``
+        self.src = np.ascontiguousarray(points.T) if self.f_order else c_points
+        self.table = np.empty((capacity, n))
+        self.slot = np.full(n, -1)
+        self.count = 0
+        # a lone row of an F block would be summed pairwise, so blocks hold two
+        self.block_rows = max(2, _SEED_BLOCK_BYTES // (8 * max(self.d, 1)))
+        self.buf = np.empty(self.block_rows * self.d)
+        self.sums = np.empty(self.block_rows)
+
+    def __call__(self, row: int) -> np.ndarray:
+        if self.slot[row] < 0:
+            out = self.table[self.count]
+            drawn = self.slot >= 0
+            out[drawn] = self.table[self.slot[drawn], row]
+            self._fill(row, np.flatnonzero(~drawn), out)
+            self.slot[row] = self.count
+            self.count += 1
+        return self.table[self.slot[row]]
+
+    def _fill(self, row: int, todo: np.ndarray, out: np.ndarray) -> None:
+        """Write the squared distances of the rows ``todo`` to row ``row`` into ``out``."""
+        d = self.d
+        axis = 1 if self.f_order else 0
+        center = self.src[:, row, None] if self.f_order else self.src[row]
+        for lo in range(0, todo.size, self.block_rows):
+            idx = todo[lo:lo + self.block_rows]
+            m = idx.size
+            if self.f_order and m == 1:
+                idx = np.repeat(idx, 2)
+            shape = (d, idx.size) if self.f_order else (idx.size, d)
+            block = self.buf[:idx.size * d].reshape(shape)
+            # the indices are valid; "clip" skips the copy "raise" makes
+            np.take(self.src, idx, axis=axis, out=block, mode="clip")
+            block -= center
+            np.square(block, out=block)
+            sums = self.sums[:idx.size]
+            np.add.reduce(block, axis=1 - axis, out=sums)
+            out[idx[:m]] = sums[:m]
 
 
 def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator,
-                    memo: dict[int, np.ndarray]) -> np.ndarray:
+                    seeds: _SeedDistances) -> np.ndarray:
     """k-means++ seeding: each next center is drawn with probability
-    proportional to squared distance from the centers chosen so far.
-
-    Centers are data rows, so ``memo`` keeps each drawn row's distance
-    vector by row index and the restarts of one ``kmeans`` call share it.
-    A vector is computed once, from the center's copy in ``centers``, so it
-    holds the same bits a fresh computation would; it is never written to.
-    """
+    proportional to squared distance from the centers chosen so far."""
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-
-    def take(i: int, row: int) -> np.ndarray:
-        centers[i] = points[row]
-        if row not in memo:
-            memo[row] = _sq_dist_to(points, centers[i])
-        return memo[row]
-
-    d2 = take(0, int(rng.integers(n)))
+    rows = np.empty(k, dtype=np.intp)
+    rows[0] = rng.integers(n)
+    d2 = seeds(rows[0])
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
-            probs = d2 / total
-            nxt = int(rng.choice(n, p=probs))
+            rows[i] = rng.choice(n, p=d2 / total)
         else:
-            nxt = int(rng.integers(n))
-        d2 = np.minimum(d2, take(i, nxt))
-    return centers
+            rows[i] = rng.integers(n)
+        d2 = np.minimum(d2, seeds(rows[i]))
+    return points[rows]
 
 
 def _direct_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -106,43 +154,78 @@ def _assign(points: np.ndarray, centers: np.ndarray,
     return labels
 
 
-def _repair_empty(points: np.ndarray, centers: np.ndarray,
-                  labels: np.ndarray, k: int) -> np.ndarray:
-    """Give each empty cluster the farthest point of the currently largest one."""
+def _repair_empty(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Give each empty cluster the farthest point of the currently largest one.
+
+    The largest cluster of a labeling with an empty one has two members or
+    more, so no repair empties a cluster.
+    """
+    counts = np.bincount(labels, minlength=k)
+    if counts.all():
+        return labels
     labels = labels.copy()
-    for e in range(k):
-        if np.any(labels == e):
-            continue
-        counts = np.bincount(labels, minlength=k)
+    for e in np.flatnonzero(counts == 0):
         g = int(np.argmax(counts))
         members = np.flatnonzero(labels == g)
         center_g = points[members].mean(axis=0)
         far = members[int(np.argmax(((points[members] - center_g) ** 2).sum(axis=1)))]
         labels[far] = e
-        centers[e] = points[far]
+        counts[g] -= 1
     return labels
 
 
-def _lloyd_once(points: np.ndarray, sq_norms: np.ndarray, k: int,
-                rng: np.random.Generator, max_iter: int,
-                memo: dict[int, np.ndarray]):
-    centers = _plus_plus_init(points, k, rng, memo)
+def _update_centers(c_points: np.ndarray, labels: np.ndarray, centers: np.ndarray,
+                    work: np.ndarray) -> None:
+    """``centers[c] = c_points[labels == c].mean(axis=0)`` for every c, bit for bit.
+
+    That mean gathers the members in row order and sums them pairwise when
+    d == 1 and left to right otherwise. The members of each cluster are
+    gathered the same way, into consecutive rows of ``work``, and summed by
+    the same reduction.
+    """
+    k = centers.shape[0]
+    counts = np.bincount(labels, minlength=k)
+    np.take(c_points, np.argsort(labels, kind="stable"), axis=0, out=work, mode="clip")
+    lo = 0
+    for c, hi in enumerate(np.cumsum(counts).tolist()):
+        np.add.reduce(work[lo:hi], axis=0, out=centers[c])
+        lo = hi
+    centers /= counts[:, None]
+
+
+def _inertia(c_points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
+             work: np.ndarray) -> float:
+    """``float(((points - centers[labels]) ** 2).sum())`` bit for bit.
+
+    numpy lays that temporary out in C order whatever the layout of
+    ``points``, and ``work`` is C-ordered, so the sum runs in the same order.
+    """
+    np.take(centers, labels, axis=0, out=work, mode="clip")
+    np.subtract(c_points, work, out=work)
+    np.square(work, out=work)
+    return float(work.sum())
+
+
+def _lloyd_once(points: np.ndarray, c_points: np.ndarray, sq_norms: np.ndarray, k: int,
+                rng: np.random.Generator, max_iter: int, seeds: _SeedDistances,
+                work: np.ndarray):
+    centers = _plus_plus_init(points, k, rng, seeds)
     labels = np.full(points.shape[0], -1)
     trace: list[float] = []
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        new_labels = _assign(points, centers, sq_norms)
-        new_labels = _repair_empty(points, centers, new_labels, k)
-        for c in range(k):
-            centers[c] = points[new_labels == c].mean(axis=0)
-        inertia = float(((points - centers[new_labels]) ** 2).sum())
-        trace.append(inertia)
+        new_labels = _repair_empty(points, _assign(points, centers, sq_norms), k)
         if np.array_equal(new_labels, labels):
+            # nothing has written into ``centers`` since they were the means
+            # of these labels, so the centers and inertia stand as they are
+            trace.append(trace[-1])
             converged = True
             break
         labels = new_labels
+        _update_centers(c_points, labels, centers, work)
+        trace.append(_inertia(c_points, centers, labels, work))
     return labels, centers, trace[-1], iterations, converged, tuple(trace)
 
 
@@ -174,11 +257,14 @@ def kmeans(points: np.ndarray, k: int, seed: int,
         raise ParameterError("n_init and max_iter must be >= 1")
     sq_norms = np.einsum("ij,ij->i", points, points)
     rng = np.random.default_rng(seed)
-    # seeding distances by center row, at most min(n, k * n_init) x n floats
-    memo: dict[int, np.ndarray] = {}
+    # gathers read C rows; the near-tie fallback and the seeding sums keep
+    # the layout of ``points``
+    c_points = np.ascontiguousarray(points)
+    seeds = _SeedDistances(points, c_points, min(n, k * n_init))
+    work = np.empty_like(c_points)
     best = None
     for _ in range(n_init):
-        run = _lloyd_once(points, sq_norms, k, rng, max_iter, memo)
+        run = _lloyd_once(points, c_points, sq_norms, k, rng, max_iter, seeds, work)
         if best is None or run[2] < best[2]:
             best = run
     labels, centers, inertia, iterations, converged, trace = best

@@ -292,6 +292,71 @@ def plus_plus_init(points, k, rng):
     return centers
 
 
+def repair_empty_clusters(points, centers, labels, k):
+    """Give each empty cluster the farthest point of the currently largest one.
+
+    The package's repair before its bincount fast path, kept verbatim: it
+    checks every cluster in turn and writes the moved point into
+    ``centers``.
+    """
+    labels = labels.copy()
+    for e in range(k):
+        if np.any(labels == e):
+            continue
+        counts = np.bincount(labels, minlength=k)
+        g = int(np.argmax(counts))
+        members = np.flatnonzero(labels == g)
+        center_g = points[members].mean(axis=0)
+        far = members[int(np.argmax(((points[members] - center_g) ** 2).sum(axis=1)))]
+        labels[far] = e
+        centers[e] = points[far]
+    return labels
+
+
+def cluster_means_by_mask(points, labels, centers, k):
+    """The package's center update before its gathered reduction, kept
+    verbatim: one boolean mask and one ``mean`` per cluster."""
+    for c in range(k):
+        centers[c] = points[labels == c].mean(axis=0)
+
+
+def inertia_from_temporaries(points, centers, labels):
+    """The package's inertia before its work buffer, kept verbatim."""
+    return float(((points - centers[labels]) ** 2).sum())
+
+
+def kmeans_lloyd_ref(points, k, seed, max_iter=300, n_init=10):
+    """The package's k-means loop before its work buffer, driven by the
+    oracles above: recomputed seeding, the direct assignment kernel, the
+    per-cluster repair, mask/mean centers and temporary-based inertia,
+    every step computed afresh. Returns (labels, centers, inertia,
+    iterations, converged, inertia trace) of the winning restart.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        centers = plus_plus_init(points, k, rng)
+        labels = np.full(points.shape[0], -1)
+        trace = []
+        converged = False
+        iterations = 0
+        for it in range(1, max_iter + 1):
+            iterations = it
+            new_labels = nearest_center_direct(points, centers)
+            new_labels = repair_empty_clusters(points, centers, new_labels, k)
+            cluster_means_by_mask(points, new_labels, centers, k)
+            trace.append(inertia_from_temporaries(points, centers, new_labels))
+            if np.array_equal(new_labels, labels):
+                converged = True
+                break
+            labels = new_labels
+        run = (labels, centers, trace[-1], iterations, converged, tuple(trace))
+        if best is None or run[2] < best[2]:
+            best = run
+    return best
+
+
 def cosine_gram_ref(data):
     """All-pairs cosine of the columns of ``data``, snapped and clipped.
 

@@ -157,11 +157,44 @@ class TestArchiveRoundTrip:
         with pytest.raises(FormatError, match="line 2"):
             read_archive(d)
 
+    @pytest.mark.parametrize("body, message", [
+        ("1,2\n3\n", "ragged row at line 2"),
+        ("\n1,2\n\n3,4,5\n\n", "ragged row at line 4"),
+        ("1,2\n\n\n3,x\n\n", "bad number at line 4"),
+        ("1,2\n3,\n", "bad number at line 2"),
+        ("1_0,2\n3,4\n", "bad number at line 1"),  # underscores are refused
+        ("\n  \n", "empty matrix"),
+    ])
+    def test_csv_matrix_errors(self, tmp_path, body, message):
+        d = tmp_path / "d"
+        write_archive(SegmentArchive((seg(0, [[1, 2], [3, 4]]),)), d)
+        (d / "seg_00000.csv").write_text(body)
+        with pytest.raises(FormatError, match=rf"{message}$"):
+            read_archive(d)
+
+    def test_csv_matrix_skips_blank_lines(self, tmp_path):
+        d = tmp_path / "d"
+        write_archive(SegmentArchive((seg(0, [[1, 2], [3, 4]]),)), d)
+        (d / "seg_00000.csv").write_text("\n1, 2\n\n 3 ,4\r\n  \n")
+        np.testing.assert_array_equal(read_archive(d).segments[0].energy, [[1, 2], [3, 4]])
+
+    def test_csv_matrix_values_match_float(self, tmp_path):
+        texts = ["0.1", "5e-324", "4.9406564584124654e-324", "2.2250738585072011e-308",
+                 "1.7976931348623157e308", "0.30000000000000004", "1e23", "9007199254740993",
+                 "123456789012345678901234567890", "1.00000000000000011102230246251565404",
+                 "-0", "1E5", "+2.5", ".5", "5.", "0.000001e-300"]
+        d = tmp_path / "d"
+        write_archive(SegmentArchive((seg(0, [[1, 2], [3, 4]]),)), d)
+        (d / "seg_00000.csv").write_text(",".join(texts[:8]) + "\n" + ",".join(texts[8:]) + "\n")
+        expected = np.array([float(t) for t in texts]).reshape(2, 8)
+        assert read_archive(d).segments[0].energy.tobytes() == expected.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(
-        st.lists(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=2, max_size=4),
-                 min_size=2, max_size=4).filter(
-                     lambda rows: len({len(r) for r in rows}) == 1),
+        # each matrix draws its width first, so every row has that many values
+        st.integers(2, 4).flatmap(lambda width: st.lists(
+            st.lists(st.floats(0, 1e6, allow_nan=False), min_size=width, max_size=width),
+            min_size=2, max_size=4)),
         min_size=0, max_size=3))
     def test_csv_values_exact(self, tmp_path_factory, matrices):
         segs = tuple(SpectroSegment(f"s{i}", np.array(m)) for i, m in enumerate(matrices))
@@ -393,7 +426,7 @@ class TestWriterBytes:
 
     @pytest.mark.parametrize("width", [0, 1, 7])
     def test_vectors(self, tmp_path, width):
-        ids = ["plain", "a,b", 'q"x', "", "line\nbreak"]
+        ids = ["plain", "a,b", 'q"x', "", "line\nbreak", "cr\rid", "crlf\r\nin", " spaced "]
         coords = np.resize(AWKWARD, (len(ids), width))
         write_vectors(ids, coords, tmp_path / "v.csv")
         expected = per_value_rows(

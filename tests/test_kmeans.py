@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nearest_center_direct, plus_plus_init
+from oracles import (kmeans_lloyd_ref, nearest_center_direct, plus_plus_init,
+                     repair_empty_clusters)
 from usvclust import ParameterError, generate_segments, kmeans, pca_reduce, vectorize
 
 # the package exports the function ``kmeans`` under the module's name
@@ -221,8 +222,10 @@ def _seeding_case(case, order):
         points = rng.standard_normal((40, 300)) + 1e3
     elif case == "duplicates":
         points = rng.standard_normal((12, 300))[rng.integers(12, size=40)]
-    else:  # every distance is 0: each center is drawn uniformly
+    elif case == "identical":  # every distance is 0: each center is drawn uniformly
         points = np.ones((40, 300))
+    else:  # one column: numpy's mean sums it pairwise, not row by row
+        points = rng.standard_normal((12, 1))[rng.integers(12, size=60)] + 0.1
     return _lay_out(points, order)
 
 
@@ -234,7 +237,7 @@ class TestSeedingMemo:
     def _assert_matches_oracle_seeding(monkeypatch, points, k, seed):
         fast = kmeans(points, k, seed=seed, n_init=10)
         monkeypatch.setattr(km, "_plus_plus_init",
-                            lambda p, k, rng, memo: plus_plus_init(p, k, rng))
+                            lambda p, k, rng, seeds: plus_plus_init(p, k, rng))
         ref = kmeans(points, k, seed=seed, n_init=10)
         np.testing.assert_array_equal(fast.labels, ref.labels)
         np.testing.assert_array_equal(fast.centers, ref.centers)
@@ -254,37 +257,133 @@ class TestSeedingMemo:
         self._assert_matches_oracle_seeding(
             monkeypatch, _lay_out(segment_features, order), 20, seed=0)
 
-    def test_each_row_computed_at_most_once_per_call(self, monkeypatch):
-        rows = []
-        sq_dist_to = km._sq_dist_to
+    def test_each_pair_computed_at_most_once_per_call(self, monkeypatch):
+        pairs = []
+        fill = km._SeedDistances._fill
 
-        def counting(points, center):
-            rows.append(center.tobytes())
-            return sq_dist_to(points, center)
+        def counting(seeds, row, rows, out):
+            pairs.extend(frozenset((int(row), int(r))) for r in rows)
+            return fill(seeds, row, rows, out)
 
-        monkeypatch.setattr(km, "_sq_dist_to", counting)
+        monkeypatch.setattr(km._SeedDistances, "_fill", counting)
         points = _seeding_case("distinct", "C")
         counts = []
         for _ in range(2):
-            rows.clear()
+            pairs.clear()
             kmeans(points, 8, seed=1, n_init=10)
-            # 80 draws from 40 distinct rows, each computed once
-            assert len(rows) == len(set(rows)) <= 40
-            counts.append(len(rows))
+            # 80 draws from 40 distinct rows; a pair whose rows were both
+            # drawn is computed for the first of them only
+            assert len(pairs) == len(set(pairs)) <= 40 * 41 // 2
+            counts.append(len(pairs))
         # the memo lives for one call: the second call computes its own
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("order", ["C", "F", "view"])
+    def test_every_vector_equals_the_direct_expression(self, order):
+        # 4096 columns make many blocks, and drawing every row in turn leaves
+        # 60, 59, ..., 1 rows to compute, so every last-block size occurs
+        rng = np.random.default_rng(11)
+        raw = rng.standard_normal((60, 4096)) + 10.0
+        points = _lay_out(raw, order)
+
+        def direct(pts, r):
+            return ((pts - pts[r]) ** 2).sum(axis=1)
+
+        if order == "F":
+            # a block summed in C order would change these vectors
+            assert any(direct(points, r).tobytes() != direct(raw, r).tobytes()
+                       for r in range(3))
+        seeds = km._SeedDistances(points, np.ascontiguousarray(points), 60)
+        for r in rng.permutation(60):
+            assert seeds(r).tobytes() == direct(points, r).tobytes()
+        for r in range(60):  # later vectors never write into earlier ones
+            assert seeds(r).tobytes() == direct(points, r).tobytes()
 
 
-def test_peak_memory_stays_near_input_size():
-    # the direct kernel held an n x k x d tensor, about 30x the input here
+class TestLloydMatchesOracles:
+    """Whole runs equal the oracle-driven run of the mask/mean loop, field by
+    field and bit for bit."""
+
+    @staticmethod
+    def _assert_same(res, ref):
+        labels, centers, inertia, iterations, converged, trace = ref
+        np.testing.assert_array_equal(res.labels, labels)
+        assert res.centers.tobytes() == centers.tobytes()
+        assert res.inertia.hex() == inertia.hex()
+        assert [v.hex() for v in res.inertia_trace] == [v.hex() for v in trace]
+        assert res.iterations == iterations
+        assert res.converged == converged
+
+    @pytest.mark.parametrize("order", ["C", "F", "view"])
+    @pytest.mark.parametrize("case, k", [
+        ("distinct", 6), ("duplicates", 6), ("identical", 4), ("one_column", 3),
+        ("distinct", 1), ("duplicates", 1), ("distinct", 40), ("duplicates", 40),
+    ])
+    def test_whole_run_matches(self, case, k, order):
+        points = _seeding_case(case, order)
+        self._assert_same(kmeans(points, k, seed=5, n_init=3),
+                          kmeans_lloyd_ref(points, k, seed=5, n_init=3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 8),
+           st.sampled_from(["C", "F", "view"]))
+    def test_random_small_inputs_match(self, seed, n, d, order):
+        # few distinct small-integer values make duplicate rows, ties and
+        # empty clusters common
+        rng = np.random.default_rng(seed)
+        points = _lay_out(rng.integers(0, 3, size=(n, d)) * 0.5 + 0.25, order)
+        k = int(rng.integers(1, n + 1))
+        self._assert_same(kmeans(points, k, seed=seed, n_init=2),
+                          kmeans_lloyd_ref(points, k, seed=seed, n_init=2))
+
+    @pytest.mark.parametrize("order", ["C", "F", "view"])
+    def test_repair_on_the_converging_step(self, monkeypatch, order):
+        points = _lay_out(np.array([[2.0, 2.0], [2.0, 1.0], [2.0, 2.0], [2.0, 2.0],
+                                    [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), order)
+        repaired = []
+        repair = km._repair_empty
+
+        def recording(points, labels, k):
+            out = repair(points, labels, k)
+            repaired.append(not np.array_equal(out, labels))
+            return out
+
+        monkeypatch.setattr(km, "_repair_empty", recording)
+        res = kmeans(points, 6, seed=1, n_init=1)
+        # the step that repeats the labels needed a repair to get there
+        assert res.converged and repaired[-1]
+        self._assert_same(res, kmeans_lloyd_ref(points, 6, seed=1, n_init=1))
+
+
+class TestRepairEmpty:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 8))
+    def test_matches_per_cluster_oracle(self, seed, k):
+        # labels drawn from a few clusters leave the others empty; small
+        # integer points make ties for the largest cluster and the farthest row
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(k, 4 * k + 1))
+        points = rng.integers(0, 3, size=(n, 2)).astype(float)
+        present = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        labels = present[rng.integers(present.size, size=n)]
+        want = repair_empty_clusters(points, np.zeros((k, 2)), labels, k)
+        got = km._repair_empty(points, labels, k)
+        np.testing.assert_array_equal(got, want)
+        assert np.all(np.bincount(got, minlength=k) > 0)
+
+
+@pytest.mark.parametrize("n_init", [1, 10])
+def test_peak_memory_stays_near_input_size(n_init):
+    # the direct kernel held an n x k x d tensor, about 30x the input here;
+    # the Lloyd steps now share one n x d work buffer
     points = np.random.default_rng(12).standard_normal((200, 4096))
     tracemalloc.start()
     try:
-        kmeans(points, 30, seed=0, n_init=1)
+        kmeans(points, 30, seed=0, n_init=n_init)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * points.nbytes
+    assert peak < 2 * points.nbytes
 
 
 class TestPcaReduce:
