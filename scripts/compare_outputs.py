@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Run the pipeline CLI from two source trees and diff their output trees.
+"""Run the usvclust CLI from two source trees and diff their output trees.
 
     python3 scripts/compare_outputs.py --base ../parent --change . \\
         --workload kmeans_vectors --seeds 100..104
+    python3 scripts/compare_outputs.py --base ../parent --change . \\
+        --workload writers --seeds 1..3
 
 For each archive seed in the inclusive range, the perfbench archive of the
 workload is built once (``make_inputs`` of perfbench/run.py, imported
 read-only from this checkout) and ``python -m usvclust pipeline`` runs on
 it with the benchmark's flags, once with ``DIR/src`` of each tree on
-PYTHONPATH. The two output directories must hold the same file names with
-the same bytes. Exit status: 0 when every tree is identical, 1 on any
-difference, 2 when a pipeline run fails.
+PYTHONPATH. The ``writers`` mode instead runs the commands that write the
+other CSV tables: ``synth segments`` to a CSV archive directory,
+``preprocess`` of one common archive to a vector table, and ``synth
+subspaces`` to a vector table. The two output directories must hold the
+same file names with the same bytes. Exit status: 0 when every tree is
+identical, 1 on any difference, 2 when a CLI run fails.
 """
 
 from __future__ import annotations
@@ -42,12 +47,43 @@ def seed_range(text: str) -> range:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
 
 
-def run_pipeline(tree: Path, args: list, log: Path) -> int:
+def run_cli(tree: Path, args: list, log: Path) -> int:
     # no bytecode is written into either tree
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    with open(log, "wb") as fh:
-        return subprocess.run([sys.executable, "-m", "usvclust", "pipeline", *args],
+    with open(log, "ab") as fh:
+        return subprocess.run([sys.executable, "-m", "usvclust", *args],
                               cwd=tree, env=env, stdout=fh, stderr=subprocess.STDOUT).returncode
+
+
+def pipeline_commands(bench, wl, seed: int, work: Path):
+    """The pipeline run on the workload's archive, writing into ``out``."""
+    inputs = bench.make_inputs(wl, seed, work / "input")
+    return lambda out: [[
+        "pipeline", "--input", str(inputs.path), "--output_dir", str(out),
+        "--tau", str(bench.TAU), "--f", str(bench.GRID), "--t", str(bench.GRID),
+        "--seed", "0", *wl.cli_flags()]]
+
+
+def writer_commands(bench, seed: int, work: Path):
+    """The CSV archive, preprocess and subspace writers, writing into ``out``.
+
+    ``preprocess`` reads one archive written by this checkout, so both
+    trees format the same features.
+    """
+    from usvclust import ingest
+    from usvclust.synth import generate_segments
+
+    archive, _ = generate_segments(40, bench.CLASSES, seed, outlier_frac=bench.OUTLIER_FRAC)
+    source = work / "input.ssca"
+    ingest.write_archive(archive, source)
+    return lambda out: [
+        ["synth", "segments", "--n", "40", "--classes", str(bench.CLASSES), "--seed", str(seed),
+         "--outlier_frac", str(bench.OUTLIER_FRAC), "--output", str(out / "segments")],
+        ["preprocess", "--input", str(source), "--output", str(out / "features.csv"),
+         "--f", str(bench.GRID), "--t", str(bench.GRID)],
+        ["synth", "subspaces", "--n", "4", "--points", "60", "--noise", "0.05",
+         "--outliers", "8", "--seed", str(seed), "--output", str(out / "subspaces.csv")],
+    ]
 
 
 def tree_files(top: Path) -> dict:
@@ -69,27 +105,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="source tree of the parent")
     parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
-    parser.add_argument("--workload", required=True, choices=sorted(bench.WORKLOADS))
+    parser.add_argument("--workload", required=True, choices=[*sorted(bench.WORKLOADS), "writers"],
+                        help="a perfbench workload, or writers for the non-pipeline CSV writers")
     parser.add_argument("--seeds", type=seed_range, required=True,
                         help="inclusive range of archive seeds, e.g. 100..104")
     args = parser.parse_args(argv)
-    wl = bench.WORKLOADS[args.workload]
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     status = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
         for seed in args.seeds:
             work = Path(tmp) / f"s{seed}"
-            inputs = bench.make_inputs(wl, seed, work)
+            work.mkdir()
+            if args.workload == "writers":
+                commands = writer_commands(bench, seed, work)
+            else:
+                commands = pipeline_commands(bench, bench.WORKLOADS[args.workload], seed, work)
             for side, tree in trees.items():
                 out = work / side
-                code = run_pipeline(tree, [
-                    "--input", str(inputs.path), "--output_dir", str(out),
-                    "--tau", str(bench.TAU), "--f", str(bench.GRID), "--t", str(bench.GRID),
-                    "--seed", "0", *wl.cli_flags()], work / f"{side}.log")
-                if code != 0:
-                    print(f"seed {seed}: {side} pipeline exited {code}:\n"
-                          f"{(work / f'{side}.log').read_text()[-2000:]}", file=sys.stderr)
-                    return 2
+                out.mkdir()
+                for cmd in commands(out):
+                    code = run_cli(tree, cmd, work / f"{side}.log")
+                    if code != 0:
+                        print(f"seed {seed}: {side} {cmd[0]} exited {code}:\n"
+                              f"{(work / f'{side}.log').read_text()[-2000:]}", file=sys.stderr)
+                        return 2
             diffs = diff_trees(work / "base", work / "change")
             n_files = len(tree_files(work / "base"))
             print(f"seed {seed}: {n_files} files, "

@@ -59,12 +59,19 @@ def centroids(features: FeatureMatrix, labels: np.ndarray, k: int) -> np.ndarray
 
 def assign_outliers(features: FeatureMatrix, partition: Partition,
                     inlier_labels: np.ndarray, k: int, method: str,
-                    feature_shape: tuple[int, int] | None = None) -> ClusterModel:
-    """Attach every outlier to its most cosine-similar inlier centroid."""
+                    feature_shape: tuple[int, int] | None = None,
+                    inliers: FeatureMatrix | None = None) -> ClusterModel:
+    """Attach every outlier to its most cosine-similar inlier centroid.
+
+    ``inliers`` is ``features.select(partition.inlier_idx)`` where the
+    caller already holds it; it is selected here otherwise.
+    """
     inlier_labels = np.asarray(inlier_labels, dtype=int)
     if inlier_labels.shape != (len(partition.inlier_idx),):
         raise ValidationError("one label per inlier required")
-    cents = centroids(features.select(partition.inlier_idx), inlier_labels, k)
+    if inliers is None:
+        inliers = features.select(partition.inlier_idx)
+    cents = centroids(inliers, inlier_labels, k)
     labels = np.empty(features.n, dtype=int)
     labels[partition.inlier_idx] = inlier_labels
     if len(partition.outlier_idx):

@@ -15,6 +15,7 @@ are value-exact.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import struct
 from dataclasses import dataclass, field
@@ -28,25 +29,179 @@ MAGIC = b"SSCA"
 VERSION = 1
 MANIFEST_NAME = "manifest.csv"
 
-_FLOAT_FMT = "%.17g"
 # an id holding one of these, or an empty one, goes through csv's quoting
 _CSV_QUOTED = frozenset(',"\r\n')
 
 
-def _row_fmt(width: int) -> str:
-    """A %-format string for one CSV row of ``width`` floats.
+# ---------------------------------------------------------------------------
+# CSV floats: %.17g, formatted a block of values at a time
+# ---------------------------------------------------------------------------
 
-    Each row is then formatted by a single ``row_fmt % tuple(row)`` on
-    Python floats (``ndarray.tolist()``), which gives the same bytes as
-    formatting every value with ``_FLOAT_FMT`` and joining with commas.
+_BLOCK = 32768  # values per pass; bounds the temporaries to a few MB
+_CELL = 24  # bytes per value in a frame row: sign, body of at most 22, separator
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+# the doubles nearest 10**k for k = -6..17
+_POW10_NEAR = np.array([float(f"1e{k}") for k in range(-6, 18)])
+
+
+def _split(a):
+    c = a * _VELTKAMP
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _format_tables():
+    """10**p for p = 0..22 (exact doubles) with their Veltkamp halves, and
+    the ASCII of every 4-digit group as a uint32: the first 10,000 as
+    printed, the next 10,000 with their trailing zeros turned into NUL."""
+    pow10 = np.array([float(10 ** p) for p in range(23)])
+    digit = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # leading first
+    quad = np.empty((2, 10000, 4), np.uint8)
+    quad[0] = digit.T + 48
+    kept = np.zeros(10000, bool)  # a nonzero digit at or after this one
+    for k in range(3, -1, -1):
+        kept |= digit[k] != 0
+        quad[1, :, k] = quad[0, :, k] * kept
+    return (pow10, *_split(pow10)), quad.view(np.uint32).ravel()
+
+
+def _significand(a, e):
+    """round(a * 10**(16 - e)) half to even, exactly, as int64: the 17
+    significant digits of each ``a`` (> 0) whose decimal exponent is ``e``
+    (int8, in [-6, 16])."""
+    (pow10, pow10_hi, pow10_lo), _ = _format_tables()
+    # hi + lo == a * 10**(16 - e) exactly (Dekker's two-product); each ufunc
+    # rounds once, so nothing is fused into an FMA
+    p = 16 - e
+    hi = a * pow10[p]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = pow10_hi[p], pow10_lo[p]
+    lo = a_lo * b_lo - (((hi - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    # hi is an integer in [1e16, 1e17], so the exact value is n + frac with
+    # frac in [0, 1). Rounded half to even, n never reaches 10**17: only the
+    # double nearest below a power of ten could, and for 10**-5..10**17 it
+    # stays below at 17 digits
+    floor = np.floor(lo)
+    frac = lo - floor
+    n = hi.astype(np.int64) + floor.astype(np.int64)
+    n += (frac > 0.5) | ((frac == 0.5) & (n & 1 == 1))
+    return n
+
+
+def _digit_rows(n):
+    """The 17 ASCII digits of each ``n`` in [1e16, 1e17) as a (len(n), 17)
+    uint8 view, its trailing zeros turned into NUL."""
+    _, groups = _format_tables()
+    # one leading digit and four groups of four. int64 floor division by a
+    # constant is several times faster than divmod
+    top = n // 10 ** 8
+    bot = n - top * 10 ** 8
+    lead = top // 10 ** 8
+    top -= lead * 10 ** 8
+    digits = np.empty((len(n), 20), np.uint8)
+    np.add(lead, 48, out=digits[:, 3], casting="unsafe")
+    words = digits.view(np.uint32)
+    trailing = np.ones(len(n), bool)  # every later group is 0000
+    for k, half in ((3, bot), (1, top)):
+        q = half // 10000
+        for col, g in ((k + 1, half - q * 10000), (k, q)):
+            words[:, col] = groups[g + 10000 * trailing]
+            trailing &= g == 0
+    return digits[:, 3:]
+
+
+def _exact_cells(a, e, neg, sep, width):
+    """Frame rows of the values ``a`` (> 0) whose decimal exponent E lies in
+    [-6, 16]; ``e`` (int8) holds E.
+
+    A row is ``width`` bytes: the sign or NUL, the body from byte 1 with
+    NUL wherever a digit or point is dropped, NUL padding, and the value's
+    separator last. Returns the rows in the stable order of E, and that
+    order as indices into ``a``.
     """
-    return ",".join([_FLOAT_FMT] * width)
+    order = np.argsort(e, kind="stable")
+    e = e[order]
+    digits = _digit_rows(_significand(a[order], e))
+    m = len(e)
+    # one slice layout per exponent; NUL bytes are dropped when joined
+    cells = np.zeros((m, width), np.uint8)
+    edges = (np.flatnonzero(np.diff(e)) + 1).tolist()
+    for s, t in zip([0] + edges, edges + [m]):
+        ex = int(e[s])
+        c, d = cells[s:t], digits[s:t]
+        if ex >= 0:  # ddd.ddd, keeping the E+1 integer digits
+            np.maximum(d[:, :ex + 1], 48, out=c[:, 1:ex + 2])
+            if ex < 16:
+                np.minimum(d[:, ex + 1], 46, out=c[:, ex + 2])  # '.' if a digit follows
+                c[:, ex + 3:19] = d[:, ex + 1:]
+        elif ex >= -4:  # 0.000ddd
+            w = 1 - ex
+            c[:, 1:1 + w] = np.frombuffer(b"0." + b"0" * (w - 2), np.uint8)
+            c[:, 1 + w:18 + w] = d
+        else:  # d.ddde-05, d.ddde-06
+            c[:, 1] = d[:, 0]
+            np.minimum(d[:, 1], 46, out=c[:, 2])
+            c[:, 3:19] = d[:, 1:]
+            c[:, 19:23] = np.frombuffer(b"e%+03d" % ex, np.uint8)
+    np.multiply(neg[order], 45, out=cells[:, 0])
+    cells[:, -1] = sep[order]
+    return cells, order
+
+
+def _format_block(x, sep) -> bytes:
+    """``'%.17g' % v`` for each value of ``x``, each followed by its byte
+    of ``sep``."""
+    a = np.abs(x)
+    neg = np.signbit(x).view(np.uint8)
+    # the double 1e-6 lies below 10**-6, so every value above it has E >= -6
+    exact = (a > 1e-6) & (a < 1e17)
+    # nan, inf, subnormals and the rest of E outside [-6, 16]: one at a time
+    rest = np.flatnonzero(~exact & (a != 0))
+    text = [("%.17g" % v).encode() for v in x[rest].tolist()]
+    width = max([_CELL] + [len(t) + 1 for t in text])
+    frame = np.zeros((len(x), width), np.uint8)
+    np.multiply(neg, 45, out=frame[:, 0])  # zeros: "0" or "-0"
+    frame[:, 1] = 48
+    frame[:, 2] = sep
+    idx = np.flatnonzero(exact)
+    if len(idx):
+        a = a[idx]
+        # E is floor(e2 * log10(2)) or one more, e2 the binary exponent.
+        # Comparing with the double nearest 10**(E+1) settles it: for
+        # 10**-5..10**-1 that double lies above the power, no double lies
+        # in between, and the others are exact
+        e = (((a.view(np.int64) >> 52) - 1023) * 78913 >> 18).astype(np.int8)
+        e += a >= _POW10_NEAR[e + 7]
+        cells, order = _exact_cells(a, e, neg[idx], sep[idx], width)
+        # whole rows as single items: numpy scatters those several times faster
+        rows = f"V{width}"
+        frame.view(rows).ravel()[idx[order]] = cells.view(rows).ravel()
+    if len(rest):
+        frame[rest, :-1] = np.array(text, dtype=f"S{width - 1}").view(np.uint8).reshape(len(rest), -1)
+        frame[rest, -1] = sep[rest]
+    return frame.tobytes().translate(None, b"\0")
+
+
+def _csv_blocks(mat: np.ndarray):
+    """Yield the CSV bytes of a 2-D float matrix, ``_BLOCK`` values at a time.
+
+    The bytes equal ``row_fmt % tuple(row)`` for every row, with ``row_fmt``
+    one ``%.17g`` per column joined by commas plus a newline, and are
+    byte-identical to CPython's conversion for every float64.
+    """
+    flat = np.ascontiguousarray(mat, dtype=np.float64).ravel()
+    width = mat.shape[1]
+    for start in range(0, flat.size, _BLOCK):
+        x = flat[start:start + _BLOCK]
+        sep = np.full(len(x), ord(","), np.uint8)
+        sep[(width - 1 - start) % width::width] = ord("\n")
+        yield _format_block(x, sep)
 
 
 def _write_matrix_csv(mat: np.ndarray, path) -> None:
-    row_fmt = _row_fmt(mat.shape[1]) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.writelines(row_fmt % tuple(row) for row in mat.tolist())
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_blocks(mat))
 
 
 @dataclass(frozen=True)
@@ -313,20 +468,28 @@ def write_centroids(model, out_dir) -> None:
     ``centroids.csv``, whose row ids are ``centroid_XX``.
     """
     sizes = np.bincount(model.inlier_labels, minlength=model.k)
-    cents = model.centroids[np.argsort(-sizes, kind="stable")]
+    order = np.argsort(-sizes, kind="stable")
+    d = model.centroids.shape[1]
     shape = model.feature_shape
-    if shape is not None and cents.shape[1] != shape[0] * shape[1]:
-        raise ValidationError(
-            f"centroid length {cents.shape[1]} != {shape[0]}*{shape[1]}"
-        )
+    if shape is not None and d != shape[0] * shape[1]:
+        raise ValidationError(f"centroid length {d} != {shape[0]}*{shape[1]}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = [f"centroid_{rank:02d}" for rank in range(model.k)]
     if shape is None:
-        write_vectors(names, cents, out_dir / "centroids.csv")
+        write_vectors(names, model.centroids[order], out_dir / "centroids.csv")
         return
-    for name, cent in zip(names, cents):
-        _write_matrix_csv(cent.reshape(shape, order="F"), out_dir / f"{name}.csv")
+    f, t = shape
+    per_block = max(1, _BLOCK // d)
+    for first in range(0, model.k, per_block):
+        # stack the F x T grids of a few centroids, format them in one pass
+        # and cut the bytes at every F-th newline
+        grids = model.centroids[order[first:first + per_block]].reshape(-1, t, f)
+        text = b"".join(_csv_blocks(grids.transpose(0, 2, 1).reshape(-1, t)))
+        ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[f - 1::f] + 1
+        view = memoryview(text)
+        for name, lo, hi in zip(names[first:], [0, *ends[:-1].tolist()], ends.tolist()):
+            (out_dir / f"{name}.csv").write_bytes(view[lo:hi])
 
 
 def read_centroid_dir(path) -> np.ndarray:
@@ -360,14 +523,15 @@ def write_vectors(ids, coords: np.ndarray, path) -> None:
         if coords.shape[1] == 0:
             writer.writerows([sid] for sid in ids)
             return
-        row_fmt = _row_fmt(coords.shape[1]) + "\n"
-        # one row of Python floats at a time, not the whole table's
-        for sid, row in zip(ids, coords):
-            cells = row_fmt % tuple(row.tolist())
-            if isinstance(sid, str) and sid and _CSV_QUOTED.isdisjoint(sid):
-                fh.write(sid + "," + cells)
-            else:  # csv quotes the id where it must; the floats never need it
-                writer.writerow([sid, *cells[:-1].split(",")])
+        per_block = max(1, _BLOCK // coords.shape[1])
+        for first in range(0, len(ids), per_block):
+            block = coords[first:first + per_block]
+            rows = b"".join(_csv_blocks(block)).decode("ascii").split("\n")
+            for sid, cells in zip(ids[first:first + per_block], rows):
+                if isinstance(sid, str) and sid and _CSV_QUOTED.isdisjoint(sid):
+                    fh.write(sid + "," + cells + "\n")
+                else:  # csv quotes the id where it must; the floats never need it
+                    writer.writerow([sid, *cells.split(",")])
 
 
 def read_vectors(path):
@@ -417,10 +581,13 @@ def read_vectors(path):
 
 def write_coefficient_triplets(y: np.ndarray, path) -> None:
     """Dump the nonzeros of a coefficient matrix as ``row,col,value`` CSV."""
+    Path(path).write_bytes(coefficient_triplets(y))
+
+
+def coefficient_triplets(y: np.ndarray) -> bytes:
+    """The bytes ``write_coefficient_triplets`` writes."""
     rows, cols = np.nonzero(y)
-    row_fmt = "%d,%d," + _FLOAT_FMT + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("row,col,value\n")
-        fh.writelines(row_fmt % triplet
-                      for triplet in zip(rows.tolist(), cols.tolist(),
-                                         y[rows, cols].tolist()))
+    # indices are exact in float64, and %.17g prints an integer below 1e17
+    # as %d does
+    table = np.column_stack([rows, cols, y[rows, cols]]).astype(np.float64)
+    return b"".join([b"row,col,value\n", *_csv_blocks(table)])

@@ -111,7 +111,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
     for k in cfg.k:
         labels, emb = cluster_inliers(inliers, cfg, k, embedding)
         model = assign_outliers(features, part, labels, k, cfg.method,
-                                feature_shape=shape)
+                                feature_shape=shape, inliers=inliers)
         rep = metrics.report(features, model)
         results.append(KResult(
             k=k, model=model, report=rep,
@@ -144,6 +144,7 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
     # it gets the usual permissions instead of mkdtemp's 0700
     holder = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     stage = holder / out.name
+    coefficients = triplets = None
     try:
         stage.mkdir()
         for res in results:
@@ -156,8 +157,11 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
                 ingest.write_vectors(res.embedding_ids, res.embedding,
                                      sub / "embedding.csv")
             if res.coefficients is not None:
-                ingest.write_coefficient_triplets(res.coefficients,
-                                                  sub / "coefficients.csv")
+                # a sweep shares one matrix between its K: format it once
+                if res.coefficients is not coefficients:
+                    coefficients = res.coefficients
+                    triplets = ingest.coefficient_triplets(coefficients)
+                (sub / "coefficients.csv").write_bytes(triplets)
         with open(stage / "metrics.csv", "w", newline="") as fh:
             fh.write(metrics.MetricsReport.csv_header())
             fh.write("\n")

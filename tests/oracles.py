@@ -371,3 +371,30 @@ def cosine_gram_ref(data):
     g = np.clip(g, -1.0, 1.0)
     g[g > 1.0 - 1e-12] = 1.0
     return g
+
+
+# The CSV float writer the block formatter replaced, copied verbatim: one
+# Python % per row, on the row's Python floats.
+_FLOAT_FMT = "%.17g"
+
+
+def _row_fmt(width: int) -> str:
+    """A %-format string for one CSV row of ``width`` floats.
+
+    Each row is then formatted by a single ``row_fmt % tuple(row)`` on
+    Python floats (``ndarray.tolist()``), which gives the same bytes as
+    formatting every value with ``_FLOAT_FMT`` and joining with commas.
+    """
+    return ",".join([_FLOAT_FMT] * width)
+
+
+def _write_matrix_csv(mat: np.ndarray, path) -> None:
+    row_fmt = _row_fmt(mat.shape[1]) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.writelines(row_fmt % tuple(row) for row in mat.tolist())
+
+
+def matrix_csv_ref(mat: np.ndarray) -> bytes:
+    """The bytes ``_write_matrix_csv`` writes for ``mat``, without a file."""
+    row_fmt = _row_fmt(mat.shape[1]) + "\n"
+    return "".join(row_fmt % tuple(row) for row in mat.tolist()).encode()

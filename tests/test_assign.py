@@ -110,3 +110,16 @@ class TestAssignOutliers:
         part = Partition(np.array([0, 1]), np.array([2]), 0.8)
         with pytest.raises(ValidationError):
             assign_outliers(fm, part, np.array([0]), 1, "kmeans")
+
+    def test_supplied_inliers_give_the_same_model(self):
+        # run_pipeline passes the inlier matrix it already holds
+        rng = np.random.default_rng(3)
+        fm = unit_features(rng.standard_normal((40, 30)))
+        inlier_idx = np.array([i for i in range(30) if i % 4])
+        part = Partition(inlier_idx, np.arange(0, 30, 4), 0.8)
+        labels = np.arange(len(inlier_idx)) % 3
+        selected = assign_outliers(fm, part, labels, 3, "kmeans")
+        supplied = assign_outliers(fm, part, labels, 3, "kmeans",
+                                   inliers=fm.select(inlier_idx))
+        assert supplied.centroids.tobytes() == selected.centroids.tobytes()
+        assert supplied.labels.tolist() == selected.labels.tolist()

@@ -1,15 +1,22 @@
 import csv
 import io
+import math
+import struct
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _write_matrix_csv, matrix_csv_ref
 from usvclust import (FormatError, SegmentArchive, SpectroSegment,
                       ValidationError, read_archive, write_archive)
 from usvclust.assign import ClusterModel
-from usvclust.ingest import (read_centroid_dir, read_labels, read_vectors,
+from usvclust.ingest import (_csv_blocks, coefficient_triplets,
+                             read_centroid_dir, read_labels, read_vectors,
                              write_centroids, write_coefficient_triplets,
                              write_label_rows, write_labels, write_vectors)
 from usvclust.outlier_split import Partition
@@ -442,3 +449,174 @@ class TestWriterBytes:
             ["row", "col", "value"],
             [[int(r), int(c), "%.17g" % y[r, c]] for r, c in zip(rows, cols)])
         assert (tmp_path / "y.csv").read_bytes() == expected.encode()
+
+    def test_centroids_across_passes(self, tmp_path):
+        # 20 grids of 64 x 64 take three passes of 8 grids
+        rng = np.random.default_rng(5)
+        k = 20
+        cents = rng.random((k, 64 * 64)) ** 6 * (rng.random((k, 64 * 64)) < 0.3)
+        labels = np.repeat(np.arange(k), np.arange(1, k + 1))  # cluster c has c+1 members
+        n = len(labels)
+        model = ClusterModel(
+            ids=tuple(f"s{i}" for i in range(n)), labels=labels, centroids=cents,
+            partition=Partition(np.arange(n), np.array([], dtype=int), 0.8), k=k,
+            method="kmeans", inlier_labels=labels, feature_shape=(64, 64))
+        write_centroids(model, tmp_path / "c")
+        for rank in range(k):  # rank 00 is the largest cluster, k - 1
+            mat = cents[k - 1 - rank].reshape((64, 64), order="F")
+            path = tmp_path / "c" / f"centroid_{rank:02d}.csv"
+            assert path.read_bytes() == per_value_matrix(mat).encode()
+
+    def test_vectors_across_passes(self, tmp_path):
+        # 4096-wide rows take passes of 8 rows; quoted ids fall in each
+        rng = np.random.default_rng(6)
+        ids = [f"s{i}" if i % 7 else f"q,{i}" for i in range(20)]
+        coords = rng.standard_normal((20, 4096)) * 10.0 ** rng.integers(-8, 3, (20, 4096))
+        write_vectors(ids, coords, tmp_path / "v.csv")
+        expected = per_value_rows(
+            ["id"] + [f"dim{j}" for j in range(4096)],
+            [[sid] + ["%.17g" % v for v in row] for sid, row in zip(ids, coords)])
+        assert (tmp_path / "v.csv").read_bytes() == expected.encode()
+
+    def test_coefficient_triplets_indices(self, tmp_path):
+        # row and column indices past one digit print as %d
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((150, 120)) * (rng.random((150, 120)) < 0.05)
+        rows, cols = np.nonzero(y)
+        expected = per_value_rows(
+            ["row", "col", "value"],
+            [[int(r), int(c), "%.17g" % y[r, c]] for r, c in zip(rows, cols)])
+        assert coefficient_triplets(y) == expected.encode()
+
+
+def csv_bytes(mat):
+    return b"".join(_csv_blocks(np.asarray(mat, dtype=np.float64)))
+
+
+def around_powers_of_ten():
+    """10**k and the doubles one ulp either side, for k in -8..18."""
+    out = []
+    for k in range(-8, 19):
+        v = float(f"1e{k}")
+        out += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    return out
+
+
+def nearest_below(k):
+    """The largest double below 10**k."""
+    v = float(f"1e{k}")
+    return v if Fraction(v) < Fraction(10) ** k else math.nextafter(v, 0.0)
+
+
+def ties():
+    """Exact ties at the 17th digit: odd * 2**-(p+1) for p in 1..22 whose
+    decimal expansion, odd * 5**(p+1) shifted, has 18 digits ending in 5.
+    Consecutive odd numbers give both parities of the 17th digit."""
+    out = []
+    for p in range(1, 23):
+        five = 5 ** (p + 1)
+        first = -(-10 ** 17 // five) | 1  # the smallest odd with 18 digits
+        last = (10 ** 18 - 1) // five
+        for odd in [*range(first, first + 8, 2), *range(last - last % 2 - 7, last, 2)]:
+            if odd < 2 ** 53 and len(str(odd * five)) == 18:
+                out.append(odd * 2.0 ** -(p + 1))
+    return out
+
+
+EDGES = [
+    1e-7, 9.9999999999999995e-7, 1e-6, math.nextafter(1e-6, 1.0), 1.5e-6,  # E -7/-6
+    1e-5, 9.9999999999999991e-5, 1e-4, math.nextafter(1e-4, 0.0), 1.5e-4,  # E -5/-4
+    1e16, math.nextafter(1e16, 0.0), 9.999999999999998e16, 1e17,           # E 16/17
+    math.nextafter(1e17, 0.0), math.nextafter(1e17, 1e18), 1.5e17,
+    *(nearest_below(k) for k in range(-5, 18)),  # would carry, if anything did
+    float("1e-14"),  # carries, below the exact range: prints 1e-14
+    5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 4e-320,  # subnormals
+    0.0, -0.0, 1e308, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    0.1, 0.5, 1.0, 2.0 ** 53, 2.0 ** 53 + 2, 123456789012345678.0, 1e-300,
+]
+
+
+def any_float():
+    bits = st.integers(0, 2 ** 64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+    decimal = st.builds(lambda v, neg: -v if neg else v,
+                        st.floats(1e-8, 1e18), st.booleans())
+    return st.one_of(bits, decimal, st.sampled_from(EDGES))
+
+
+class TestFloatFormatter:
+    """The block formatter's bytes equal the row-at-a-time ``%`` writer's."""
+
+    def test_oracle_writes_what_it_returns(self, tmp_path):
+        mat = np.resize(np.array(EDGES), (5, 9))
+        _write_matrix_csv(mat, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == matrix_csv_ref(mat)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 70).flatmap(lambda width: st.lists(
+        st.lists(any_float(), min_size=width, max_size=width), min_size=1, max_size=3)))
+    def test_any_bits_any_width(self, rows):
+        mat = np.array(rows, dtype=np.float64)
+        assert csv_bytes(mat) == matrix_csv_ref(mat)
+
+    @pytest.mark.parametrize("values", [
+        around_powers_of_ten(), ties(), EDGES,
+    ], ids=["powers_of_ten", "ties", "edges"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_targeted(self, values, sign):
+        mat = sign * np.array(values)[:, None]
+        assert csv_bytes(mat) == matrix_csv_ref(mat)
+        assert csv_bytes(mat.reshape(1, -1)) == matrix_csv_ref(mat.reshape(1, -1))
+
+    def test_ties_are_ties(self):
+        values = ties()
+        assert len(values) > 100
+        for v in values:
+            digits = Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        # the 17th digit, which half to even keeps or rounds up, has both parities
+        assert {Decimal(v).as_tuple().digits[16] % 2 for v in values} == {0, 1}
+
+    def test_exact_range_premises(self):
+        # no carry step: at 17 digits only the double just below 10**k could
+        # round up to 10**k, and for every k in -5..17 it does not
+        for k in range(-5, 18):
+            assert Decimal("%.17g" % nearest_below(k)) < Decimal(10) ** k
+        # the exponent guess: for k in -5..-1 the double nearest 10**k lies
+        # above it (for k in 0..17 it is exact)
+        for k in range(-5, 0):
+            assert Fraction(float(f"1e{k}")) > Fraction(10) ** k
+
+    @pytest.mark.parametrize("shape", [(937, 71), (2, 40000), (1, 65536), (65537, 1)])
+    def test_blocks_cut_rows(self, shape):
+        # values of every exponent, with block edges inside and between rows
+        rng = np.random.default_rng(shape[1])
+        n = shape[0] * shape[1]
+        mat = (rng.standard_normal(n) * 10.0 ** rng.integers(-9, 19, n)).reshape(shape)
+        mat[rng.random(shape) < 0.5] = 0.0
+        assert csv_bytes(mat) == matrix_csv_ref(mat)
+
+    def test_empty(self):
+        assert csv_bytes(np.zeros((0, 3))) == b""
+        assert csv_bytes(np.zeros((3, 0))) == b""
+
+    def test_centroid_writer_memory(self, tmp_path):
+        # K=60 64 x 64 centroids, none of them zero: the writer formats 8
+        # grids per pass, so its temporaries stay a few MB (6 MB measured).
+        # One pass over all 60 grids peaked at 40 MB, 16 grids at 12 MB
+        rng = np.random.default_rng(3)
+        k = 60
+        cents = rng.standard_normal((k, 64 * 64))
+        model = ClusterModel(
+            ids=tuple(f"s{i}" for i in range(k)), labels=np.arange(k),
+            centroids=cents, partition=Partition(np.arange(k), np.array([], dtype=int), 0.8),
+            k=k, method="kmeans", inlier_labels=np.arange(k), feature_shape=(64, 64))
+        tracemalloc.start()
+        try:
+            write_centroids(model, tmp_path / "c")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        for rank in (0, 17, 59):
+            grid = cents[rank].reshape((64, 64), order="F")
+            assert (tmp_path / "c" / f"centroid_{rank:02d}.csv").read_bytes() == matrix_csv_ref(grid)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,38 @@ class TestWriteOutputs:
         assert len(lines) == 3
         assert lines[1].split(",")[1] == "2"
         assert lines[2].split(",")[1] == "3"
+
+    def test_sweep_formats_coefficients_once(self, segment_archive, tmp_path,
+                                             monkeypatch):
+        out = tmp_path / "out"
+        cfg = make_cfg(segment_archive, out, method="omp_ssc", k="2,3,4",
+                       dump_coefficients=True)
+        results = run_pipeline(cfg)
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return real(y)
+
+        real = ingest.coefficient_triplets
+        monkeypatch.setattr(ingest, "coefficient_triplets", counted)
+        write_outputs(cfg, results)
+        assert len(calls) == 1
+        expected = real(results[0].coefficients)
+        for k in (2, 3, 4):
+            assert (out / f"k_{k}" / "coefficients.csv").read_bytes() == expected
+
+    def test_each_coefficient_matrix_gets_its_triplets(self, segment_archive,
+                                                       tmp_path):
+        out = tmp_path / "out"
+        cfg = make_cfg(segment_archive, out, method="omp_ssc", k="2,3",
+                       dump_coefficients=True)
+        first, second = run_pipeline(cfg)
+        second = dataclasses.replace(second, coefficients=2.0 * second.coefficients)
+        write_outputs(cfg, [first, second])
+        for res in (first, second):
+            assert ((out / f"k_{res.k}" / "coefficients.csv").read_bytes()
+                    == ingest.coefficient_triplets(res.coefficients))
 
     def test_embedding_export(self, segment_archive, tmp_path):
         out = tmp_path / "out"
