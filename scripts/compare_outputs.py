@@ -4,14 +4,17 @@
     python3 scripts/compare_outputs.py --base ../parent --change . \\
         --workload kmeans_vectors --seeds 100..104
     python3 scripts/compare_outputs.py --base ../parent --change . \\
+        --workload omp_sweep --seeds 1..2 --segments 400
+    python3 scripts/compare_outputs.py --base ../parent --change . \\
         --workload writers --seeds 1..3
 
 For each archive seed in the inclusive range, the perfbench archive of the
 workload is built once (``make_inputs`` of perfbench/run.py, imported
 read-only from this checkout) and ``python -m usvclust pipeline`` runs on
 it with the benchmark's flags, once with ``DIR/src`` of each tree on
-PYTHONPATH. The ``writers`` mode instead runs the commands that write the
-other CSV tables: ``synth segments`` to a CSV archive directory,
+PYTHONPATH. ``--segments N`` builds archives of N segments instead of the
+workload's own size. The ``writers`` mode instead runs the commands that
+write the other CSV tables: ``synth segments`` to a CSV archive directory,
 ``preprocess`` of one common archive to a vector table, and ``synth
 subspaces`` to a vector table. The two output directories must hold the
 same file names with the same bytes. Exit status: 0 when every tree is
@@ -21,6 +24,7 @@ identical, 1 on any difference, 2 when a CLI run fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -109,7 +113,11 @@ def main(argv=None) -> int:
                         help="a perfbench workload, or writers for the non-pipeline CSV writers")
     parser.add_argument("--seeds", type=seed_range, required=True,
                         help="inclusive range of archive seeds, e.g. 100..104")
+    parser.add_argument("--segments", type=int,
+                        help="segments per archive, instead of the workload's own count")
     args = parser.parse_args(argv)
+    if args.segments is not None and (args.workload == "writers" or args.segments < 2):
+        parser.error("--segments takes a count of at least 2 and a pipeline workload")
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     status = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
@@ -119,7 +127,10 @@ def main(argv=None) -> int:
             if args.workload == "writers":
                 commands = writer_commands(bench, seed, work)
             else:
-                commands = pipeline_commands(bench, bench.WORKLOADS[args.workload], seed, work)
+                wl = bench.WORKLOADS[args.workload]
+                if args.segments is not None:
+                    wl = dataclasses.replace(wl, segments=args.segments)
+                commands = pipeline_commands(bench, wl, seed, work)
             for side, tree in trees.items():
                 out = work / side
                 out.mkdir()

@@ -83,6 +83,14 @@ def compute_coefficients(inliers: FeatureMatrix, cfg: PipelineConfig):
     return self_express(inliers.data, cfg.coding())
 
 
+def _check_k(cfg: PipelineConfig, part: Partition, why: str = "") -> None:
+    n_inliers = len(part.inlier_idx)
+    if max(cfg.k) > n_inliers:
+        raise ParameterError(
+            f"k={max(cfg.k)} exceeds the {n_inliers} inliers at tau={cfg.tau}{why}"
+        )
+
+
 def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
     """Run the full two-step protocol for every configured K."""
     features, shape = load_features(cfg.input, cfg.f, cfg.t)
@@ -92,11 +100,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
     part = split(features, cfg.tau, gram=gram)
     if len(part.inlier_idx) == 0:
         raise ValidationError(f"every sample is an outlier at tau={cfg.tau}")
-    n_inliers = len(part.inlier_idx)
-    if max(cfg.k) > n_inliers:
-        raise ParameterError(
-            f"k={max(cfg.k)} exceeds the {n_inliers} inliers at tau={cfg.tau}"
-        )
+    _check_k(cfg, part)
     inliers = features.select(part.inlier_idx)
     embedding = coeffs = None
     if cfg.method != "kmeans":
@@ -105,6 +109,22 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
         else:
             coeffs = compute_coefficients(inliers, cfg).y
             affinity = affinity_from_coefficients(coeffs)
+        # an inlier with zero affinity degree has no edge in the graph: as
+        # in the paper it becomes an outlier, assigned at the end. Its
+        # affinity row and column are zero, so the rest is unchanged
+        isolated = ~affinity.any(axis=1)
+        if isolated.any():
+            keep = np.flatnonzero(~isolated)
+            part = Partition(
+                inlier_idx=part.inlier_idx[keep],
+                outlier_idx=np.union1d(part.outlier_idx, part.inlier_idx[isolated]),
+                tau=part.tau)
+            _check_k(cfg, part, f" after {int(isolated.sum())} zero-degree inliers "
+                                "became outliers")
+            inliers = features.select(part.inlier_idx)
+            affinity = affinity[np.ix_(keep, keep)]
+            if coeffs is not None:
+                coeffs = coeffs[np.ix_(keep, keep)]
         # one eigensolve per run; each K clusters the leading K columns
         embedding = embed(affinity, max(cfg.k)).coords
     results = []

@@ -18,6 +18,7 @@ DENOISE_EPS = 0.001
 KKT_TOL = 1e-9  # largest KKT violation a certified LASSO column may have
 _PARALLEL = 1e-12  # correlations closing on the level slower than this never meet it
 _RANK_TOL = 1e-10  # an OMP atom this close (squared, relative) to the active span is dependent
+_OMP_BLOCK_BYTES = 1 << 22  # gram[active] gathered for one block of OMP targets
 
 
 @dataclass
@@ -56,13 +57,18 @@ class SparseCodingConfig:
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
-    """Self-expression coefficients (column j codes sample j)."""
+    """Self-expression coefficients (column j codes sample j).
+
+    n_nonconverged counts the uncertified LASSO columns; n_dependent counts
+    the OMP columns whose pursuit stopped on a dependent atom.
+    """
 
     y: np.ndarray
     method: str
     lam: float | None
     denoise_eps: float
     n_nonconverged: int = 0
+    n_dependent: int = 0
 
     @property
     def n(self) -> int:
@@ -194,48 +200,88 @@ def kkt_violation(dictionary: np.ndarray, target: np.ndarray,
     return float(_kkt_gram(grad, y, lam).max(initial=0.0))
 
 
-def _omp_gram(gram: np.ndarray, corr: np.ndarray, tt: float, sparsity_k: int,
-              tol: float, barred: int | None = None) -> np.ndarray:
-    """Orthogonal matching pursuit on the Gram form (Batch-OMP).
+def _omp_gram(gram: np.ndarray, corr: np.ndarray, tt: np.ndarray, sparsity_k: int,
+              tol: float, barred: np.ndarray | None = None):
+    """Orthogonal matching pursuit on the Gram form (Batch-OMP), many targets.
 
-    Codes a target t against a dictionary A given gram = A^T A,
-    corr = A^T t and tt = t @ t; the data matrix itself is never touched.
-    Each round picks the atom with the largest absolute correlation with
-    the residual, corr - gram[:, active] @ coef, and re-fits the active
-    coefficients by the normal equations on gram[active][:, active]. Their
-    Cholesky factor grows by one row per atom, and the new pivot squared is
-    the Schur complement of the atom against the active span: its squared
-    distance from that span. An atom whose Schur complement is at most
-    ``_RANK_TOL * gram[j, j]`` is dependent on the active set; it is
-    dropped and the previous solution returned. The pursuit stops early
+    Codes each target t_i against a dictionary A given gram = A^T A, the
+    rows corr[i] = A^T t_i and tt[i] = t_i @ t_i; the data matrix itself is
+    never touched. Each round picks the atom with the largest absolute
+    correlation with the residual, corr - coef @ gram[active], and re-fits
+    the active coefficients by the normal equations on
+    gram[active][:, active]. Their Cholesky factor grows by one row per
+    atom, and the new pivot squared is the Schur complement of the atom
+    against the active span: its squared distance from that span. An atom
+    whose Schur complement is at most ``_RANK_TOL * gram[j, j]`` is
+    dependent on the active set; it is dropped and the previous solution
+    kept. A pursuit also stops when the residual correlation is zero, and
     once the squared residual norm, tt - corr[active] @ coef, is below
-    tol**2. Atom ``barred`` is never picked.
+    tol**2. Target i never picks atom ``barred[i]``; a negative entry bars
+    none.
+
+    Every live target moves one round per stacked numpy call, in blocks of
+    targets whose gram[active] gather fits ``_OMP_BLOCK_BYTES``. Each stack
+    entry makes the calls one target alone would make, so the coefficients
+    are those of a pursuit run target by target, bit for bit.
+
+    Returns (y, n_dependent): y is (n, c), column i coding target i, and
+    n_dependent counts the pursuits that stopped on a dependent atom.
     """
-    y = np.zeros(corr.shape[0])
-    active: list[int] = []
-    coef = np.zeros(0)
-    chol = np.zeros((sparsity_k, sparsity_k))  # lower factor, one row per atom
+    c, n = corr.shape
+    if barred is None:
+        barred = np.full(c, -1)
+    y = np.zeros((n, c))
+    n_dependent = 0
+    step = max(1, _OMP_BLOCK_BYTES // (8 * sparsity_k * n))
+    for lo in range(0, c, step):
+        block = slice(lo, lo + step)
+        n_dependent += _omp_block(gram, corr[block], tt[block], sparsity_k, tol,
+                                  barred[block], y[:, block])
+    return y, n_dependent
+
+
+def _omp_block(gram, corr, tt, sparsity_k, tol, barred, out) -> int:
+    """One block of ``_omp_gram``: target i's code goes to ``out[:, i]``."""
+    live = np.arange(corr.shape[0])  # targets still in pursuit
+    active = np.zeros((live.size, 0), dtype=np.intp)
+    coef = np.zeros((live.size, 0))
+    chol = np.zeros((live.size, sparsity_k, sparsity_k))  # lower factors
+    n_dependent = 0
     for m in range(sparsity_k):
-        resid_corr = corr - coef @ gram[active]
-        resid_corr[active] = 0.0
-        if barred is not None:
-            resid_corr[barred] = 0.0
-        j = int(np.argmax(np.abs(resid_corr)))
-        if resid_corr[j] == 0.0:
+        rows = np.arange(live.size)
+        cor = corr[live]
+        resid_corr = cor - (coef[:, None] @ gram[active])[:, 0]
+        resid_corr[rows[:, None], active] = 0.0
+        bar = barred[live]
+        resid_corr[rows[bar >= 0], bar[bar >= 0]] = 0.0
+        j = np.argmax(np.abs(resid_corr), axis=1)
+        zero = resid_corr[rows, j] == 0.0
+        # numpy 2 reads a 2-D b as a stack of matrices, hence b[..., None]
+        w = np.linalg.solve(chol[:, :m, :m], gram[active, j[:, None]][..., None])[..., 0]
+        g_jj = gram[j, j]
+        schur = g_jj - (w[:, None] @ w[..., None])[:, 0, 0]
+        dependent = ~zero & (schur <= _RANK_TOL * g_jj)
+        n_dependent += int(dependent.sum())
+        stop = zero | dependent
+        out[active[stop], live[stop, None]] = coef[stop]
+        go = ~stop
+        live, active, chol, cor, j, w, schur = (
+            a[go] for a in (live, active, chol, cor, j, w, schur))
+        chol[:, m, :m] = w
+        chol[:, m, m] = np.sqrt(schur)
+        active = np.column_stack([active, j])
+        low = chol[:, :m + 1, :m + 1]
+        cor_a = np.take_along_axis(cor, active, axis=1)
+        coef = np.linalg.solve(low.mT, np.linalg.solve(low, cor_a[..., None]))[..., 0]
+        done = tt[live] - (cor_a[:, None] @ coef[..., None])[:, 0, 0] < tol * tol
+        if m == sparsity_k - 1:
+            done[:] = True
+        out[active[done], live[done, None]] = coef[done]
+        go = ~done
+        live, active, coef, chol = (a[go] for a in (live, active, coef, chol))
+        if not live.size:
             break
-        w = np.linalg.solve(chol[:m, :m], gram[active, j])
-        schur = gram[j, j] - w @ w
-        if schur <= _RANK_TOL * gram[j, j]:
-            break
-        chol[m, :m] = w
-        chol[m, m] = np.sqrt(schur)
-        active.append(j)
-        low = chol[:m + 1, :m + 1]
-        coef = np.linalg.solve(low.T, np.linalg.solve(low, corr[active]))
-        if tt - corr[active] @ coef < tol * tol:
-            break
-    y[active] = coef
-    return y
+    return n_dependent
 
 
 def omp_column(dictionary: np.ndarray, target: np.ndarray, sparsity_k: int,
@@ -256,7 +302,8 @@ def omp_column(dictionary: np.ndarray, target: np.ndarray, sparsity_k: int,
         raise ParameterError(
             f"sparsity budget {sparsity_k} out of range for {n_atoms} atoms"
         )
-    return _omp_gram(a.T @ a, a.T @ t, float(t @ t), sparsity_k, tol)
+    y, _ = _omp_gram(a.T @ a, (a.T @ t)[None], np.array([t @ t]), sparsity_k, tol)
+    return y[:, 0]
 
 
 def denoise(coeffs: CoefficientMatrix, eps: float | None = None) -> CoefficientMatrix:
@@ -273,7 +320,7 @@ def denoise(coeffs: CoefficientMatrix, eps: float | None = None) -> CoefficientM
     y[np.abs(y) < eps] = 0.0
     return CoefficientMatrix(
         y=y, method=coeffs.method, lam=coeffs.lam, denoise_eps=eps,
-        n_nonconverged=coeffs.n_nonconverged,
+        n_nonconverged=coeffs.n_nonconverged, n_dependent=coeffs.n_dependent,
     )
 
 
@@ -302,10 +349,10 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
             f"sparsity budget {config.sparsity_k} must be below the sample "
             f"count {n} (each dictionary has {n - 1} atoms)"
         )
-    y = np.zeros((n, n))
-    n_nonconverged = 0
+    n_nonconverged = n_dependent = 0
     gram = x.T @ x
     if config.method == "lasso":
+        y = np.zeros((n, n))
         for j in range(n):
             y[:, j], ok = _homotopy(gram, gram[:, j], config.lam,
                                     config.max_iter, barred=j)
@@ -319,12 +366,13 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
                 RuntimeWarning,
             )
     else:
-        for j in range(n):
-            y[:, j] = _omp_gram(gram, gram[:, j], gram[j, j],
-                                config.sparsity_k, config.tol, barred=j)
+        # row j of gram.T is column j of gram: sample j's correlations
+        y, n_dependent = _omp_gram(gram, gram.T, np.diagonal(gram), config.sparsity_k,
+                                   config.tol, barred=np.arange(n))
     lam = config.lam if config.method == "lasso" else None
     raw = CoefficientMatrix(
         y=y, method=config.method, lam=lam,
         denoise_eps=config.denoise_eps, n_nonconverged=n_nonconverged,
+        n_dependent=n_dependent,
     )
     return denoise(raw)

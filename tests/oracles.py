@@ -4,7 +4,9 @@ Everything here is deliberately written with different algorithms or
 different numerics than the package (proximal gradient instead of
 the homotopy path, exhaustive search instead of greedy selection, plain
 loops instead of matrix tricks, least squares on the data instead of the
-Gram form) so agreement is meaningful evidence.
+Gram form) so agreement is meaningful evidence. The rest are the
+package's earlier code kept verbatim, so a faster rewrite can be held to
+the same bits.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import scipy.linalg
 import scipy.optimize
 
 from usvclust.errors import ParameterError, ValidationError
+from usvclust.sparse_coding import _RANK_TOL
 
 
 def lasso_objective_ref(dictionary, target, y, lam):
@@ -262,6 +265,55 @@ def omp_column_lstsq(dictionary: np.ndarray, target: np.ndarray, sparsity_k: int
         coef = sol
         residual = t - sub @ coef
         if np.linalg.norm(residual) < tol:
+            break
+    y[active] = coef
+    return y
+
+
+def omp_gram_column_ref(gram: np.ndarray, corr: np.ndarray, tt: float, sparsity_k: int,
+                         tol: float, barred: int | None = None) -> np.ndarray:
+    """Orthogonal matching pursuit on the Gram form (Batch-OMP).
+
+    The package's Gram-form pursuit before it batched its targets, kept
+    verbatim: one target per call. It makes the same numpy calls the
+    batched pursuit makes for each stack entry, so the two agree bit for
+    bit rather than to a tolerance.
+
+    Codes a target t against a dictionary A given gram = A^T A,
+    corr = A^T t and tt = t @ t; the data matrix itself is never touched.
+    Each round picks the atom with the largest absolute correlation with
+    the residual, corr - gram[:, active] @ coef, and re-fits the active
+    coefficients by the normal equations on gram[active][:, active]. Their
+    Cholesky factor grows by one row per atom, and the new pivot squared is
+    the Schur complement of the atom against the active span: its squared
+    distance from that span. An atom whose Schur complement is at most
+    ``_RANK_TOL * gram[j, j]`` is dependent on the active set; it is
+    dropped and the previous solution returned. The pursuit stops early
+    once the squared residual norm, tt - corr[active] @ coef, is below
+    tol**2. Atom ``barred`` is never picked.
+    """
+    y = np.zeros(corr.shape[0])
+    active: list[int] = []
+    coef = np.zeros(0)
+    chol = np.zeros((sparsity_k, sparsity_k))  # lower factor, one row per atom
+    for m in range(sparsity_k):
+        resid_corr = corr - coef @ gram[active]
+        resid_corr[active] = 0.0
+        if barred is not None:
+            resid_corr[barred] = 0.0
+        j = int(np.argmax(np.abs(resid_corr)))
+        if resid_corr[j] == 0.0:
+            break
+        w = np.linalg.solve(chol[:m, :m], gram[active, j])
+        schur = gram[j, j] - w @ w
+        if schur <= _RANK_TOL * gram[j, j]:
+            break
+        chol[m, :m] = w
+        chol[m, m] = np.sqrt(schur)
+        active.append(j)
+        low = chol[:m + 1, :m + 1]
+        coef = np.linalg.solve(low.T, np.linalg.solve(low, corr[active]))
+        if tt - corr[active] @ coef < tol * tol:
             break
     y[active] = coef
     return y

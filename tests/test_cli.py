@@ -124,6 +124,24 @@ class TestPipeline:
         assert "k=500" in err and "inliers at tau=0.8" in err
         assert not out.exists()
 
+    def test_zero_degree_inlier_becomes_an_outlier(self, tmp_path):
+        # at tau below lambda, inlier s0161_out has zero LASSO affinity
+        # degree; it is assigned as an outlier instead of stopping the run
+        archive = tmp_path / "arch"
+        assert run("synth", "segments", "--n", 200, "--classes", 5,
+                   "--outlier_frac", 0.3, "--seed", 3, "--output", archive) == 0
+        out = tmp_path / "o"
+        assert run("pipeline", "--input", archive, "--output_dir", out,
+                   "--method", "lasso_ssc", "--k", 5, "--tau", 0.2, "--lambda", 0.35,
+                   "--export_embedding", "--dump_coefficients") == 0
+        ids, _, flags = ingest.read_labels(out / "labels.csv")
+        assert [i for i, f in zip(ids, flags) if f] == ["s0161_out"]
+        emb_ids, emb = ingest.read_vectors(out / "embedding.csv")
+        assert "s0161_out" not in emb_ids and len(emb_ids) == 199
+        rows, cols = np.loadtxt(out / "coefficients.csv", delimiter=",", skiprows=1,
+                                usecols=(0, 1), unpack=True)
+        assert max(rows.max(), cols.max()) <= 198
+
     def test_missing_input_exits_3(self, tmp_path):
         assert run("pipeline", "--input", tmp_path / "nope.ssca",
                    "--output_dir", tmp_path / "o") == 3

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from usvclust import (FormatError, MetricsReport, PipelineConfig,
-                      ValidationError, affinity_from_cosine, cosine_gram,
-                      evaluate, generate_segments, generate_subspaces,
-                      load_features, run_pipeline, spectral_cluster, split,
+from usvclust import (FormatError, MetricsReport, ParameterError, PipelineConfig,
+                      ValidationError, affinity_from_coefficients, affinity_from_cosine,
+                      cosine_gram, embed, evaluate, generate_segments, generate_subspaces,
+                      load_features, run_pipeline, self_express, spectral_cluster, split,
                       write_outputs, SubspaceSpec)
 from usvclust import ingest, metrics
 from usvclust.pipeline import KResult
@@ -119,6 +119,67 @@ class TestRunPipeline:
             np.testing.assert_array_equal(res.embedding, coords)
             assert res.embedding.strides == coords.strides
             np.testing.assert_array_equal(res.model.inlier_labels, labels)
+
+
+def isolated_inlier_table(path):
+    """Two tight pairs plus a sample at cosine 0.3 to the first pair.
+
+    At tau=0.2 the last sample is an inlier; at lambda=0.35 no atom
+    correlates with it above lambda, and the pairs code each other without
+    it, so its LASSO affinity row and column are zero.
+    """
+    e = np.eye(8)
+    cols = [e[0], e[0] + 0.05 * e[3], e[1], e[1] + 0.05 * e[4],
+            0.3 * e[0] + np.sqrt(0.91) * e[2]]
+    ids = ("a0", "a1", "b0", "b1", "lone")
+    ingest.write_vectors(ids, np.array(cols), path)
+    return ids
+
+
+class TestZeroDegreeInliers:
+    def cfg(self, tmp_path, **kw):
+        path = tmp_path / "vecs.csv"
+        isolated_inlier_table(path)
+        defaults = dict(input=str(path), output_dir=str(tmp_path / "out"),
+                        method="lasso_ssc", k=2, tau=0.2, lam=0.35, seed=0,
+                        export_embedding=True, dump_coefficients=True)
+        defaults.update(kw)
+        return PipelineConfig(**defaults)
+
+    def test_become_outliers(self, tmp_path):
+        cfg = self.cfg(tmp_path)
+        features, _ = load_features(cfg.input)
+        assert split(features, 0.2).outlier_idx.size == 0  # every sample passes the split
+        res = run_pipeline(cfg)[0]
+        part = res.model.partition
+        assert part.inlier_idx.tolist() == [0, 1, 2, 3]
+        assert part.outlier_idx.tolist() == [4]
+        # the demoted sample is assigned like any outlier, to the a-pair
+        assert res.model.labels[4] == res.model.labels[0] != res.model.labels[2]
+        assert res.embedding_ids == ("a0", "a1", "b0", "b1")
+        assert res.embedding.shape == (4, 2)
+        assert res.coefficients.shape == (4, 4)
+        write_outputs(cfg, [res])
+        _, _, flags = ingest.read_labels(tmp_path / "out" / "labels.csv")
+        assert flags.tolist() == [False, False, False, False, True]
+        report = evaluate(tmp_path / "out" / "labels.csv", cfg.input, method="lasso_ssc")
+        assert report.csv_row() == res.report.csv_row()
+
+    def test_rest_of_the_graph_unchanged(self, tmp_path):
+        # the kept inliers get the embedding of their own affinity block
+        cfg = self.cfg(tmp_path)
+        res = run_pipeline(cfg)[0]
+        features, _ = load_features(cfg.input)
+        coeffs = self_express(features.data, cfg.coding()).y
+        keep = [0, 1, 2, 3]
+        assert not np.any(coeffs[4]) and not np.any(coeffs[:, 4])
+        np.testing.assert_array_equal(res.coefficients, coeffs[np.ix_(keep, keep)])
+        affinity = affinity_from_coefficients(coeffs[np.ix_(keep, keep)])
+        np.testing.assert_array_equal(res.embedding, embed(affinity, 2).coords)
+
+    def test_k_checked_against_the_inliers_left(self, tmp_path):
+        with pytest.raises(ParameterError, match="k=5 exceeds the 4 inliers .* zero-degree"):
+            run_pipeline(self.cfg(tmp_path, k=5))
 
 
 class TestWriteOutputs:

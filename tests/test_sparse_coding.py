@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (lambda_max, lasso_objective_ref, lasso_prox_grad,
-                     omp_best_subset, omp_column_lstsq)
+                     omp_best_subset, omp_column_lstsq, omp_gram_column_ref)
 from usvclust import (CoefficientMatrix, ParameterError, PreprocessConfig,
                       SparseCodingConfig, ValidationError, denoise,
                       generate_segments, lasso_column, omp_column,
                       self_express, split, vectorize)
-from usvclust.sparse_coding import kkt_violation
+from usvclust import sparse_coding
+from usvclust.sparse_coding import _omp_gram, kkt_violation
 
 
 def unit_dictionary(d, n, seed):
@@ -314,6 +315,140 @@ class TestOmpGramForm:
         else:
             assert y[1] == 0.0
             assert abs(y[0] - x @ target) < 1e-12
+
+
+def oracle_codes(gram, corr, tt, k, tol, barred):
+    """The per-target oracle run on each row, as the columns of one array."""
+    return np.column_stack([
+        omp_gram_column_ref(gram, corr[i], tt[i], k, tol, None if barred[i] < 0 else barred[i])
+        for i in range(corr.shape[0])])
+
+
+def self_express_oracle(x, k, tol=1e-7):
+    gram = x.T @ x
+    n = gram.shape[0]
+    return oracle_codes(gram, gram.T, np.diagonal(gram), k, tol, np.arange(n))
+
+
+class TestBatchedPursuit:
+    """The batched Gram-form pursuit against the per-target oracle, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    def test_matches_per_target_oracle(self, seed, near_duplicates):
+        a, _, _ = random_omp_case(seed, near_duplicates)
+        rng = np.random.default_rng(seed + 1)
+        d, n = a.shape
+        c = int(rng.integers(1, 12))
+        targets = rng.standard_normal((d, c))
+        # some targets repeat an atom, exactly or with a twin left in the
+        # dictionary, so tol and the dependence test both come into play
+        for i in rng.choice(c, size=int(rng.integers(0, c + 1)), replace=False):
+            targets[:, i] = a[:, rng.integers(n)]
+        if rng.integers(2):
+            a = np.column_stack([a, a[:, :int(rng.integers(1, n + 1))]])
+            n = a.shape[1]
+        barred = rng.integers(-1, n, size=c)
+        gram, corr, tt = a.T @ a, targets.T @ a, np.einsum("ij,ij->j", targets, targets)
+        k = int(rng.integers(1, n + 1))
+        y, _ = _omp_gram(gram, corr, tt, k, 1e-7, barred)
+        assert np.array_equal(y, oracle_codes(gram, corr, tt, k, 1e-7, barred))
+
+    def test_every_stop_reason_in_one_batch(self):
+        # atoms: e0, a twin of e0 off by 1e-10/2 in squared distance, e1, e2
+        e = np.eye(6)
+        sin = np.sqrt(0.5e-10)
+        twin = np.sqrt(1.0 - sin * sin) * e[0] + sin * e[3]
+        a = np.column_stack([e[0], twin, e[1], e[2]])
+        targets = np.column_stack([
+            e[5],                               # 0: no correlation at all
+            e[0] - 0.3 * e[3],                  # 1: e0, then its twin is dependent
+            e[1],                               # 2: one atom reaches tol
+            e[1] + 0.5 * e[2],                  # 3: two atoms reach tol
+            e[1] + 0.5 * e[2],                  # 4: e1 barred: e2, then nothing correlates
+            e[0] + 0.7 * e[1] + 0.4 * e[2] + 0.2 * e[4],  # 5: the budget runs out
+            e[1],                               # 6: e1 barred, nothing correlates
+            e[0] + e[5],                        # 7: e0, then nothing correlates
+        ])
+        barred = np.array([-1, -1, 3, -1, 2, -1, 2, -1])
+        gram, corr = a.T @ a, targets.T @ a
+        tt = np.einsum("ij,ij->j", targets, targets)
+        y, n_dependent = _omp_gram(gram, corr, tt, 3, 1e-7, barred)
+        assert np.array_equal(y, oracle_codes(gram, corr, tt, 3, 1e-7, barred))
+        assert n_dependent == 1
+        supports = [np.flatnonzero(y[:, i]).tolist() for i in range(targets.shape[1])]
+        assert supports == [[], [0], [2], [2, 3], [3], [0, 2, 3], [], [0]]
+        np.testing.assert_array_equal(y[:, 2], [0.0, 0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("per_block", [1, 3, 7])
+    def test_blocks_give_the_single_block_result(self, monkeypatch, per_block):
+        x = segment_features(2)
+        n, k = x.shape[1], 10
+        cfg = SparseCodingConfig(method="omp", sparsity_k=k, denoise_eps=0.0)
+        whole = self_express(x, cfg)
+        monkeypatch.setattr(sparse_coding, "_OMP_BLOCK_BYTES", 8 * k * n * per_block)
+        blocked = self_express(x, cfg)
+        assert np.array_equal(blocked.y, whole.y)
+        assert blocked.n_dependent == whole.n_dependent
+
+    @pytest.mark.parametrize("n, blocks", [(180, 1), (360, 3)])
+    def test_default_budget_blocks(self, monkeypatch, n, blocks):
+        # an omp_sweep archive's 180 inliers are one block; 360 are several
+        calls = []
+        block = sparse_coding._omp_block
+
+        def counting(gram, corr, *args):
+            calls.append(corr.shape[0])
+            return block(gram, corr, *args)
+
+        monkeypatch.setattr(sparse_coding, "_omp_block", counting)
+        self_express(unit_dictionary(20, n, seed=n), SparseCodingConfig(method="omp"))
+        assert len(calls) == blocks and sum(calls) == n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    def test_omp_column_is_the_oracle(self, seed, near_duplicates):
+        a, t, k = random_omp_case(seed, near_duplicates)
+        ref = omp_gram_column_ref(a.T @ a, a.T @ t, float(t @ t), k, 1e-7)
+        assert np.array_equal(omp_column(a, t, k), ref)
+
+    @pytest.mark.parametrize("d", [12, 5])
+    def test_budget_of_every_other_atom(self, d):
+        # sparsity_k = n - 1: with d > n every column uses all other atoms;
+        # with d < n the residual vanishes after d of them
+        x = unit_dictionary(d, 8, seed=40 + d)
+        coeffs = self_express(x, SparseCodingConfig(method="omp", sparsity_k=7, denoise_eps=0.0))
+        assert np.array_equal(coeffs.y, self_express_oracle(x, 7))
+        nnz = np.count_nonzero(coeffs.y, axis=0)
+        assert np.all(nnz == 7) if d > 8 else np.all(nnz <= d)
+
+    @pytest.mark.parametrize("segments, seed", [(200, 100), (400, 1)])
+    def test_segment_archives(self, segments, seed):
+        # an omp_sweep archive (180 inliers, one block) and 360 inliers
+        archive, _ = generate_segments(segments, 5, seed, outlier_frac=0.1)
+        features = vectorize(archive, PreprocessConfig(f=64, t=64))
+        x = features.select(split(features, 0.8).inlier_idx).data
+        coeffs = self_express(x, SparseCodingConfig(method="omp", sparsity_k=10, denoise_eps=0.0))
+        assert np.array_equal(coeffs.y, self_express_oracle(x, 10))
+
+    def test_dependent_columns_counted(self):
+        # x and its twin code each other and then the target; the target
+        # takes x first, and then the twin is dependent
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal(6)
+        x /= np.linalg.norm(x)
+        sin = np.sqrt(0.5e-10)
+        perp = rng.standard_normal(6)
+        perp -= (perp @ x) * x
+        perp /= np.linalg.norm(perp)
+        twin = np.sqrt(1.0 - sin * sin) * x + sin * perp
+        target = x - 0.3 * perp
+        data = np.column_stack([x, twin, target])
+        coeffs = self_express(data, SparseCodingConfig(method="omp", sparsity_k=2,
+                                                       denoise_eps=0.0))
+        assert np.array_equal(coeffs.y, self_express_oracle(data, 2))
+        assert coeffs.n_dependent == 1
+        assert denoise(coeffs, 0.5).n_dependent == 1
 
 
 class TestSelfExpress:
