@@ -272,7 +272,9 @@ def _omp_block(gram, corr, tt, sparsity_k, tol, barred, out) -> int:
         active = np.column_stack([active, j])
         low = chol[:, :m + 1, :m + 1]
         cor_a = np.take_along_axis(cor, active, axis=1)
-        coef = np.linalg.solve(low.mT, np.linalg.solve(low, cor_a[..., None]))[..., 0]
+        # swapaxes, not .mT: the matrix-transpose attribute needs numpy 2
+        upper = np.swapaxes(low, -1, -2)
+        coef = np.linalg.solve(upper, np.linalg.solve(low, cor_a[..., None]))[..., 0]
         done = tt[live] - (cor_a[:, None] @ coef[..., None])[:, 0, 0] < tol * tol
         if m == sparsity_k - 1:
             done[:] = True
