@@ -6,6 +6,8 @@
     python3 scripts/compare_outputs.py --base ../parent --change . \\
         --workload omp_sweep --seeds 1..2 --segments 400
     python3 scripts/compare_outputs.py --base ../parent --change . \\
+        --workload omp_sweep --method cs_sc --seeds 100..105
+    python3 scripts/compare_outputs.py --base ../parent --change . \\
         --workload writers --seeds 1..3
 
 For each archive seed in the inclusive range, the perfbench archive of the
@@ -13,12 +15,14 @@ workload is built once (``make_inputs`` of perfbench/run.py, imported
 read-only from this checkout) and ``python -m usvclust pipeline`` runs on
 it with the benchmark's flags, once with ``DIR/src`` of each tree on
 PYTHONPATH. ``--segments N`` builds archives of N segments instead of the
-workload's own size. The ``writers`` mode instead runs the commands that
-write the other CSV tables: ``synth segments`` to a CSV archive directory,
-``preprocess`` of one common archive to a vector table, and ``synth
-subspaces`` to a vector table. The two output directories must hold the
-same file names with the same bytes. Exit status: 0 when every tree is
-identical, 1 on any difference, 2 when a CLI run fails.
+workload's own size. ``--method M`` runs clustering method M instead of the
+workload's own, for a method such as cs_sc that no workload runs. The
+``writers`` mode instead runs the commands that write the other CSV tables:
+``synth segments`` to a CSV archive directory, ``preprocess`` of one common
+archive to a vector table, and ``synth subspaces`` to a vector table. The
+two output directories must hold the same file names with the same bytes.
+Exit status: 0 when every tree is identical, 1 on any difference, 2 when a
+CLI run fails.
 """
 
 from __future__ import annotations
@@ -106,6 +110,8 @@ def diff_trees(base: Path, change: Path) -> list:
 
 def main(argv=None) -> int:
     bench = load_perfbench()
+    from usvclust.config import METHODS
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="source tree of the parent")
     parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
@@ -115,9 +121,13 @@ def main(argv=None) -> int:
                         help="inclusive range of archive seeds, e.g. 100..104")
     parser.add_argument("--segments", type=int,
                         help="segments per archive, instead of the workload's own count")
+    parser.add_argument("--method", choices=METHODS,
+                        help="clustering method, instead of the workload's own")
     args = parser.parse_args(argv)
     if args.segments is not None and (args.workload == "writers" or args.segments < 2):
         parser.error("--segments takes a count of at least 2 and a pipeline workload")
+    if args.method is not None and args.workload == "writers":
+        parser.error("--method takes a pipeline workload")
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     status = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
@@ -130,6 +140,8 @@ def main(argv=None) -> int:
                 wl = bench.WORKLOADS[args.workload]
                 if args.segments is not None:
                     wl = dataclasses.replace(wl, segments=args.segments)
+                if args.method is not None:
+                    wl = dataclasses.replace(wl, config={**wl.config, "method": args.method})
                 commands = pipeline_commands(bench, wl, seed, work)
             for side, tree in trees.items():
                 out = work / side

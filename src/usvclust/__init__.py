@@ -15,8 +15,7 @@ from .preprocess import (FeatureMatrix, PreprocessConfig, clip_below_mean,
 from .sparse_coding import (CoefficientMatrix, SparseCodingConfig, denoise,
                             lasso_column, omp_column, self_express)
 from .spectral import (SpectralEmbedding, affinity_from_coefficients,
-                       affinity_from_cosine, cosine_gram, embed,
-                       spectral_cluster)
+                       affinity_from_cosine, cosine_gram, embed)
 from .synth import SubspaceSpec, generate_segments, generate_subspaces
 
 __version__ = "0.1.0"
@@ -32,7 +31,6 @@ __all__ = [
     "denoise", "embed", "evaluate", "generate_segments", "generate_subspaces",
     "hmean_cosine_distance", "kmeans", "lasso_column", "load_features",
     "omp_column", "pca_reduce", "read_archive", "read_config_file", "report",
-    "resize_bicubic", "run_pipeline", "self_express", "spectral_cluster",
-    "split", "std_cosine_distance", "vectorize", "write_archive",
-    "write_outputs",
+    "resize_bicubic", "run_pipeline", "self_express", "split",
+    "std_cosine_distance", "vectorize", "write_archive", "write_outputs",
 ]

@@ -79,10 +79,10 @@ def assign_outliers(features: FeatureMatrix, partition: Partition,
         if np.any(cent_norms == 0.0):
             raise ValidationError(f"centroid {int(np.argmin(cent_norms))} is all zero")
         unit_cents = cents / cent_norms[:, None]
-        for i in partition.outlier_idx:
-            v = features.data[:, i]
-            sims = unit_cents @ (v / np.linalg.norm(v))
-            labels[i] = int(np.argmax(sims))
+        outliers = features.data[:, partition.outlier_idx]
+        sims = unit_cents @ (outliers / np.linalg.norm(outliers, axis=0))
+        # argmax takes the first maximum: ties go to the lowest index
+        labels[partition.outlier_idx] = sims.argmax(axis=0)
     return ClusterModel(
         ids=features.ids, labels=labels, centroids=cents, partition=partition,
         k=k, method=method, inlier_labels=inlier_labels,

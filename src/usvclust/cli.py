@@ -143,8 +143,9 @@ def _cmd_metrics(args) -> int:
         cents = ingest.read_centroid_dir(path)
     else:
         _, cents = ingest.read_vectors(path)
-    print("d_cos_hmean=%.17g" % metrics.hmean_cosine_distance(cents))
-    print("d_cos_std=%.17g" % metrics.std_cosine_distance(cents))
+    hmean, std = metrics.distance_stats(cents)
+    print("d_cos_hmean=%.17g" % hmean)
+    print("d_cos_std=%.17g" % std)
     return 0
 
 

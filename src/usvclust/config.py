@@ -39,17 +39,20 @@ def parse_tau(value) -> float:
 
 
 def parse_k(value) -> tuple[int, ...]:
-    """A k flag value: an int or a comma-separated list of ints."""
+    """A k flag value: an int or a comma-separated list of distinct ints."""
     if isinstance(value, int):
-        return (value,)
-    if isinstance(value, (tuple, list)):
-        return tuple(int(v) for v in value)
-    try:
-        ks = tuple(int(part) for part in str(value).split(","))
-    except ValueError:
-        raise ParameterError(f"k must be an int or comma list, got {value!r}") from None
+        ks = (value,)
+    elif isinstance(value, (tuple, list)):
+        ks = tuple(int(v) for v in value)
+    else:
+        try:
+            ks = tuple(int(part) for part in str(value).split(","))
+        except ValueError:
+            raise ParameterError(f"k must be an int or comma list, got {value!r}") from None
     if not ks:
         raise ParameterError("k list is empty")
+    if len(set(ks)) != len(ks):
+        raise ParameterError(f"k list repeats a value: {value!r}")
     return ks
 
 

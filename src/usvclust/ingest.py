@@ -272,18 +272,14 @@ def read_archive(path) -> SegmentArchive:
     return _read_archive_binary(path)
 
 
-def write_archive(archive: SegmentArchive, path, fmt: str | None = None) -> None:
-    """Write an archive; ``fmt`` is 'csv' or 'binary', inferred from the path
-    suffix when omitted (``.ssca`` -> binary, anything else -> CSV directory)."""
+def write_archive(archive: SegmentArchive, path) -> None:
+    """Write an archive: a binary file for a ``.ssca`` path, a CSV directory
+    for any other."""
     path = Path(path)
-    if fmt is None:
-        fmt = "binary" if path.suffix == ".ssca" else "csv"
-    if fmt == "binary":
+    if path.suffix == ".ssca":
         _write_archive_binary(archive, path)
-    elif fmt == "csv":
-        _write_archive_csv(archive, path)
     else:
-        raise ValidationError(f"unknown archive format {fmt!r}")
+        _write_archive_csv(archive, path)
 
 
 def _write_archive_binary(archive: SegmentArchive, path: Path) -> None:
@@ -579,13 +575,8 @@ def read_vectors(path):
     return table["id"].tolist(), np.ascontiguousarray(table["v"])
 
 
-def write_coefficient_triplets(y: np.ndarray, path) -> None:
-    """Dump the nonzeros of a coefficient matrix as ``row,col,value`` CSV."""
-    Path(path).write_bytes(coefficient_triplets(y))
-
-
 def coefficient_triplets(y: np.ndarray) -> bytes:
-    """The bytes ``write_coefficient_triplets`` writes."""
+    """The nonzeros of a coefficient matrix as ``row,col,value`` CSV bytes."""
     rows, cols = np.nonzero(y)
     # indices are exact in float64, and %.17g prints an integer below 1e17
     # as %d does

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assign import ClusterModel
+from .assign import ClusterModel, centroids
 from .errors import ParameterError, ValidationError
 from .preprocess import FeatureMatrix
 from .spectral import cosine_gram
@@ -87,25 +87,31 @@ def pairwise_cosine_distances(cents: np.ndarray) -> np.ndarray:
     return np.sort(1.0 - g[iu])
 
 
-def hmean_cosine_distance(cents: np.ndarray) -> float:
-    """Harmonic mean of inter-centroid cosine distances.
+def distance_stats(cents: np.ndarray) -> tuple[float, float]:
+    """Harmonic mean and population std of inter-centroid cosine distances.
 
-    Averages 1/(1 - cos(c_i, c_j)) over all ordered pairs i != j and
+    Both come from one ``pairwise_cosine_distances`` array. The harmonic
+    mean averages 1/(1 - cos(c_i, c_j)) over all ordered pairs i != j and
     inverts. A parallel pair makes a term infinite; the limit value 0.0 is
     returned with a warning so parameter sweeps keep running.
     """
     d = pairwise_cosine_distances(cents)
+    std = float(np.std(d))
     if np.any(d == 0.0):
         warnings.warn(
             "two centroids are parallel (cosine distance 0); harmonic mean "
             "collapses to 0",
             RuntimeWarning,
         )
-        return 0.0
-    # ordered pairs double each unordered term, so the 2s cancel:
-    # K(K-1) / (2 * sum(1/d)) with sum over i < j.
-    k = cents.shape[0]
-    return k * (k - 1) / (2.0 * float((1.0 / d).sum()))
+        return 0.0, std
+    # ordered pairs double each of the d.size = K(K-1)/2 unordered terms,
+    # so the 2s cancel
+    return d.size / float((1.0 / d).sum()), std
+
+
+def hmean_cosine_distance(cents: np.ndarray) -> float:
+    """Harmonic mean of inter-centroid cosine distances (see ``distance_stats``)."""
+    return distance_stats(cents)[0]
 
 
 def std_cosine_distance(cents: np.ndarray) -> float:
@@ -130,17 +136,15 @@ def report(features: FeatureMatrix, model: ClusterModel) -> MetricsReport:
     if any(s == 0 for s in sizes):
         empty = next(c for c, s in enumerate(sizes) if s == 0)
         raise ValidationError(f"cluster {empty} has no inlier members")
-    full_cents = np.empty_like(model.centroids)
-    for c in range(model.k):
-        members = np.flatnonzero(model.labels == c)
-        full_cents[c] = features.data[:, members].mean(axis=1)
+    hmean, std = distance_stats(model.centroids)
+    hmean_full, std_full = distance_stats(centroids(features, model.labels, model.k))
     return MetricsReport(
         k=model.k,
         method=model.method,
-        d_cos_hmean=hmean_cosine_distance(model.centroids),
-        d_cos_std=std_cosine_distance(model.centroids),
-        d_cos_hmean_full=hmean_cosine_distance(full_cents),
-        d_cos_std_full=std_cosine_distance(full_cents),
+        d_cos_hmean=hmean,
+        d_cos_std=std,
+        d_cos_hmean_full=hmean_full,
+        d_cos_std_full=std_full,
         cluster_sizes=sizes,
         cluster_sizes_full=_sizes(model.labels, model.k),
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, ValidationError
-from .kmeans import kmeans
 
 _COS_SNAP = 1e-12
 _SYM_BLOCK = 64
@@ -61,9 +60,12 @@ def cosine_gram(data: np.ndarray) -> np.ndarray:
 
 
 def affinity_from_cosine(gram: np.ndarray) -> np.ndarray:
-    """Cosine-similarity affinity: negatives floored at 0, zero diagonal."""
+    """Cosine-similarity affinity: negatives floored at 0, zero diagonal.
+
+    ``gram`` must be exactly symmetric, as ``cosine_gram`` and every
+    principal submatrix of it are; the affinity is then symmetric too.
+    """
     a = np.maximum(np.asarray(gram, dtype=np.float64), 0.0)
-    a = (a + a.T) / 2.0
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -111,10 +113,3 @@ def embed(affinity: np.ndarray, k: int) -> SpectralEmbedding:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     return SpectralEmbedding(coords=(s[:, None] * u)[:, :k], eigenvalues=w[:k])
-
-
-def spectral_cluster(affinity: np.ndarray, k: int,
-                     seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """k-means on the spectral embedding; returns (labels, embedding coords)."""
-    coords = embed(affinity, k).coords
-    return kmeans(coords, k, seed=seed).labels, coords

@@ -100,7 +100,7 @@ def _contour(family: str, x: np.ndarray, jitter: float) -> np.ndarray:
 
 
 # vertical wander of the whole contour around the family shape
-_JITTER = {"flat": 0.04, "up": 0.04, "down": 0.04, "u": 0.04, "arch": 0.04}
+_JITTER = 0.04
 
 
 def _render_inlier(family: str, rng: np.random.Generator) -> np.ndarray:
@@ -113,7 +113,7 @@ def _render_inlier(family: str, rng: np.random.Generator) -> np.ndarray:
     tilt = rng.uniform(-0.15, 0.15)
     rows = np.arange(n_freq, dtype=np.float64)
     x = np.arange(n_time) / (n_time - 1)
-    jitter = rng.uniform(-_JITTER[family], _JITTER[family])
+    jitter = rng.uniform(-_JITTER, _JITTER)
     if family == "flat":
         row = round((0.5 + jitter) * n_freq)
         r = np.full(n_time, float(row))

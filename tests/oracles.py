@@ -450,3 +450,26 @@ def matrix_csv_ref(mat: np.ndarray) -> bytes:
     """The bytes ``_write_matrix_csv`` writes for ``mat``, without a file."""
     row_fmt = _row_fmt(mat.shape[1]) + "\n"
     return "".join(row_fmt % tuple(row) for row in mat.tolist()).encode()
+
+
+def affinity_from_cosine_ref(gram):
+    """The package's ``affinity_from_cosine`` before it trusted the
+    symmetry of its input, kept verbatim."""
+    a = np.maximum(np.asarray(gram, dtype=np.float64), 0.0)
+    a = (a + a.T) / 2.0
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def assign_outliers_loop(features_data, outlier_idx, cents):
+    """Outlier labels {index: cluster} from the package's per-outlier loop
+    in ``assign_outliers`` before it took one matrix product, kept
+    verbatim."""
+    labels = {}
+    cent_norms = np.linalg.norm(cents, axis=1)
+    unit_cents = cents / cent_norms[:, None]
+    for i in outlier_idx:
+        v = features_data[:, i]
+        sims = unit_cents @ (v / np.linalg.norm(v))
+        labels[i] = int(np.argmax(sims))
+    return labels

@@ -25,8 +25,8 @@ from usvclust.ingest import write_archive, write_vectors
 from usvclust.metrics import hmean_cosine_distance, pairwise_cosine_distances
 from usvclust.outlier_split import split
 from usvclust.preprocess import normalize_columns, resize_bicubic
-from usvclust.spectral import (affinity_from_coefficients, embed,
-                               spectral_cluster)
+from usvclust.kmeans import kmeans
+from usvclust.spectral import affinity_from_coefficients, embed
 
 # Captured once from scripts/trend_table.py at the exact settings of
 # test_lasso_ssc_at_least_matches_baselines (archive seed 1, pipeline
@@ -104,7 +104,7 @@ def test_spectral_recovers_blocks_and_matches_dense_eigensolver(scoreboard):
                 blocks.append(w)
                 truth.extend([b] * int(size))
             affinity = scipy.linalg.block_diag(*blocks)
-            labels, _ = spectral_cluster(affinity, n_blocks, seed=0)
+            labels = kmeans(embed(affinity, n_blocks).coords, n_blocks, seed=0).labels
             assert clustering_error(labels, np.array(truth)) == 0.0
             spectrum = embed(affinity, len(affinity)).eigenvalues
             ref = reference_lsym_eigvals(affinity)
@@ -122,7 +122,8 @@ def test_subspace_clustering_end_to_end(scoreboard, tmp_path):
         features, truth = generate_subspaces(clean)
         coeffs = self_express(features.data,
                               SparseCodingConfig(method="lasso", lam=0.3))
-        labels, _ = spectral_cluster(affinity_from_coefficients(coeffs.y), 3, seed=0)
+        labels = kmeans(embed(affinity_from_coefficients(coeffs.y), 3).coords, 3,
+                        seed=0).labels
         assert clustering_error(labels, truth) <= 0.05
 
         dirty = SubspaceSpec(ambient_dim=64, n_subspaces=3, dims=(3, 3, 3),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import cosine_similarity
+from oracles import assign_outliers_loop, cosine_similarity
 from usvclust import (FeatureMatrix, Partition, ValidationError,
                       assign_outliers, centroids)
 
@@ -79,6 +79,27 @@ class TestAssignOutliers:
         for o in outlier_idx:
             sims = [cosine_similarity(fm.data[:, o], cents[j]) for j in range(3)]
             assert model.labels[o] == int(np.argmax(sims))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_outlier_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        fm = unit_features(rng.standard_normal((16, 90)))
+        inlier_idx = np.arange(0, 90, 3)
+        part = Partition(inlier_idx, np.setdiff1d(np.arange(90), inlier_idx), 0.8)
+        model = assign_outliers(fm, part, np.arange(30) % 5, 5, "kmeans")
+        ref = assign_outliers_loop(fm.data, part.outlier_idx, model.centroids)
+        assert {int(i): int(model.labels[i]) for i in part.outlier_idx} == ref
+
+    def test_exact_tie_between_two_centroids_goes_to_the_lower(self):
+        # centroids e3, e1, e2; outlier 3 is tied between clusters 1 and 2,
+        # outlier 4 lies nearest cluster 0
+        raw = np.array([[0.0, 1.0, 0.0, 1.0, 0.1],
+                        [0.0, 0.0, 1.0, 1.0, 0.0],
+                        [1.0, 0.0, 0.0, 0.0, 1.0]])
+        model = self._assign(raw, [0, 1, 2], [3, 4], [0, 1, 2], 3)
+        assert model.labels[3:].tolist() == [1, 0]
+        fm = unit_features(raw)
+        assert assign_outliers_loop(fm.data, [3, 4], model.centroids) == {3: 1, 4: 0}
 
     def test_inlier_labels_unchanged(self):
         rng = np.random.default_rng(1)

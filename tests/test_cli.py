@@ -109,6 +109,19 @@ class TestPipeline:
         assert main(base + ["--method", "agnes"]) == 2  # argparse choices
         assert main(["pipeline"]) == 2  # no input/output_dir anywhere
 
+    def test_empty_or_repeated_k_exit_2(self, archive_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        base = ["pipeline", "--input", archive_path, "--output_dir", out,
+                "--f", 12, "--t", 12]
+        assert run(*base, "--k", "5,5") == 2
+        assert "repeats" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 3,2,3\n")
+        assert run(*base, "--config", cfg) == 2
+        assert "repeats" in capsys.readouterr().err
+        assert run(*base, "--k", "") == 2
+        assert not out.exists()
+
     def test_k_above_inlier_count_refused_before_solving(
             self, archive_path, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -46,6 +46,11 @@ class TestParseK:
         with pytest.raises(ParameterError):
             parse_k("20;40")
 
+    @pytest.mark.parametrize("value", [(), [], "5,5", [5, 5], (20, 40, 20)])
+    def test_empty_or_repeated_refused(self, value):
+        with pytest.raises(ParameterError, match="empty|repeats"):
+            parse_k(value)
+
 
 class TestPipelineConfig:
     def test_defaults(self):
@@ -79,6 +84,11 @@ class TestPipelineConfig:
             PipelineConfig(**base, f=1)
         with pytest.raises(ParameterError):
             PipelineConfig(**base, tol=0.0)
+
+    @pytest.mark.parametrize("k", [(), "5,5", [5, 5]])
+    def test_empty_or_repeated_k_refused(self, k):
+        with pytest.raises(ParameterError, match="empty|repeats"):
+            PipelineConfig(input="a", output_dir="b", k=k)
 
     def test_k_normalized_to_tuple(self):
         cfg = PipelineConfig(input="a", output_dir="b", k="10,20")

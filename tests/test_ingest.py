@@ -17,8 +17,8 @@ from usvclust import (FormatError, SegmentArchive, SpectroSegment,
 from usvclust.assign import ClusterModel
 from usvclust.ingest import (_csv_blocks, coefficient_triplets,
                              read_centroid_dir, read_labels, read_vectors,
-                             write_centroids, write_coefficient_triplets,
-                             write_label_rows, write_labels, write_vectors)
+                             write_centroids, write_label_rows, write_labels,
+                             write_vectors)
 from usvclust.outlier_split import Partition
 
 
@@ -75,7 +75,7 @@ class TestArchiveRoundTrip:
         rng = np.random.default_rng(0)
         arc = self._archive(rng)
         path = tmp_path / ("arc" + suffix) if suffix else tmp_path / "arcdir"
-        write_archive(arc, path, fmt=fmt)
+        write_archive(arc, path)
         back = read_archive(path)
         assert back.ids == arc.ids
         for a, b in zip(arc.segments, back.segments):
@@ -207,7 +207,7 @@ class TestArchiveRoundTrip:
         segs = tuple(SpectroSegment(f"s{i}", np.array(m)) for i, m in enumerate(matrices))
         arc = SegmentArchive(segs)
         path = tmp_path_factory.mktemp("csvrt") / "arcdir"
-        write_archive(arc, path, fmt="csv")
+        write_archive(arc, path)
         back = read_archive(path)
         for a, b in zip(arc.segments, back.segments):
             np.testing.assert_array_equal(a.energy, b.energy)
@@ -387,7 +387,7 @@ class TestVectors:
     def test_triplets(self, tmp_path):
         y = np.array([[0.0, 0.5], [-0.25, 0.0]])
         path = tmp_path / "y.csv"
-        write_coefficient_triplets(y, path)
+        path.write_bytes(coefficient_triplets(y))
         assert path.read_text() == "row,col,value\n0,1,0.5\n1,0,-0.25\n"
 
 
@@ -443,7 +443,7 @@ class TestWriterBytes:
 
     def test_coefficient_triplets(self, tmp_path):
         y = np.resize(AWKWARD, (4, 4))
-        write_coefficient_triplets(y, tmp_path / "y.csv")
+        (tmp_path / "y.csv").write_bytes(coefficient_triplets(y))
         rows, cols = np.nonzero(y)
         expected = per_value_rows(
             ["row", "col", "value"],

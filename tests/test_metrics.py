@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import straight_line_metrics
 from usvclust import (FeatureMatrix, ParameterError, Partition,
-                      assign_outliers, hmean_cosine_distance, report,
+                      assign_outliers, centroids, hmean_cosine_distance, report,
                       std_cosine_distance)
+from usvclust import metrics
 from usvclust.metrics import pairwise_cosine_distances
 
 centroid_sets = hnp.arrays(
@@ -153,6 +157,68 @@ class TestReport:
         assert abs(rep.d_cos_hmean - rep2.d_cos_hmean) < 1e-12
         assert abs(rep.d_cos_std - rep2.d_cos_std) < 1e-12
         assert sorted(rep.cluster_sizes) == sorted(rep2.cluster_sizes)
+
+    def _distance_calls(self, monkeypatch):
+        calls = []
+
+        def recording(cents):
+            calls.append(np.array(cents))
+            return pairwise_cosine_distances(cents)
+
+        monkeypatch.setattr(metrics, "pairwise_cosine_distances", recording)
+        return calls
+
+    def _outlier_model(self):
+        rng = np.random.default_rng(6)
+        raw = rng.standard_normal((8, 30))
+        return self._model(raw, list(range(24)), list(range(24, 30)),
+                           [i % 4 for i in range(24)], 4)
+
+    def test_one_distance_pass_per_centroid_set(self, monkeypatch):
+        fm, model = self._outlier_model()
+        expected = report(fm, model)
+        calls = self._distance_calls(monkeypatch)
+        assert report(fm, model) == expected
+        assert len(calls) == 2
+
+    def test_full_centroids_are_the_centroid_routine(self, monkeypatch):
+        fm, model = self._outlier_model()
+        calls = self._distance_calls(monkeypatch)
+        report(fm, model)
+        assert np.array_equal(calls[0], model.centroids)
+        assert np.array_equal(calls[1], centroids(fm, model.labels, model.k))
+
+    def _parallel_report(self, data, labels):
+        # inliers 0..2 make clusters 0..2; ``labels`` overrides the outliers'
+        n = data.shape[1]
+        fm = FeatureMatrix(data, tuple(f"s{i}" for i in range(n)))
+        part = Partition(np.arange(3), np.arange(3, n), 0.8)
+        model = assign_outliers(fm, part, np.arange(3), 3, "kmeans")
+        model = dataclasses.replace(model, labels=np.array(labels))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = report(fm, model)
+        return rep, [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+    def test_parallel_inlier_centroids_warn(self):
+        # clusters 0 and 1 are both e1; outlier e3 joins cluster 1
+        data = np.array([[1.0, 1.0, 0.0, 0.0],
+                         [0.0, 0.0, 1.0, 0.0],
+                         [0.0, 0.0, 0.0, 1.0]])
+        rep, caught = self._parallel_report(data, [0, 1, 2, 1])
+        assert len(caught) == 1 and "parallel" in caught[0]
+        assert rep.d_cos_hmean == 0.0 and rep.d_cos_hmean_full > 0.0
+
+    def test_parallel_full_centroids_warn(self):
+        # clusters e1, e2, e3; two outliers join cluster 1 and cancel its
+        # e2 component exactly, so its full mean is parallel to e1
+        b = np.sqrt(0.5)
+        data = np.array([[1.0, 0.0, 0.0, 0.5, 0.5],
+                         [0.0, 1.0, 0.0, -0.5, -0.5],
+                         [0.0, 0.0, 1.0, b, -b]])
+        rep, caught = self._parallel_report(data, [0, 1, 2, 1, 1])
+        assert len(caught) == 1 and "parallel" in caught[0]
+        assert rep.d_cos_hmean > 0.0 and rep.d_cos_hmean_full == 0.0
 
     def test_k1_rejected(self):
         raw = np.eye(2)

@@ -6,7 +6,7 @@ import pytest
 from usvclust import (FormatError, MetricsReport, ParameterError, PipelineConfig,
                       ValidationError, affinity_from_coefficients, affinity_from_cosine,
                       cosine_gram, embed, evaluate, generate_segments, generate_subspaces,
-                      load_features, run_pipeline, self_express, spectral_cluster, split,
+                      kmeans, load_features, run_pipeline, self_express, split,
                       write_outputs, SubspaceSpec)
 from usvclust import ingest, metrics
 from usvclust.pipeline import KResult
@@ -36,7 +36,7 @@ class TestLoadFeatures:
 
     def test_directory_archive(self, tmp_path):
         archive, _ = generate_segments(4, 2, seed=1)
-        ingest.write_archive(archive, tmp_path / "arch", fmt="csv")
+        ingest.write_archive(archive, tmp_path / "arch")
         fm, shape = load_features(tmp_path / "arch", f=8, t=8)
         assert shape == (8, 8)
         assert fm.n == 4
@@ -115,7 +115,8 @@ class TestRunPipeline:
         idx = split(features, 0.8, gram=gram).inlier_idx
         affinity = affinity_from_cosine(gram[np.ix_(idx, idx)])
         for res in results:
-            labels, coords = spectral_cluster(affinity, res.k, seed=0)
+            coords = embed(affinity, res.k).coords
+            labels = kmeans(coords, res.k, seed=0).labels
             np.testing.assert_array_equal(res.embedding, coords)
             assert res.embedding.strides == coords.strides
             np.testing.assert_array_equal(res.model.inlier_labels, labels)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cosine_gram_ref, reference_lsym_eigvals
+from oracles import (affinity_from_cosine_ref, cosine_gram_ref,
+                     reference_lsym_eigvals)
 from usvclust import (NumericalError, ParameterError, ValidationError,
                       affinity_from_coefficients, affinity_from_cosine,
-                      cosine_gram, embed, spectral, spectral_cluster)
+                      cosine_gram, embed, kmeans, spectral)
 
 
 def block_affinity(sizes, weight=1.0):
@@ -118,6 +119,19 @@ class TestAffinityFromCosine:
         a = affinity_from_cosine(cosine_gram(np.column_stack([v, -v])))
         np.testing.assert_array_equal(a, 0.0)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_symmetrized_original_on_gram_slices(self, seed):
+        # cosine_gram is exactly symmetric, so (a + a.T) / 2 changed no bit
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((30, 40))
+        data[:, 5] = data[:, 4]
+        data[:, 7] = -data[:, 6]
+        data[:, 9] = 3.0 * data[:, 8]
+        gram = cosine_gram(data)
+        idx = np.sort(rng.choice(40, size=25, replace=False))
+        for g in (gram, gram[np.ix_(idx, idx)], gram[4:10, 4:10]):
+            assert affinity_from_cosine(g).tobytes() == affinity_from_cosine_ref(g).tobytes()
+
 
 class TestEmbed:
     def test_two_cliques_piecewise_constant(self):
@@ -192,13 +206,13 @@ class TestEmbed:
 class TestSpectralCluster:
     def test_two_blocks_recovered(self):
         a = block_affinity([5, 9])
-        labels, _ = spectral_cluster(a, 2, seed=0)
+        labels = kmeans(embed(a, 2).coords, 2, seed=0).labels
         assert len(set(labels[:5])) == 1
         assert len(set(labels[5:])) == 1
         assert labels[0] != labels[5]
 
     def test_single_block_k1(self):
-        labels, _ = spectral_cluster(block_affinity([6]), 1, seed=0)
+        labels = kmeans(embed(block_affinity([6]), 1).coords, 1, seed=0).labels
         assert np.all(labels == 0)
 
     def test_deterministic_given_seed(self):
@@ -206,6 +220,6 @@ class TestSpectralCluster:
         a = rng.uniform(0.0, 1.0, (12, 12))
         a = (a + a.T) / 2.0
         np.fill_diagonal(a, 0.0)
-        l1, _ = spectral_cluster(a, 3, seed=42)
-        l2, _ = spectral_cluster(a, 3, seed=42)
+        l1 = kmeans(embed(a, 3).coords, 3, seed=42).labels
+        l2 = kmeans(embed(a, 3).coords, 3, seed=42).labels
         np.testing.assert_array_equal(l1, l2)
