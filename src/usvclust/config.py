@@ -118,8 +118,9 @@ class PipelineConfig:
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
         for kk in self.k:
-            if kk < 1:
-                raise ParameterError(f"k values must be >= 1, got {kk}")
+            if kk < 2:
+                # the centroid metrics need two clusters
+                raise ParameterError(f"k values must be >= 2, got {kk}")
         # the stage configs check the remaining ranges
         self.coding()
         PreprocessConfig(f=self.f, t=self.t)

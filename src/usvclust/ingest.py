@@ -488,11 +488,27 @@ def write_centroids(model, out_dir) -> None:
             (out_dir / f"{name}.csv").write_bytes(view[lo:hi])
 
 
+def _centroid_rank(path: Path) -> int:
+    rank = path.stem[len("centroid_"):]
+    if not (rank.isascii() and rank.isdigit()):
+        raise FormatError(f"{path}: expected centroid_<rank>.csv")
+    return int(rank)
+
+
 def read_centroid_dir(path) -> np.ndarray:
-    """Read ``centroid_*.csv`` matrices back as a K x (F*T) matrix
-    (column-major flattening, matching the feature layout)."""
+    """Read a directory written by ``write_centroids`` back as a K x d
+    matrix, rank 0 first.
+
+    That is the ``centroids.csv`` vector table when the directory holds
+    one, and otherwise the ``centroid_*.csv`` matrices in the order of
+    their integer ranks, each flattened column-major to match the feature
+    layout.
+    """
     path = Path(path)
-    files = sorted(path.glob("centroid_*.csv"))
+    table = path / "centroids.csv"
+    if table.is_file():
+        return read_vectors(table)[1]
+    files = sorted(path.glob("centroid_*.csv"), key=_centroid_rank)
     if not files:
         raise FormatError(f"{path}: no centroid_*.csv files")
     mats = [_read_matrix_csv(p) for p in files]

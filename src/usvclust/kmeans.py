@@ -37,28 +37,22 @@ class _SeedDistances:
     the restarts share it: ``table`` holds one vector per drawn row, at most
     ``min(n, k * n_init)`` of them, and ``slot`` maps a row to its vector.
 
-    numpy sums each row of that temporary pairwise when the temporary is
-    C-ordered (or has a single row) and left to right when it is F-ordered,
-    as it is for F-ordered ``points``. The rows are computed in blocks of
-    the same memory order, in one reused buffer. The entry of a row that
-    was drawn before is copied from that row's own vector: ``(a - b) ** 2``
-    and ``(b - a) ** 2`` are the same bits and each row is summed in the
-    same order, so every unordered pair of rows is computed at most once.
+    The rows are computed in blocks of C rows, like those of that temporary,
+    in one reused buffer, so numpy sums each row in the same order. The
+    entry of a row that was drawn before is copied from that row's own vector:
+    ``(a - b) ** 2`` and ``(b - a) ** 2`` are the same bits and each row is
+    summed in the same order, so every unordered pair of rows is computed at
+    most once.
     """
 
-    def __init__(self, points: np.ndarray, c_points: np.ndarray, capacity: int):
+    def __init__(self, points: np.ndarray, capacity: int):
         n, self.d = points.shape
-        self.f_order = n > 1 and abs(points.strides[0]) < abs(points.strides[1])
-        # blocks gather from a C-contiguous source: F blocks are (d, m)
-        # columns of points.T, C blocks (m, d) rows of ``c_points``
-        self.src = np.ascontiguousarray(points.T) if self.f_order else c_points
+        self.points = points
         self.table = np.empty((capacity, n))
         self.slot = np.full(n, -1)
         self.count = 0
-        # a lone row of an F block would be summed pairwise, so blocks hold two
-        self.block_rows = max(2, _SEED_BLOCK_BYTES // (8 * max(self.d, 1)))
+        self.block_rows = max(1, _SEED_BLOCK_BYTES // (8 * max(self.d, 1)))
         self.buf = np.empty(self.block_rows * self.d)
-        self.sums = np.empty(self.block_rows)
 
     def __call__(self, row: int) -> np.ndarray:
         if self.slot[row] < 0:
@@ -72,23 +66,15 @@ class _SeedDistances:
 
     def _fill(self, row: int, todo: np.ndarray, out: np.ndarray) -> None:
         """Write the squared distances of the rows ``todo`` to row ``row`` into ``out``."""
-        d = self.d
-        axis = 1 if self.f_order else 0
-        center = self.src[:, row, None] if self.f_order else self.src[row]
+        center = self.points[row]
         for lo in range(0, todo.size, self.block_rows):
             idx = todo[lo:lo + self.block_rows]
-            m = idx.size
-            if self.f_order and m == 1:
-                idx = np.repeat(idx, 2)
-            shape = (d, idx.size) if self.f_order else (idx.size, d)
-            block = self.buf[:idx.size * d].reshape(shape)
+            block = self.buf[:idx.size * self.d].reshape(idx.size, self.d)
             # the indices are valid; "clip" skips the copy "raise" makes
-            np.take(self.src, idx, axis=axis, out=block, mode="clip")
+            np.take(self.points, idx, axis=0, out=block, mode="clip")
             block -= center
             np.square(block, out=block)
-            sums = self.sums[:idx.size]
-            np.add.reduce(block, axis=1 - axis, out=sums)
-            out[idx[:m]] = sums[:m]
+            out[idx] = block.sum(axis=1)
 
 
 def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -110,12 +96,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator,
 
 
 def _direct_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The n x k x d kernel the labels are defined by.
-
-    numpy sums each distance in an order set by the memory layout of
-    ``points`` (pairwise along C rows, left to right along F columns), so
-    the result is reproduced only by inputs laid out the same way.
-    """
+    """The n x k x d kernel the labels are defined by."""
     return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
@@ -141,16 +122,11 @@ def _assign(points: np.ndarray, centers: np.ndarray,
     slack = 8.0 * (d + 2) * np.finfo(np.float64).eps * (sq_norms + center_sq.max())
     near = d2 <= (d2.min(axis=1) + slack)[:, None]
     tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
-    # blocks of n // k rows keep the fallback within O(n*d) memory; each is
-    # copied in the memory order of ``points`` and padded to two rows, the
-    # smallest block whose sums follow the same order as the full kernel's
-    step = max(2, n // centers.shape[0])
+    # blocks of n // k rows keep the fallback within O(n*d) memory
+    step = max(1, n // centers.shape[0])
     for lo in range(0, tied.size, step):
         rows = tied[lo:lo + step]
-        block = np.empty_like(points, shape=(max(rows.size, 2), d))
-        block[:rows.size] = points[rows]
-        block[rows.size:] = points[rows[0]]
-        labels[rows] = np.argmin(_direct_sq_dist(block, centers)[:rows.size], axis=1)
+        labels[rows] = np.argmin(_direct_sq_dist(points[rows], centers), axis=1)
     return labels
 
 
@@ -174,9 +150,9 @@ def _repair_empty(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return labels
 
 
-def _update_centers(c_points: np.ndarray, labels: np.ndarray, centers: np.ndarray,
+def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray,
                     work: np.ndarray) -> None:
-    """``centers[c] = c_points[labels == c].mean(axis=0)`` for every c, bit for bit.
+    """``centers[c] = points[labels == c].mean(axis=0)`` for every c, bit for bit.
 
     That mean gathers the members in row order and sums them pairwise when
     d == 1 and left to right otherwise. The members of each cluster are
@@ -185,7 +161,7 @@ def _update_centers(c_points: np.ndarray, labels: np.ndarray, centers: np.ndarra
     """
     k = centers.shape[0]
     counts = np.bincount(labels, minlength=k)
-    np.take(c_points, np.argsort(labels, kind="stable"), axis=0, out=work, mode="clip")
+    np.take(points, np.argsort(labels, kind="stable"), axis=0, out=work, mode="clip")
     lo = 0
     for c, hi in enumerate(np.cumsum(counts).tolist()):
         np.add.reduce(work[lo:hi], axis=0, out=centers[c])
@@ -193,20 +169,16 @@ def _update_centers(c_points: np.ndarray, labels: np.ndarray, centers: np.ndarra
     centers /= counts[:, None]
 
 
-def _inertia(c_points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
+def _inertia(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
              work: np.ndarray) -> float:
-    """``float(((points - centers[labels]) ** 2).sum())`` bit for bit.
-
-    numpy lays that temporary out in C order whatever the layout of
-    ``points``, and ``work`` is C-ordered, so the sum runs in the same order.
-    """
+    """``float(((points - centers[labels]) ** 2).sum())`` bit for bit."""
     np.take(centers, labels, axis=0, out=work, mode="clip")
-    np.subtract(c_points, work, out=work)
+    np.subtract(points, work, out=work)
     np.square(work, out=work)
     return float(work.sum())
 
 
-def _lloyd_once(points: np.ndarray, c_points: np.ndarray, sq_norms: np.ndarray, k: int,
+def _lloyd_once(points: np.ndarray, sq_norms: np.ndarray, k: int,
                 rng: np.random.Generator, max_iter: int, seeds: _SeedDistances,
                 work: np.ndarray):
     centers = _plus_plus_init(points, k, rng, seeds)
@@ -224,14 +196,17 @@ def _lloyd_once(points: np.ndarray, c_points: np.ndarray, sq_norms: np.ndarray, 
             converged = True
             break
         labels = new_labels
-        _update_centers(c_points, labels, centers, work)
-        trace.append(_inertia(c_points, centers, labels, work))
+        _update_centers(points, labels, centers, work)
+        trace.append(_inertia(points, centers, labels, work))
     return labels, centers, trace[-1], iterations, converged, tuple(trace)
 
 
 def kmeans(points: np.ndarray, k: int, seed: int,
            max_iter: int = 300, n_init: int = 10) -> KMeansResult:
     """Cluster the rows of ``points`` into k groups.
+
+    k-means works on one C-ordered float64 copy of ``points`` (none is made
+    when they already are one), so its results depend only on the values.
 
     Parameters
     ----------
@@ -247,7 +222,7 @@ def kmeans(points: np.ndarray, k: int, seed: int,
         ``inertia_trace`` is the per-iteration inertia of the winning
         restart and never increases.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValidationError("points must be 2-D (one row per sample)")
     n = points.shape[0]
@@ -257,14 +232,11 @@ def kmeans(points: np.ndarray, k: int, seed: int,
         raise ParameterError("n_init and max_iter must be >= 1")
     sq_norms = np.einsum("ij,ij->i", points, points)
     rng = np.random.default_rng(seed)
-    # gathers read C rows; the near-tie fallback and the seeding sums keep
-    # the layout of ``points``
-    c_points = np.ascontiguousarray(points)
-    seeds = _SeedDistances(points, c_points, min(n, k * n_init))
-    work = np.empty_like(c_points)
+    seeds = _SeedDistances(points, min(n, k * n_init))
+    work = np.empty_like(points)
     best = None
     for _ in range(n_init):
-        run = _lloyd_once(points, c_points, sq_norms, k, rng, max_iter, seeds, work)
+        run = _lloyd_once(points, sq_norms, k, rng, max_iter, seeds, work)
         if best is None or run[2] < best[2]:
             best = run
     labels, centers, inertia, iterations, converged, trace = best

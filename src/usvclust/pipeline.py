@@ -72,8 +72,6 @@ def cluster_inliers(inliers: FeatureMatrix, cfg: PipelineConfig, k: int,
         if cfg.export_embedding:
             coords = pca_reduce(inliers.data.T, min(k, inliers.n, inliers.d))
         return result.labels, coords
-    # a view with the strides of embed(affinity, k).coords: the k-means
-    # near-tie fallback sums in the layout of its input
     coords = embedding[:, :k]
     labels = kmeans(coords, k, seed=cfg.seed).labels
     return labels, (coords if cfg.export_embedding else None)

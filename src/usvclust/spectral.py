@@ -112,4 +112,4 @@ def embed(affinity: np.ndarray, k: int) -> SpectralEmbedding:
         w, u = np.linalg.eigh(lsym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    return SpectralEmbedding(coords=(s[:, None] * u)[:, :k], eigenvalues=w[:k])
+    return SpectralEmbedding(coords=s[:, None] * u[:, :k], eigenvalues=w[:k])

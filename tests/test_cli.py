@@ -122,6 +122,14 @@ class TestPipeline:
         assert run(*base, "--k", "") == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["1", "1,5"])
+    def test_k_below_two_exits_2_before_reading_input(self, tmp_path, capsys, k):
+        out = tmp_path / "o"
+        assert run("pipeline", "--input", tmp_path / "missing.ssca",
+                   "--output_dir", out, "--k", k) == 2
+        assert ">= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_k_above_inlier_count_refused_before_solving(
             self, archive_path, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -231,6 +239,24 @@ class TestPreprocessAndMetrics:
                       for line in (out / "metrics.txt").read_text().splitlines())
         # the centroid files are ordered by cluster size, so sums may round
         # differently than the label-ordered originals
+        for key in ("d_cos_hmean", "d_cos_std"):
+            assert abs(float(printed[key]) - float(stored[key])) < 1e-12
+
+    def test_metrics_on_vector_input_centroid_dir(self, archive_path, tmp_path,
+                                                  capsys):
+        # a vector-input run writes one centroids.csv table, not grid files
+        vecs = tmp_path / "features.csv"
+        assert run("preprocess", "--input", archive_path, "--output", vecs,
+                   "--f", 12, "--t", 12) == 0
+        out = tmp_path / "out"
+        assert run("pipeline", "--input", vecs, "--output_dir", out,
+                   "--method", "cs_sc", "--k", 3) == 0
+        capsys.readouterr()
+        assert run("metrics", "--centroids", out / "centroids") == 0
+        printed = dict(line.split("=", 1)
+                       for line in capsys.readouterr().out.splitlines())
+        stored = dict(line.split("=", 1)
+                      for line in (out / "metrics.txt").read_text().splitlines())
         for key in ("d_cos_hmean", "d_cos_std"):
             assert abs(float(printed[key]) - float(stored[key])) < 1e-12
 

@@ -85,6 +85,12 @@ class TestPipelineConfig:
         with pytest.raises(ParameterError):
             PipelineConfig(**base, tol=0.0)
 
+    @pytest.mark.parametrize("k", [1, "1,5", (5, 1)])
+    def test_k_below_two_refused(self, k):
+        # the centroid metrics at the end of a run need two clusters
+        with pytest.raises(ParameterError, match=">= 2"):
+            PipelineConfig(input="a", output_dir="b", k=k)
+
     @pytest.mark.parametrize("k", [(), "5,5", [5, 5]])
     def test_empty_or_repeated_k_refused(self, k):
         with pytest.raises(ParameterError, match="empty|repeats"):

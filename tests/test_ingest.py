@@ -296,6 +296,22 @@ class TestCentroids:
         back = read_centroid_dir(tmp_path / "c")
         np.testing.assert_array_equal(back[0], vec)
 
+    def test_rank_order_past_two_digits(self, tmp_path):
+        # centroid_100.csv sorts before centroid_11.csv by name
+        k = 101
+        labels = np.repeat(np.arange(k), np.arange(k) % 7 + 1)
+        cents = np.arange(k * 4.0).reshape(k, 4)
+        model = self._model(labels, cents, k, (2, 2))
+        write_centroids(model, tmp_path / "c")
+        order = np.argsort(-np.bincount(labels, minlength=k), kind="stable")
+        np.testing.assert_array_equal(read_centroid_dir(tmp_path / "c"), cents[order])
+
+    def test_file_without_rank_rejected(self, tmp_path):
+        write_centroids(self._model([0, 1], np.ones((2, 4)), 2, (2, 2)), tmp_path / "c")
+        (tmp_path / "c" / "centroid_old.csv").write_text("1,1\n1,1\n")
+        with pytest.raises(FormatError, match="centroid_old"):
+            read_centroid_dir(tmp_path / "c")
+
     def test_no_shape_writes_vector_table(self, tmp_path):
         # sizes 2, 3, 3: the two tied clusters keep their index order
         labels = [2, 0, 1, 2, 0, 1, 1, 2]
@@ -306,6 +322,8 @@ class TestCentroids:
         ids, back = read_vectors(tmp_path / "c" / "centroids.csv")
         assert ids == ["centroid_00", "centroid_01", "centroid_02"]
         np.testing.assert_array_equal(back, cents[[1, 2, 0]])
+        # the directory reader takes the table too
+        np.testing.assert_array_equal(read_centroid_dir(tmp_path / "c"), back)
 
 
 class TestVectors:

@@ -124,16 +124,16 @@ def _layouts_disagree(points, centers):
 
 
 class TestAssignKernel:
-    """``_assign`` must give exactly the labels of the direct kernel."""
+    """``_assign`` must give exactly the labels of the direct kernel on C
+    rows, the layout of the copy ``kmeans`` works on. Its fallback gathers
+    the tied rows into a new C block, so that holds for any input layout."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["random", "members", "duplicate", "mirror"]),
            st.integers(0, 2**31 - 1), st.integers(1, 40), st.integers(1, 8),
-           st.integers(1, 70), st.sampled_from([0.0, 1e4]),
-           st.sampled_from(["C", "F", "view"]))
-    def test_matches_direct_kernel(self, case, seed, n, k, d, offset, order):
+           st.integers(1, 70), st.sampled_from([0.0, 1e4]))
+    def test_matches_direct_kernel(self, case, seed, n, k, d, offset):
         points, centers = _assign_case(case, seed, n, k, d, offset)
-        points = _lay_out(points, order)
         got = km._assign(points, centers, _sq_norms(points))
         np.testing.assert_array_equal(got, nearest_center_direct(points, centers))
 
@@ -152,8 +152,8 @@ class TestAssignKernel:
     def test_duplicate_center_ties_go_to_lowest_index(self, monkeypatch, order):
         calls = self._count_fallback(monkeypatch)
         points, centers = _assign_case("duplicate", 7, 30, 4, 600)
-        points = _lay_out(points, order)
-        got = km._assign(points, centers, _sq_norms(points))
+        laid_out = _lay_out(points, order)
+        got = km._assign(laid_out, centers, _sq_norms(laid_out))
         assert calls, "near-tie rows must be decided by the direct kernel"
         np.testing.assert_array_equal(got, nearest_center_direct(points, centers))
         assert np.any(got == 0) and not np.any(got == 3)
@@ -163,24 +163,25 @@ class TestAssignKernel:
     def test_rounding_ties_follow_the_layout(self, order, offset):
         # numpy sums the direct kernel pairwise along C rows but left to
         # right along F columns, so on the mirror plane the two layouts pick
-        # different labels; the fallback must reproduce each
+        # different labels; the fallback follows the C rows for every input
         points, centers = _assign_case("mirror", 1, 200, 3, 4096, offset)
         assert _layouts_disagree(points, centers)
-        points = _lay_out(points, order)
-        got = km._assign(points, centers, _sq_norms(points))
+        laid_out = _lay_out(points, order)
+        got = km._assign(laid_out, centers, _sq_norms(laid_out))
         np.testing.assert_array_equal(got, nearest_center_direct(points, centers))
 
     def test_single_tied_row_keeps_layout_rounding(self, monkeypatch):
-        # one near-tie row in an F-ordered input is a fallback block of one
-        # row, which must still be summed in the F order of the full kernel
+        # one near-tie row is a fallback block of one row, which must still
+        # be summed in the order of the full kernel's C rows; the row is one
+        # whose label an F-ordered sum would change
         mirror, centers = _assign_case("mirror", 1, 200, 3, 4096)
         c_labels = nearest_center_direct(mirror, centers)
         f_labels = nearest_center_direct(np.asfortranarray(mirror), centers)
         row = mirror[np.flatnonzero(c_labels != f_labels)[0]]
-        points = np.asfortranarray(np.vstack([np.repeat(centers[2:], 11, axis=0), row]))
+        points = np.vstack([np.repeat(centers[2:], 11, axis=0), row])
         calls = self._count_fallback(monkeypatch)
         got = km._assign(points, centers, _sq_norms(points))
-        assert calls == [2]
+        assert calls == [1]
         np.testing.assert_array_equal(got, nearest_center_direct(points, centers))
 
     def test_separated_rows_skip_fallback(self, monkeypatch):
@@ -284,25 +285,22 @@ class TestSeedingMemo:
         # 60, 59, ..., 1 rows to compute, so every last-block size occurs
         rng = np.random.default_rng(11)
         raw = rng.standard_normal((60, 4096)) + 10.0
-        points = _lay_out(raw, order)
+        # the C copy kmeans makes of an input in this layout
+        c_points = np.ascontiguousarray(_lay_out(raw, order))
 
         def direct(pts, r):
             return ((pts - pts[r]) ** 2).sum(axis=1)
 
-        if order == "F":
-            # a block summed in C order would change these vectors
-            assert any(direct(points, r).tobytes() != direct(raw, r).tobytes()
-                       for r in range(3))
-        seeds = km._SeedDistances(points, np.ascontiguousarray(points), 60)
+        seeds = km._SeedDistances(c_points, 60)
         for r in rng.permutation(60):
-            assert seeds(r).tobytes() == direct(points, r).tobytes()
+            assert seeds(r).tobytes() == direct(c_points, r).tobytes()
         for r in range(60):  # later vectors never write into earlier ones
-            assert seeds(r).tobytes() == direct(points, r).tobytes()
+            assert seeds(r).tobytes() == direct(c_points, r).tobytes()
 
 
 class TestLloydMatchesOracles:
-    """Whole runs equal the oracle-driven run of the mask/mean loop, field by
-    field and bit for bit."""
+    """Whole runs equal the oracle-driven run of the mask/mean loop on the
+    C-ordered points, field by field and bit for bit."""
 
     @staticmethod
     def _assert_same(res, ref):
@@ -322,7 +320,8 @@ class TestLloydMatchesOracles:
     def test_whole_run_matches(self, case, k, order):
         points = _seeding_case(case, order)
         self._assert_same(kmeans(points, k, seed=5, n_init=3),
-                          kmeans_lloyd_ref(points, k, seed=5, n_init=3))
+                          kmeans_lloyd_ref(np.ascontiguousarray(points), k, seed=5,
+                                           n_init=3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 8),
@@ -334,7 +333,8 @@ class TestLloydMatchesOracles:
         points = _lay_out(rng.integers(0, 3, size=(n, d)) * 0.5 + 0.25, order)
         k = int(rng.integers(1, n + 1))
         self._assert_same(kmeans(points, k, seed=seed, n_init=2),
-                          kmeans_lloyd_ref(points, k, seed=seed, n_init=2))
+                          kmeans_lloyd_ref(np.ascontiguousarray(points), k,
+                                           seed=seed, n_init=2))
 
     @pytest.mark.parametrize("order", ["C", "F", "view"])
     def test_repair_on_the_converging_step(self, monkeypatch, order):
@@ -352,7 +352,28 @@ class TestLloydMatchesOracles:
         res = kmeans(points, 6, seed=1, n_init=1)
         # the step that repeats the labels needed a repair to get there
         assert res.converged and repaired[-1]
-        self._assert_same(res, kmeans_lloyd_ref(points, 6, seed=1, n_init=1))
+        self._assert_same(res, kmeans_lloyd_ref(np.ascontiguousarray(points), 6,
+                                                seed=1, n_init=1))
+
+
+class TestLayoutIndependence:
+    """Runs on the same values in any memory layout are the same run."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mirror_plane_run_is_the_same_in_every_layout(self, seed):
+        # 60 points on the plane halfway between two centers, where rounding
+        # alone decides the nearest center, plus 40 copies of each center
+        mirror, centers = _assign_case("mirror", 1, 60, 2, 4096)
+        points = np.vstack([mirror, np.repeat(centers, 40, axis=0)])
+        runs = [kmeans(_lay_out(points, order), 2, seed=seed, n_init=1, max_iter=1)
+                for order in ("C", "F", "view")]
+        for res in runs[1:]:
+            np.testing.assert_array_equal(res.labels, runs[0].labels)
+            assert res.centers.tobytes() == runs[0].centers.tobytes()
+            assert res.inertia.hex() == runs[0].inertia.hex()
+            assert res.inertia_trace == runs[0].inertia_trace
+            assert res.iterations == runs[0].iterations
+            assert res.converged == runs[0].converged
 
 
 class TestRepairEmpty:

@@ -109,7 +109,7 @@ class TestRunPipeline:
         results = run_pipeline(make_cfg(segment_archive, tmp_path / "out",
                                         k="2,4,3", export_embedding=True))
         assert len(calls) == 1
-        # each K's slice equals, in values and strides, its own embedding
+        # each K's slice equals, value for value, its own embedding
         features, _ = load_features(segment_archive, f=12, t=12)
         gram = cosine_gram(features.data)
         idx = split(features, 0.8, gram=gram).inlier_idx
@@ -118,7 +118,6 @@ class TestRunPipeline:
             coords = embed(affinity, res.k).coords
             labels = kmeans(coords, res.k, seed=0).labels
             np.testing.assert_array_equal(res.embedding, coords)
-            assert res.embedding.strides == coords.strides
             np.testing.assert_array_equal(res.model.inlier_labels, labels)
 
 

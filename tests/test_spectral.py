@@ -190,6 +190,18 @@ class TestEmbed:
         with pytest.raises(ParameterError):
             embed(a, 5)
 
+    def test_coords_own_their_n_by_k_values(self):
+        # the leading k columns of the scaled eigenvectors, in an n x k array
+        # of their own rather than a view that keeps the n x n product alive
+        rng = np.random.default_rng(6)
+        a = rng.uniform(0.1, 1.0, (9, 9))
+        a = (a + a.T) / 2.0
+        np.fill_diagonal(a, 0.0)
+        coords = embed(a, 3).coords
+        full = embed(a, 9).coords
+        assert coords.shape == (9, 3) and coords.flags.owndata
+        assert coords.tobytes() == np.ascontiguousarray(full[:, :3]).tobytes()
+
     def test_random_walk_eigenvector_identity(self):
         # returned vectors v satisfy (I - D^-1 A) v = w v
         rng = np.random.default_rng(5)
