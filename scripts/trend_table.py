@@ -15,9 +15,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from usvclust import PipelineConfig, generate_segments, run_pipeline
+from usvclust.config import METHODS
 from usvclust.ingest import write_archive
-
-METHODS = ("kmeans", "cs_sc", "lasso_ssc", "omp_ssc")
 
 
 def main() -> int:

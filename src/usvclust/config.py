@@ -99,7 +99,7 @@ class PipelineConfig:
     denoise_eps: float = _setting(0.001, "zero coefficients below this magnitude")
     f: int = _setting(64, "target frequency bins")
     t: int = _setting(64, "target time bins")
-    seed: int = _setting(0, "k-means seed")
+    seed: int = _setting(0, "k-means seed, >= 0")
     export_embedding: bool = _setting(False, "also write the clustering-space coordinates")
     sparsity_k: int = _setting(10, "atom budget for omp_ssc")
     max_iter: int = _setting(1000, "LASSO homotopy step cap")
@@ -121,6 +121,8 @@ class PipelineConfig:
             if kk < 2:
                 # the centroid metrics need two clusters
                 raise ParameterError(f"k values must be >= 2, got {kk}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         # the stage configs check the remaining ranges
         self.coding()
         PreprocessConfig(f=self.f, t=self.t)

@@ -18,7 +18,7 @@ import csv
 import functools
 import itertools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +239,6 @@ class SegmentArchive:
     """An ordered collection of segments with unique ids."""
 
     segments: tuple[SpectroSegment, ...]
-    source: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -328,7 +327,7 @@ def _read_archive_binary(path: Path) -> SegmentArchive:
         segments.append(SpectroSegment(seg_id, energy.reshape(n_freq, n_time).copy()))
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes at byte {off}")
-    return SegmentArchive(tuple(segments), source=str(path))
+    return SegmentArchive(tuple(segments))
 
 
 def _write_archive_csv(archive: SegmentArchive, path: Path) -> None:
@@ -367,7 +366,7 @@ def _read_archive_csv(path: Path) -> SegmentArchive:
         if not cell.exists():
             raise FormatError(f"{path}: missing segment file {name}")
         segments.append(SpectroSegment(seg_id, _read_matrix_csv(cell)))
-    return SegmentArchive(tuple(segments), source=str(path))
+    return SegmentArchive(tuple(segments))
 
 
 def _read_matrix_csv(path: Path) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Lloyd's k-means with k-means++ seeding, plus a small PCA helper.
+"""Lloyd's k-means with k-means++ seeding, plus small PCA helpers.
 
 All restarts draw from one seeded generator, so a (points, k, seed) triple
 fixes the result exactly.
@@ -212,7 +212,7 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     ----------
     points : (n, d) array
     k : number of clusters, 1 <= k <= n
-    seed : seeds one generator shared by all restarts
+    seed : seeds one generator shared by all restarts, >= 0
     max_iter : Lloyd iteration cap per restart
     n_init : independent seedings; the lowest-inertia run wins
 
@@ -230,6 +230,8 @@ def kmeans(points: np.ndarray, k: int, seed: int,
         raise ParameterError(f"k={k} out of range for {n} points")
     if n_init < 1 or max_iter < 1:
         raise ParameterError("n_init and max_iter must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     sq_norms = np.einsum("ij,ij->i", points, points)
     rng = np.random.default_rng(seed)
     seeds = _SeedDistances(points, min(n, k * n_init))
@@ -245,15 +247,20 @@ def kmeans(points: np.ndarray, k: int, seed: int,
                         inertia_trace=trace)
 
 
-def pca_reduce(points: np.ndarray, target_dim: int) -> np.ndarray:
-    """Project row vectors onto their top principal components."""
+def principal_axes(points: np.ndarray):
+    """The centered rows of ``points`` and their principal axes as rows,
+    strongest first: ``centered @ axes[:k].T`` are the top k components."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValidationError("points must be 2-D")
-    if not 1 <= target_dim <= min(points.shape):
-        raise ParameterError(
-            f"target_dim={target_dim} out of range for shape {points.shape}"
-        )
     centered = points - points.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    return centered @ vt[:target_dim].T
+    return centered, vt
+
+
+def pca_reduce(points: np.ndarray, target_dim: int) -> np.ndarray:
+    """Project row vectors onto their top principal components."""
+    centered, axes = principal_axes(points)
+    if not 1 <= target_dim <= len(axes):
+        raise ParameterError(f"target_dim={target_dim} out of range for shape {centered.shape}")
+    return centered @ axes[:target_dim].T

@@ -17,11 +17,10 @@ from .spectral import cosine_gram
 
 @dataclass(frozen=True)
 class Partition:
-    """Index sets of inliers and outliers, each ascending, plus the tau used."""
+    """Index sets of inliers and outliers, each ascending."""
 
     inlier_idx: np.ndarray
     outlier_idx: np.ndarray
-    tau: float
 
     def __post_init__(self):
         object.__setattr__(self, "inlier_idx", np.asarray(self.inlier_idx, dtype=int))
@@ -58,4 +57,4 @@ def split(features: FeatureMatrix, tau: float, gram: np.ndarray | None = None) -
                                                   initial=-np.inf)
     outlier_mask = best < tau
     idx = np.arange(features.n)
-    return Partition(inlier_idx=idx[~outlier_mask], outlier_idx=idx[outlier_mask], tau=tau)
+    return Partition(inlier_idx=idx[~outlier_mask], outlier_idx=idx[outlier_mask])

@@ -19,7 +19,7 @@ from . import ingest, metrics
 from .assign import ClusterModel, assign_outliers, centroids
 from .config import PipelineConfig
 from .errors import FormatError, ParameterError, ValidationError
-from .kmeans import kmeans, pca_reduce
+from .kmeans import kmeans, principal_axes
 from .outlier_split import Partition, split
 from .preprocess import FeatureMatrix, PreprocessConfig, normalize_columns, vectorize
 from .sparse_coding import self_express
@@ -56,25 +56,6 @@ class KResult:
     embedding_ids: tuple[str, ...] | None = None
     embedding: np.ndarray | None = None
     coefficients: np.ndarray | None = None
-
-
-def cluster_inliers(inliers: FeatureMatrix, cfg: PipelineConfig, k: int,
-                    embedding: np.ndarray | None):
-    """Label the inlier columns with the configured method.
-
-    Returns (labels, embedding coords or None). ``embedding`` holds the
-    spectral methods' inlier coordinates for the largest K of the run;
-    its first k columns are clustered. Raw kmeans does not use it.
-    """
-    if cfg.method == "kmeans":
-        result = kmeans(inliers.data.T, k, seed=cfg.seed)
-        coords = None
-        if cfg.export_embedding:
-            coords = pca_reduce(inliers.data.T, min(k, inliers.n, inliers.d))
-        return result.labels, coords
-    coords = embedding[:, :k]
-    labels = kmeans(coords, k, seed=cfg.seed).labels
-    return labels, (coords if cfg.export_embedding else None)
 
 
 def compute_coefficients(inliers: FeatureMatrix, cfg: PipelineConfig):
@@ -115,8 +96,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
             keep = np.flatnonzero(~isolated)
             part = Partition(
                 inlier_idx=part.inlier_idx[keep],
-                outlier_idx=np.union1d(part.outlier_idx, part.inlier_idx[isolated]),
-                tau=part.tau)
+                outlier_idx=np.union1d(part.outlier_idx, part.inlier_idx[isolated]))
             _check_k(cfg, part, f" after {int(isolated.sum())} zero-degree inliers "
                                 "became outliers")
             inliers = features.select(part.inlier_idx)
@@ -125,16 +105,25 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
                 coeffs = coeffs[np.ix_(keep, keep)]
         # one eigensolve per run; each K clusters the leading K columns
         embedding = embed(affinity, max(cfg.k)).coords
+    elif cfg.export_embedding:
+        # raw kmeans: one SVD per run. Each K makes its own projection, as a
+        # slice of a wider product may differ in the last bits
+        centered, axes = principal_axes(inliers.data.T)
     results = []
     for k in cfg.k:
-        labels, emb = cluster_inliers(inliers, cfg, k, embedding)
+        if cfg.method == "kmeans":
+            labels = kmeans(inliers.data.T, k, seed=cfg.seed).labels
+            coords = centered @ axes[:k].T if cfg.export_embedding else None
+        else:
+            coords = embedding[:, :k]
+            labels = kmeans(coords, k, seed=cfg.seed).labels
         model = assign_outliers(features, part, labels, k, cfg.method,
                                 feature_shape=shape, inliers=inliers)
         rep = metrics.report(features, model)
         results.append(KResult(
             k=k, model=model, report=rep,
-            embedding_ids=inliers.ids if emb is not None else None,
-            embedding=emb,
+            embedding_ids=inliers.ids if cfg.export_embedding else None,
+            embedding=coords if cfg.export_embedding else None,
             coefficients=coeffs if cfg.dump_coefficients else None,
         ))
     return results
@@ -218,7 +207,7 @@ def evaluate(labels_path, input_path, f: int = 64, t: int = 64,
             f"({len(ids)} vs {features.n} samples)"
         )
     idx = np.arange(features.n)
-    part = Partition(inlier_idx=idx[~flags], outlier_idx=idx[flags], tau=float("nan"))
+    part = Partition(inlier_idx=idx[~flags], outlier_idx=idx[flags])
     if len(part.inlier_idx) == 0:
         raise ValidationError("labels file marks every sample as an outlier")
     inlier_labels = labels[part.inlier_idx]

@@ -43,16 +43,17 @@ class SparseCodingConfig:
     def __post_init__(self):
         if self.method not in ("lasso", "omp"):
             raise ParameterError(f"unknown sparse coding method {self.method!r}")
-        if self.lam <= 0:
-            raise ParameterError(f"lambda must be positive, got {self.lam}")
+        # written so that NaN fails each range check
+        if not 0 < self.lam < np.inf:
+            raise ParameterError(f"lambda must be positive and finite, got {self.lam}")
         if self.sparsity_k < 1:
             raise ParameterError(f"sparsity budget must be >= 1, got {self.sparsity_k}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol <= 0:
-            raise ParameterError(f"tol must be positive, got {self.tol}")
-        if self.denoise_eps < 0:
-            raise ParameterError(f"denoise_eps must be >= 0, got {self.denoise_eps}")
+        if not 0 < self.tol < np.inf:
+            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
+        if not 0 <= self.denoise_eps < np.inf:
+            raise ParameterError(f"denoise_eps must be >= 0 and finite, got {self.denoise_eps}")
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,8 @@ def lasso_column(dictionary: np.ndarray, target: np.ndarray, lam: float,
     t = np.asarray(target, dtype=np.float64)
     if a.ndim != 2 or t.ndim != 1 or a.shape[0] != t.shape[0]:
         raise ValidationError("dictionary and target shapes do not match")
-    if lam <= 0:
-        raise ParameterError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ParameterError(f"lambda must be positive and finite, got {lam}")
     return _homotopy(a.T @ a, a.T @ t, lam, max_iter)
 
 
@@ -316,8 +317,8 @@ def denoise(coeffs: CoefficientMatrix, eps: float | None = None) -> CoefficientM
     """
     if eps is None:
         eps = coeffs.denoise_eps
-    if eps < 0:
-        raise ParameterError(f"denoise eps must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise ParameterError(f"denoise eps must be >= 0 and finite, got {eps}")
     y = coeffs.y.copy()
     y[np.abs(y) < eps] = 0.0
     return CoefficientMatrix(
@@ -352,11 +353,12 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
             f"count {n} (each dictionary has {n - 1} atoms)"
         )
     n_nonconverged = n_dependent = 0
+    # exactly symmetric (see cosine_gram): row j is sample j's correlations
     gram = x.T @ x
     if config.method == "lasso":
         y = np.zeros((n, n))
         for j in range(n):
-            y[:, j], ok = _homotopy(gram, gram[:, j], config.lam,
+            y[:, j], ok = _homotopy(gram, gram[j], config.lam,
                                     config.max_iter, barred=j)
             if not ok:
                 n_nonconverged += 1
@@ -368,13 +370,10 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
                 RuntimeWarning,
             )
     else:
-        # row j of gram.T is column j of gram: sample j's correlations
-        y, n_dependent = _omp_gram(gram, gram.T, np.diagonal(gram), config.sparsity_k,
+        y, n_dependent = _omp_gram(gram, gram, np.diagonal(gram), config.sparsity_k,
                                    config.tol, barred=np.arange(n))
+    del gram
+    y[np.abs(y) < config.denoise_eps] = 0.0
     lam = config.lam if config.method == "lasso" else None
-    raw = CoefficientMatrix(
-        y=y, method=config.method, lam=lam,
-        denoise_eps=config.denoise_eps, n_nonconverged=n_nonconverged,
-        n_dependent=n_dependent,
-    )
-    return denoise(raw)
+    return CoefficientMatrix(y, config.method, lam, config.denoise_eps,
+                             n_nonconverged, n_dependent)

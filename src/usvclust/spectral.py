@@ -15,22 +15,6 @@ import numpy as np
 from .errors import NumericalError, ParameterError, ValidationError
 
 _COS_SNAP = 1e-12
-_SYM_BLOCK = 64
-
-
-def _symmetrize(g: np.ndarray) -> None:
-    """Set the square ``g`` to (g + g.T) / 2 in place, bit for bit.
-
-    ``g += g.T`` would copy g.T whole, as its operands overlap; a band of
-    rows and the matching columns at a time needs only the band.
-    """
-    n = g.shape[0]
-    for lo in range(0, n, _SYM_BLOCK):
-        hi = min(lo + _SYM_BLOCK, n)
-        band = g[lo:hi, lo:] + g[lo:, lo:hi].T
-        band /= 2.0
-        g[lo:hi, lo:] = band
-        g[lo:, lo:hi] = band.T
 
 
 def cosine_gram(data: np.ndarray) -> np.ndarray:
@@ -52,8 +36,10 @@ def cosine_gram(data: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ValidationError(f"column {int(np.argmin(norms))} is all zero")
     unit = data / norms
+    # exactly symmetric with no averaging pass: numpy computes a product of
+    # a matrix with its own transpose by BLAS syrk and mirrors the triangle,
+    # and its loop without BLAS sums the same pairs in the same order
     g = unit.T @ unit
-    _symmetrize(g)
     np.clip(g, -1.0, 1.0, out=g)
     g[g > 1.0 - _COS_SNAP] = 1.0
     return g

@@ -50,7 +50,7 @@ class TestCentroids:
 class TestAssignOutliers:
     def _assign(self, raw, inlier_idx, outlier_idx, inlier_labels, k):
         fm = unit_features(raw)
-        part = Partition(np.array(inlier_idx), np.array(outlier_idx), 0.8)
+        part = Partition(np.array(inlier_idx), np.array(outlier_idx))
         return assign_outliers(fm, part, np.array(inlier_labels), k, "kmeans")
 
     def test_outlier_identical_to_centroid(self):
@@ -85,7 +85,7 @@ class TestAssignOutliers:
         rng = np.random.default_rng(seed)
         fm = unit_features(rng.standard_normal((16, 90)))
         inlier_idx = np.arange(0, 90, 3)
-        part = Partition(inlier_idx, np.setdiff1d(np.arange(90), inlier_idx), 0.8)
+        part = Partition(inlier_idx, np.setdiff1d(np.arange(90), inlier_idx))
         model = assign_outliers(fm, part, np.arange(30) % 5, 5, "kmeans")
         ref = assign_outliers_loop(fm.data, part.outlier_idx, model.centroids)
         assert {int(i): int(model.labels[i]) for i in part.outlier_idx} == ref
@@ -128,7 +128,7 @@ class TestAssignOutliers:
 
     def test_label_count_mismatch(self):
         fm = unit_features(np.eye(3))
-        part = Partition(np.array([0, 1]), np.array([2]), 0.8)
+        part = Partition(np.array([0, 1]), np.array([2]))
         with pytest.raises(ValidationError):
             assign_outliers(fm, part, np.array([0]), 1, "kmeans")
 
@@ -137,7 +137,7 @@ class TestAssignOutliers:
         rng = np.random.default_rng(3)
         fm = unit_features(rng.standard_normal((40, 30)))
         inlier_idx = np.array([i for i in range(30) if i % 4])
-        part = Partition(inlier_idx, np.arange(0, 30, 4), 0.8)
+        part = Partition(inlier_idx, np.arange(0, 30, 4))
         labels = np.arange(len(inlier_idx)) % 3
         selected = assign_outliers(fm, part, labels, 3, "kmeans")
         supplied = assign_outliers(fm, part, labels, 3, "kmeans",

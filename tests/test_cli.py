@@ -130,6 +130,21 @@ class TestPipeline:
         assert ">= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--tol", "--denoise_eps"])
+    def test_nan_setting_exits_2_before_reading_input(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert run("pipeline", "--input", tmp_path / "missing.ssca",
+                   "--output_dir", out, "--method", "omp_ssc", flag, "nan") == 2
+        assert "finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_before_reading_input(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("pipeline", "--input", tmp_path / "missing.ssca",
+                   "--output_dir", out, "--seed", "-1") == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_k_above_inlier_count_refused_before_solving(
             self, archive_path, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -84,6 +84,13 @@ class TestPipelineConfig:
             PipelineConfig(**base, f=1)
         with pytest.raises(ParameterError):
             PipelineConfig(**base, tol=0.0)
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            PipelineConfig(**base, seed=-1)
+        # NaN fails every comparison, so each range check is written to fail on it
+        for key in ("lam", "tol", "denoise_eps"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ParameterError, match="finite"):
+                    PipelineConfig(**base, **{key: value})
 
     @pytest.mark.parametrize("k", [1, "1,5", (5, 1)])
     def test_k_below_two_refused(self, k):

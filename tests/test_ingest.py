@@ -236,7 +236,7 @@ class TestLabels:
         assert labels.tolist() == [2, 0, 1]
 
     def test_model_write(self, tmp_path):
-        part = Partition(np.array([0]), np.array([1]), 0.8)
+        part = Partition(np.array([0]), np.array([1]))
         model = ClusterModel(
             ids=("a", "b"), labels=np.array([0, 1]), centroids=np.eye(2),
             partition=part, k=2, method="kmeans", inlier_labels=np.array([0]))
@@ -260,7 +260,7 @@ class TestLabels:
 class TestCentroids:
     def _model(self, inlier_labels, centroids, k, shape):
         n = len(inlier_labels)
-        part = Partition(np.arange(n), np.array([], dtype=int), 0.8)
+        part = Partition(np.arange(n), np.array([], dtype=int))
         return ClusterModel(
             ids=tuple(f"s{i}" for i in range(n)), labels=np.array(inlier_labels),
             centroids=centroids, partition=part, k=k, method="kmeans",
@@ -438,7 +438,7 @@ class TestWriterBytes:
 
     def test_centroids(self, tmp_path):
         cents = np.vstack([AWKWARD, AWKWARD[::-1]])
-        part = Partition(np.arange(3), np.array([], dtype=int), 0.8)
+        part = Partition(np.arange(3), np.array([], dtype=int))
         model = ClusterModel(
             ids=("a", "b", "c"), labels=np.array([1, 0, 1]), centroids=cents,
             partition=part, k=2, method="kmeans",
@@ -477,7 +477,7 @@ class TestWriterBytes:
         n = len(labels)
         model = ClusterModel(
             ids=tuple(f"s{i}" for i in range(n)), labels=labels, centroids=cents,
-            partition=Partition(np.arange(n), np.array([], dtype=int), 0.8), k=k,
+            partition=Partition(np.arange(n), np.array([], dtype=int)), k=k,
             method="kmeans", inlier_labels=labels, feature_shape=(64, 64))
         write_centroids(model, tmp_path / "c")
         for rank in range(k):  # rank 00 is the largest cluster, k - 1
@@ -626,7 +626,7 @@ class TestFloatFormatter:
         cents = rng.standard_normal((k, 64 * 64))
         model = ClusterModel(
             ids=tuple(f"s{i}" for i in range(k)), labels=np.arange(k),
-            centroids=cents, partition=Partition(np.arange(k), np.array([], dtype=int), 0.8),
+            centroids=cents, partition=Partition(np.arange(k), np.array([], dtype=int)),
             k=k, method="kmeans", inlier_labels=np.arange(k), feature_shape=(64, 64))
         tracemalloc.start()
         try:

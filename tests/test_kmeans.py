@@ -85,6 +85,10 @@ class TestKMeans:
         with pytest.raises(ParameterError):
             kmeans(np.zeros((3, 2)), 2, seed=0, n_init=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            kmeans(np.zeros((3, 2)), 2, seed=-1)
+
 
 def _sq_norms(points):
     return np.einsum("ij,ij->i", points, points)

@@ -102,7 +102,7 @@ class TestReport:
     def _model(self, raw, inlier_idx, outlier_idx, inlier_labels, k):
         fm = unit_features(raw)
         part = Partition(np.array(inlier_idx, dtype=int),
-                         np.array(outlier_idx, dtype=int), 0.8)
+                         np.array(outlier_idx, dtype=int))
         model = assign_outliers(fm, part, np.array(inlier_labels), k, "kmeans")
         return fm, model
 
@@ -192,7 +192,7 @@ class TestReport:
         # inliers 0..2 make clusters 0..2; ``labels`` overrides the outliers'
         n = data.shape[1]
         fm = FeatureMatrix(data, tuple(f"s{i}" for i in range(n)))
-        part = Partition(np.arange(3), np.arange(3, n), 0.8)
+        part = Partition(np.arange(3), np.arange(3, n))
         model = assign_outliers(fm, part, np.arange(3), 3, "kmeans")
         model = dataclasses.replace(model, labels=np.array(labels))
         with warnings.catch_warnings(record=True) as caught:

@@ -6,7 +6,7 @@ import pytest
 from usvclust import (FormatError, MetricsReport, ParameterError, PipelineConfig,
                       ValidationError, affinity_from_coefficients, affinity_from_cosine,
                       cosine_gram, embed, evaluate, generate_segments, generate_subspaces,
-                      kmeans, load_features, run_pipeline, self_express, split,
+                      kmeans, load_features, pca_reduce, run_pipeline, self_express, split,
                       write_outputs, SubspaceSpec)
 from usvclust import ingest, metrics
 from usvclust.pipeline import KResult
@@ -118,6 +118,28 @@ class TestRunPipeline:
             coords = embed(affinity, res.k).coords
             labels = kmeans(coords, res.k, seed=0).labels
             np.testing.assert_array_equal(res.embedding, coords)
+            np.testing.assert_array_equal(res.model.inlier_labels, labels)
+
+    def test_one_pca_per_sweep(self, segment_archive, tmp_path, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, **kw):
+            calls.append(a.shape)
+            return svd(a, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        results = run_pipeline(make_cfg(segment_archive, tmp_path / "out", method="kmeans",
+                                        k="2,4,3", export_embedding=True))
+        assert len(calls) == 1
+        # each K's export equals, bit for bit, a PCA made at that K
+        features, _ = load_features(segment_archive, f=12, t=12)
+        inliers = features.select(split(features, 0.8).inlier_idx)
+        for res in results:
+            want = pca_reduce(inliers.data.T, min(res.k, inliers.n, inliers.d))
+            assert res.embedding.shape == want.shape
+            assert res.embedding.tobytes() == want.tobytes()
+            labels = kmeans(inliers.data.T, res.k, seed=0).labels
             np.testing.assert_array_equal(res.model.inlier_labels, labels)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -143,8 +144,9 @@ class TestLassoColumn:
             lasso_column(np.eye(3), np.ones(2), 0.3)
 
     def test_bad_lambda(self):
-        with pytest.raises(ParameterError):
-            lasso_column(np.eye(3), np.ones(3), 0.0)
+        for lam in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                lasso_column(np.eye(3), np.ones(3), lam)
 
 
 class TestOmpColumn:
@@ -521,6 +523,19 @@ class TestSelfExpress:
         with pytest.raises(ParameterError):
             self_express(data, SparseCodingConfig(method="omp", sparsity_k=3))
 
+    def test_lasso_peak_memory(self):
+        # the gram is freed before small entries are zeroed in place, so the
+        # peak is y plus that pass's |y| and mask, not a copy of y as well
+        n = 300
+        data = unit_dictionary(30, n, seed=25)
+        tracemalloc.start()
+        try:
+            self_express(data, SparseCodingConfig(method="lasso", lam=0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
+
 
 class TestDenoise:
     def _cm(self, y):
@@ -543,5 +558,11 @@ class TestDenoise:
             SparseCodingConfig(method="ridge")
         with pytest.raises(ParameterError):
             SparseCodingConfig(method="lasso", lam=-1.0)
+        for bad in (float("nan"), float("inf")):
+            for key in ("lam", "tol", "denoise_eps"):
+                with pytest.raises(ParameterError, match="finite"):
+                    SparseCodingConfig(**{key: bad})
+            with pytest.raises(ParameterError, match="finite"):
+                denoise(self._cm([[0.0, 0.5], [0.5, 0.0]]), bad)
         with pytest.raises(ParameterError):
             SparseCodingConfig(method="omp", sparsity_k=0)

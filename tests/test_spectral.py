@@ -9,7 +9,7 @@ from oracles import (affinity_from_cosine_ref, cosine_gram_ref,
                      reference_lsym_eigvals)
 from usvclust import (NumericalError, ParameterError, ValidationError,
                       affinity_from_coefficients, affinity_from_cosine,
-                      cosine_gram, embed, kmeans, spectral)
+                      cosine_gram, embed, kmeans)
 
 
 def block_affinity(sizes, weight=1.0):
@@ -25,11 +25,16 @@ def block_affinity(sizes, weight=1.0):
 
 class TestCosineGram:
     def test_unit_diagonal_and_symmetry(self):
+        # no averaging pass: numpy's product itself must be exactly
+        # symmetric, in either memory layout of the data
         rng = np.random.default_rng(0)
-        data = rng.standard_normal((6, 10))
-        g = cosine_gram(data)
-        np.testing.assert_array_equal(g, g.T)
-        np.testing.assert_array_equal(np.diag(g), 1.0)
+        for n in (1, 2, 63, 64, 65, 130):
+            for d in (1, 6, 300):
+                data = rng.standard_normal((d, n))
+                for layout in (np.ascontiguousarray, np.asfortranarray):
+                    g = cosine_gram(layout(data))
+                    assert np.array_equal(g, g.T), (n, d, layout.__name__)
+                    np.testing.assert_array_equal(np.diag(g), 1.0)
 
     def test_range(self):
         rng = np.random.default_rng(1)
@@ -54,16 +59,8 @@ class TestCosineGram:
         np.testing.assert_array_equal(got.view(np.int64),
                                       cosine_gram_ref(data).view(np.int64))
 
-    # sizes around the band of rows symmetrized at a time
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
-    def test_symmetrize_matches_average_with_transpose(self, n):
-        g = np.random.default_rng(n).standard_normal((n, n))
-        want = (g + g.T) / 2.0
-        spectral._symmetrize(g)
-        np.testing.assert_array_equal(g.view(np.int64), want.view(np.int64))
-
     def test_peak_memory_one_gram_and_a_band(self):
-        # averaging with a copied transpose held a second N x N array
+        # the product is the only N x N array: no pass holds a transposed copy
         data = np.random.default_rng(3).standard_normal((20, 500))
         tracemalloc.start()
         try:
