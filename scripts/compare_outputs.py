@@ -19,7 +19,9 @@ workload's own size. ``--method M`` runs clustering method M instead of the
 workload's own, for a method such as cs_sc that no workload runs. The
 ``writers`` mode instead runs the commands that write the other CSV tables:
 ``synth segments`` to a CSV archive directory, ``preprocess`` of one common
-archive to a vector table, and ``synth subspaces`` to a vector table. The
+archive to a vector table, ``synth subspaces`` to a vector table, and a
+kmeans ``pipeline`` run at K=5 on the common archive whose labels
+``evaluate --output`` reads back into a report. The
 two output directories must hold the same file names with the same bytes.
 Exit status: 0 when every tree is identical, 1 on any difference, 2 when a
 CLI run fails.
@@ -73,10 +75,11 @@ def pipeline_commands(bench, wl, seed: int, work: Path):
 
 
 def writer_commands(bench, seed: int, work: Path):
-    """The CSV archive, preprocess and subspace writers, writing into ``out``.
+    """The CSV archive, preprocess and subspace writers, then a kmeans run
+    and ``evaluate --output`` of its labels, writing into ``out``.
 
-    ``preprocess`` reads one archive written by this checkout, so both
-    trees format the same features.
+    ``preprocess``, the run and ``evaluate`` read one archive written by
+    this checkout, so both trees format the same features.
     """
     from usvclust import ingest
     from usvclust.synth import generate_segments
@@ -91,6 +94,11 @@ def writer_commands(bench, seed: int, work: Path):
          "--f", str(bench.GRID), "--t", str(bench.GRID)],
         ["synth", "subspaces", "--n", "4", "--points", "60", "--noise", "0.05",
          "--outliers", "8", "--seed", str(seed), "--output", str(out / "subspaces.csv")],
+        ["pipeline", "--input", str(source), "--output_dir", str(out / "run"),
+         "--method", "kmeans", "--k", "5", "--tau", str(bench.TAU),
+         "--f", str(bench.GRID), "--t", str(bench.GRID), "--seed", "0"],
+        ["evaluate", "--labels", str(out / "run" / "labels.csv"), "--input", str(source),
+         "--f", str(bench.GRID), "--t", str(bench.GRID), "--output", str(out / "evaluate.txt")],
     ]
 
 
@@ -116,7 +124,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path, required=True, help="source tree of the parent")
     parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
     parser.add_argument("--workload", required=True, choices=[*sorted(bench.WORKLOADS), "writers"],
-                        help="a perfbench workload, or writers for the non-pipeline CSV writers")
+                        help="a perfbench workload, or writers for the other CSV and report writers")
     parser.add_argument("--seeds", type=seed_range, required=True,
                         help="inclusive range of archive seeds, e.g. 100..104")
     parser.add_argument("--segments", type=int,

@@ -5,15 +5,14 @@ from .config import PipelineConfig, build_config, read_config_file
 from .errors import (FormatError, NumericalError, ParameterError,
                      UsvClustError, ValidationError)
 from .ingest import SegmentArchive, SpectroSegment, read_archive, write_archive
-from .kmeans import KMeansResult, kmeans, pca_reduce
-from .metrics import (MetricsReport, hmean_cosine_distance, report,
-                      std_cosine_distance)
+from .kmeans import KMeansResult, kmeans
+from .metrics import MetricsReport, report
 from .outlier_split import Partition, split
 from .pipeline import evaluate, load_features, run_pipeline, write_outputs
 from .preprocess import (FeatureMatrix, PreprocessConfig, clip_below_mean,
                          resize_bicubic, vectorize)
-from .sparse_coding import (CoefficientMatrix, SparseCodingConfig, denoise,
-                            lasso_column, omp_column, self_express)
+from .sparse_coding import (CoefficientMatrix, SparseCodingConfig, lasso_column,
+                            omp_column, self_express)
 from .spectral import (SpectralEmbedding, affinity_from_coefficients,
                        affinity_from_cosine, cosine_gram, embed)
 from .synth import SubspaceSpec, generate_segments, generate_subspaces
@@ -28,9 +27,8 @@ __all__ = [
     "SubspaceSpec", "UsvClustError", "ValidationError",
     "affinity_from_coefficients", "affinity_from_cosine", "assign_outliers",
     "build_config", "centroids", "clip_below_mean", "cosine_gram",
-    "denoise", "embed", "evaluate", "generate_segments", "generate_subspaces",
-    "hmean_cosine_distance", "kmeans", "lasso_column", "load_features",
-    "omp_column", "pca_reduce", "read_archive", "read_config_file", "report",
-    "resize_bicubic", "run_pipeline", "self_express", "split",
-    "std_cosine_distance", "vectorize", "write_archive", "write_outputs",
+    "embed", "evaluate", "generate_segments", "generate_subspaces", "kmeans",
+    "lasso_column", "load_features", "omp_column", "read_archive",
+    "read_config_file", "report", "resize_bicubic", "run_pipeline",
+    "self_express", "split", "vectorize", "write_archive", "write_outputs",
 ]

@@ -16,6 +16,7 @@ from .config import SETTINGS, build_config, parse_setting, read_config_file
 from .errors import (FormatError, NumericalError, ParameterError,
                      UsvClustError, ValidationError)
 from .pipeline import evaluate, load_features, run_pipeline, write_outputs
+from .preprocess import PreprocessConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="recompute metrics from stored labels")
     ev.add_argument("--labels", required=True, help="labels CSV from a pipeline run")
     ev.add_argument("--input", required=True, help="the original pipeline input")
-    ev.add_argument("--f", type=int, default=64)
-    ev.add_argument("--t", type=int, default=64)
+    ev.add_argument("--f", type=int, default=PreprocessConfig.f)
+    ev.add_argument("--t", type=int, default=PreprocessConfig.t)
     ev.add_argument("--method", default="stored",
                     help="method name to repeat in the report")
     ev.add_argument("--output", help="also write the report to this path")
@@ -71,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pre = sub.add_parser("preprocess", help="write preprocessed feature vectors")
     pre.add_argument("--input", required=True, help="segment archive")
     pre.add_argument("--output", required=True, help="vector CSV path")
-    pre.add_argument("--f", type=int, default=64)
-    pre.add_argument("--t", type=int, default=64)
+    pre.add_argument("--f", type=int, default=PreprocessConfig.f)
+    pre.add_argument("--t", type=int, default=PreprocessConfig.t)
 
     met = sub.add_parser("metrics", help="centroid distance statistics")
     met.add_argument("--centroids", required=True,

@@ -95,15 +95,16 @@ class PipelineConfig:
     k: tuple[int, ...] = _setting((20, 40, 60), "cluster count or comma list, e.g. 20,40,60")
     tau: float = _setting(0.8, "outlier threshold in (-1,1], or preset dba/c57",
                           parse=parse_tau)
-    lam: float = _setting(0.3, "L1 weight for lasso_ssc", key="lambda")
-    denoise_eps: float = _setting(0.001, "zero coefficients below this magnitude")
-    f: int = _setting(64, "target frequency bins")
-    t: int = _setting(64, "target time bins")
+    lam: float = _setting(SparseCodingConfig.lam, "L1 weight for lasso_ssc", key="lambda")
+    denoise_eps: float = _setting(SparseCodingConfig.denoise_eps,
+                                  "zero coefficients below this magnitude")
+    f: int = _setting(PreprocessConfig.f, "target frequency bins")
+    t: int = _setting(PreprocessConfig.t, "target time bins")
     seed: int = _setting(0, "k-means seed, >= 0")
     export_embedding: bool = _setting(False, "also write the clustering-space coordinates")
-    sparsity_k: int = _setting(10, "atom budget for omp_ssc")
-    max_iter: int = _setting(1000, "LASSO homotopy step cap")
-    tol: float = _setting(1e-7, "OMP residual-norm stopping tolerance")
+    sparsity_k: int = _setting(SparseCodingConfig.sparsity_k, "atom budget for omp_ssc")
+    max_iter: int = _setting(SparseCodingConfig.max_iter, "LASSO homotopy step cap")
+    tol: float = _setting(SparseCodingConfig.tol, "OMP residual-norm stopping tolerance")
     dump_coefficients: bool = _setting(False, "also write the sparse coefficients as triplets")
 
     def __post_init__(self):
@@ -113,6 +114,13 @@ class PipelineConfig:
             raise ParameterError("input path is required")
         if not self.output_dir:
             raise ParameterError("output_dir is required")
+        # write_outputs creates output_dir and its missing parents; refuse a
+        # file in the way now rather than after the whole run
+        out = Path(self.output_dir).resolve()
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ParameterError(
+                f"output_dir {self.output_dir!r} cannot be made: {existing} is not a directory")
         if self.method not in METHODS:
             raise ParameterError(
                 f"method must be one of {METHODS}, got {self.method!r}"

@@ -234,6 +234,15 @@ class SpectroSegment:
         return self.energy.shape[1]
 
 
+def check_unique_ids(ids, kind: str) -> None:
+    """Raise ValidationError naming the first id that repeats an earlier one."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise ValidationError(f"duplicate {kind} id {i!r}")
+        seen.add(i)
+
+
 @dataclass(frozen=True)
 class SegmentArchive:
     """An ordered collection of segments with unique ids."""
@@ -242,11 +251,7 @@ class SegmentArchive:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        seen = set()
-        for seg in self.segments:
-            if seg.id in seen:
-                raise ValidationError(f"duplicate segment id {seg.id!r}")
-            seen.add(seg.id)
+        check_unique_ids(self.ids, "segment")
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -1,4 +1,4 @@
-"""Lloyd's k-means with k-means++ seeding, plus small PCA helpers.
+"""Lloyd's k-means with k-means++ seeding, plus principal axes for PCA.
 
 All restarts draw from one seeded generator, so a (points, k, seed) triple
 fixes the result exactly.
@@ -256,11 +256,3 @@ def principal_axes(points: np.ndarray):
     centered = points - points.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     return centered, vt
-
-
-def pca_reduce(points: np.ndarray, target_dim: int) -> np.ndarray:
-    """Project row vectors onto their top principal components."""
-    centered, axes = principal_axes(points)
-    if not 1 <= target_dim <= len(axes):
-        raise ParameterError(f"target_dim={target_dim} out of range for shape {centered.shape}")
-    return centered @ axes[:target_dim].T

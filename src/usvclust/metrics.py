@@ -109,16 +109,6 @@ def distance_stats(cents: np.ndarray) -> tuple[float, float]:
     return d.size / float((1.0 / d).sum()), std
 
 
-def hmean_cosine_distance(cents: np.ndarray) -> float:
-    """Harmonic mean of inter-centroid cosine distances (see ``distance_stats``)."""
-    return distance_stats(cents)[0]
-
-
-def std_cosine_distance(cents: np.ndarray) -> float:
-    """Population standard deviation of the unordered pairwise distances."""
-    return float(np.std(pairwise_cosine_distances(cents)))
-
-
 def _sizes(labels: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(int(c) for c in np.bincount(labels, minlength=k))
 

@@ -27,7 +27,7 @@ from .spectral import (affinity_from_coefficients, affinity_from_cosine,
                        cosine_gram, embed)
 
 
-def load_features(path, f: int = 64, t: int = 64):
+def load_features(path, f: int = PreprocessConfig.f, t: int = PreprocessConfig.t):
     """Load features from a segment archive or a raw vector table.
 
     Archives (a directory, or a ``.ssca`` file) go through the full
@@ -40,6 +40,7 @@ def load_features(path, f: int = 64, t: int = 64):
         return vectorize(archive, PreprocessConfig(f=f, t=t)), (f, t)
     if p.suffix == ".csv":
         ids, coords = ingest.read_vectors(p)
+        ingest.check_unique_ids(ids, "vector")
         return normalize_columns(coords.T, ids), None
     raise FormatError(
         f"cannot tell the input kind of {p}: expected a directory, .ssca or .csv"
@@ -191,8 +192,8 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
         shutil.rmtree(holder, ignore_errors=True)
 
 
-def evaluate(labels_path, input_path, f: int = 64, t: int = 64,
-             method: str = "stored") -> metrics.MetricsReport:
+def evaluate(labels_path, input_path, f: int = PreprocessConfig.f,
+             t: int = PreprocessConfig.t, method: str = "stored") -> metrics.MetricsReport:
     """Recompute the metrics report from a stored labels file.
 
     The features are rebuilt from the original input with the same grid, so

@@ -20,7 +20,7 @@ KEYS_A = -0.5
 
 @dataclass
 class PreprocessConfig:
-    """Target grid for resizing; 64 x 64 unless overridden."""
+    """Target f x t grid for resizing."""
 
     f: int = 64
     t: int = 64

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 
-DENOISE_EPS = 0.001
 KKT_TOL = 1e-9  # largest KKT violation a certified LASSO column may have
 _PARALLEL = 1e-12  # correlations closing on the level slower than this never meet it
 _RANK_TOL = 1e-10  # an OMP atom this close (squared, relative) to the active span is dependent
@@ -38,7 +37,7 @@ class SparseCodingConfig:
     sparsity_k: int = 10
     max_iter: int = 1000
     tol: float = 1e-7
-    denoise_eps: float = DENOISE_EPS
+    denoise_eps: float = 0.001
 
     def __post_init__(self):
         if self.method not in ("lasso", "omp"):
@@ -65,9 +64,6 @@ class CoefficientMatrix:
     """
 
     y: np.ndarray
-    method: str
-    lam: float | None
-    denoise_eps: float
     n_nonconverged: int = 0
     n_dependent: int = 0
 
@@ -164,7 +160,7 @@ def _homotopy(gram: np.ndarray, corr: np.ndarray, lam: float,
 
 
 def lasso_column(dictionary: np.ndarray, target: np.ndarray, lam: float,
-                 max_iter: int = 1000):
+                 max_iter: int = SparseCodingConfig.max_iter):
     """Solve min_y 0.5*||target - dictionary @ y||^2 + lam*||y||_1.
 
     Parameters
@@ -288,7 +284,7 @@ def _omp_block(gram, corr, tt, sparsity_k, tol, barred, out) -> int:
 
 
 def omp_column(dictionary: np.ndarray, target: np.ndarray, sparsity_k: int,
-               tol: float = 1e-7) -> np.ndarray:
+               tol: float = SparseCodingConfig.tol) -> np.ndarray:
     """Orthogonal matching pursuit with at most ``sparsity_k`` atoms.
 
     Atoms are picked by largest absolute correlation with the residual and
@@ -307,24 +303,6 @@ def omp_column(dictionary: np.ndarray, target: np.ndarray, sparsity_k: int,
         )
     y, _ = _omp_gram(a.T @ a, (a.T @ t)[None], np.array([t @ t]), sparsity_k, tol)
     return y[:, 0]
-
-
-def denoise(coeffs: CoefficientMatrix, eps: float | None = None) -> CoefficientMatrix:
-    """Zero every entry with magnitude strictly below eps.
-
-    Entries exactly at eps survive. eps defaults to the matrix's own
-    denoise_eps.
-    """
-    if eps is None:
-        eps = coeffs.denoise_eps
-    if not 0 <= eps < np.inf:
-        raise ParameterError(f"denoise eps must be >= 0 and finite, got {eps}")
-    y = coeffs.y.copy()
-    y[np.abs(y) < eps] = 0.0
-    return CoefficientMatrix(
-        y=y, method=coeffs.method, lam=coeffs.lam, denoise_eps=eps,
-        n_nonconverged=coeffs.n_nonconverged, n_dependent=coeffs.n_dependent,
-    )
 
 
 def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMatrix:
@@ -374,6 +352,4 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
                                    config.tol, barred=np.arange(n))
     del gram
     y[np.abs(y) < config.denoise_eps] = 0.0
-    lam = config.lam if config.method == "lasso" else None
-    return CoefficientMatrix(y, config.method, lam, config.denoise_eps,
-                             n_nonconverged, n_dependent)
+    return CoefficientMatrix(y, n_nonconverged, n_dependent)

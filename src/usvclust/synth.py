@@ -48,10 +48,13 @@ class SubspaceSpec:
                 f"points_per={self.points_per} too small; need at least "
                 f"max(dims)+1 = {max(self.dims) + 1} samples per subspace"
             )
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be >= 0")
+        # written so that NaN fails the range check
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ParameterError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if self.outlier_count < 0:
             raise ParameterError("outlier_count must be >= 0")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_subspaces(spec: SubspaceSpec):
@@ -163,6 +166,8 @@ def generate_segments(n: int, shape_classes: int, seed: int,
         )
     if not 0.0 <= outlier_frac < 1.0:
         raise ParameterError(f"outlier_frac must lie in [0, 1), got {outlier_frac}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n_out = int(round(n * outlier_frac))
     n_in = n - n_out

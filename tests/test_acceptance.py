@@ -22,7 +22,7 @@ from usvclust import (PipelineConfig, SparseCodingConfig, SubspaceSpec,
                       load_features, omp_column, run_pipeline, self_express)
 from usvclust.cli import main as cli_main
 from usvclust.ingest import write_archive, write_vectors
-from usvclust.metrics import hmean_cosine_distance, pairwise_cosine_distances
+from usvclust.metrics import distance_stats, pairwise_cosine_distances
 from usvclust.outlier_split import split
 from usvclust.preprocess import normalize_columns, resize_bicubic
 from usvclust.kmeans import kmeans
@@ -147,14 +147,14 @@ def test_subspace_clustering_end_to_end(scoreboard, tmp_path):
 def test_metric_formula_checks(scoreboard, tmp_path):
     with scoreboard("acceptance 5/9 metric formulas: orthogonal pair, AM-HM, "
                     "straight-line recompute"):
-        assert hmean_cosine_distance(np.eye(2)) == 1.0
+        assert distance_stats(np.eye(2))[0] == 1.0
 
         rng = np.random.default_rng(55)
         for _ in range(1000):
             k = int(rng.integers(2, 7))
             cents = rng.standard_normal((k, 5))
             dists = pairwise_cosine_distances(cents)
-            assert hmean_cosine_distance(cents) <= float(np.mean(dists)) + 1e-12
+            assert distance_stats(cents)[0] <= float(np.mean(dists)) + 1e-12
 
         archive, _ = generate_segments(40, 3, 5, outlier_frac=0.1)
         arch_path = tmp_path / "segments.ssca"

@@ -61,6 +61,16 @@ class TestSynth:
         assert run("synth", "segments", "--classes", 9,
                    "--output", tmp_path / "x.ssca") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("segments", "--seed", "-1"), ("subspaces", "--seed", "-2"),
+        ("subspaces", "--noise", "nan"), ("subspaces", "--noise", "inf")],
+        ids=["segments_seed", "subspaces_seed", "noise_nan", "noise_inf"])
+    def test_bad_seed_or_noise_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.out"
+        assert run("synth", *argv, "--output", out) == 2
+        assert argv[1].lstrip("-") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPipeline:
     def test_run_and_print(self, archive_path, tmp_path, capsys):
@@ -144,6 +154,18 @@ class TestPipeline:
                    "--output_dir", out, "--seed", "-1") == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["", "sub"], ids=["is_a_file", "below_a_file"])
+    def test_output_dir_blocked_by_a_file_exits_2_before_reading_input(
+            self, tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep me\n")
+        out = blocker / where
+        assert run("pipeline", "--input", tmp_path / "missing.ssca",
+                   "--output_dir", out) == 2
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
     def test_k_above_inlier_count_refused_before_solving(
             self, archive_path, tmp_path, capsys, monkeypatch):
@@ -230,6 +252,15 @@ class TestPreprocessAndMetrics:
                    "--method", "cs_sc", "--k", 3) == 0
         # vector input has no grid shape, so centroids land in one table
         assert (out / "centroids" / "centroids.csv").is_file()
+
+    def test_repeated_vector_id_exits_3(self, tmp_path, capsys):
+        table = tmp_path / "v.csv"
+        table.write_text("id,dim0,dim1\na,1,0\nb,0,1\na,1,1\n")
+        out = tmp_path / "o"
+        assert run("pipeline", "--input", table, "--output_dir", out,
+                   "--method", "kmeans", "--k", 2) == 3
+        assert "duplicate vector id 'a'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_metrics_on_centroid_dir(self, archive_path, tmp_path, capsys):
         out = tmp_path / "out"

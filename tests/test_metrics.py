@@ -9,10 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import straight_line_metrics
 from usvclust import (FeatureMatrix, ParameterError, Partition,
-                      assign_outliers, centroids, hmean_cosine_distance, report,
-                      std_cosine_distance)
+                      assign_outliers, centroids, report)
 from usvclust import metrics
-from usvclust.metrics import pairwise_cosine_distances
+from usvclust.metrics import distance_stats, pairwise_cosine_distances
 
 centroid_sets = hnp.arrays(
     np.float64,
@@ -29,25 +28,25 @@ def unit_features(raw):
 
 class TestHmean:
     def test_two_orthogonal_is_exactly_one(self):
-        assert hmean_cosine_distance(np.eye(2)) == 1.0
+        assert distance_stats(np.eye(2))[0] == 1.0
 
     def test_three_orthogonal_is_one(self):
-        assert hmean_cosine_distance(np.eye(3)) == 1.0
+        assert distance_stats(np.eye(3))[0] == 1.0
 
     def test_two_centroid_closed_form(self):
         cents = np.array([[1.0, 0.0], [1.0, 1.0] / np.sqrt(2)])
         expected = 1.0 - 1.0 / np.sqrt(2)
-        assert abs(hmean_cosine_distance(cents) - expected) < 1e-12
+        assert abs(distance_stats(cents)[0] - expected) < 1e-12
         assert abs(expected - 0.2928932) < 1e-7
 
     def test_parallel_pair_collapses_to_zero(self):
         cents = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         with pytest.warns(RuntimeWarning, match="parallel"):
-            assert hmean_cosine_distance(cents) == 0.0
+            assert distance_stats(cents)[0] == 0.0
 
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ParameterError):
-            hmean_cosine_distance(np.ones((1, 3)))
+            distance_stats(np.ones((1, 3)))
 
     @settings(max_examples=60)
     @given(centroid_sets)
@@ -55,7 +54,7 @@ class TestHmean:
         d = pairwise_cosine_distances(cents)
         if np.any(d == 0.0):
             return
-        hm = hmean_cosine_distance(cents)
+        hm = distance_stats(cents)[0]
         assert hm <= d.mean() + 1e-12
 
     @settings(max_examples=30)
@@ -78,24 +77,24 @@ class TestHmean:
         rng = np.random.default_rng(0)
         for _ in range(20):
             cents = rng.standard_normal((4, 6))
-            assert 0.0 <= hmean_cosine_distance(cents) <= 2.0
-            assert 0.0 <= std_cosine_distance(cents) <= 2.0
+            assert 0.0 <= distance_stats(cents)[0] <= 2.0
+            assert 0.0 <= distance_stats(cents)[1] <= 2.0
 
 
 class TestStd:
     def test_equal_distances_zero(self):
-        assert std_cosine_distance(np.eye(3)) == 0.0
+        assert distance_stats(np.eye(3))[1] == 0.0
 
     def test_single_pair_zero(self):
         rng = np.random.default_rng(1)
-        assert std_cosine_distance(rng.standard_normal((2, 4))) == 0.0
+        assert distance_stats(rng.standard_normal((2, 4)))[1] == 0.0
 
     def test_hand_computed_triple(self):
         cents = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0] / np.sqrt(2)])
         # pairwise distances: {1, 1-1/sqrt2, 1-1/sqrt2}
         d = np.array([1.0, 1.0 - 1 / np.sqrt(2), 1.0 - 1 / np.sqrt(2)])
         expected = np.sqrt(((d - d.mean()) ** 2).mean())
-        assert abs(std_cosine_distance(cents) - expected) < 1e-12
+        assert abs(distance_stats(cents)[1] - expected) < 1e-12
 
 
 class TestReport:

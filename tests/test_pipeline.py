@@ -6,9 +6,10 @@ import pytest
 from usvclust import (FormatError, MetricsReport, ParameterError, PipelineConfig,
                       ValidationError, affinity_from_coefficients, affinity_from_cosine,
                       cosine_gram, embed, evaluate, generate_segments, generate_subspaces,
-                      kmeans, load_features, pca_reduce, run_pipeline, self_express, split,
+                      kmeans, load_features, run_pipeline, self_express, split,
                       write_outputs, SubspaceSpec)
 from usvclust import ingest, metrics
+from usvclust.kmeans import principal_axes
 from usvclust.pipeline import KResult
 
 
@@ -135,8 +136,9 @@ class TestRunPipeline:
         # each K's export equals, bit for bit, a PCA made at that K
         features, _ = load_features(segment_archive, f=12, t=12)
         inliers = features.select(split(features, 0.8).inlier_idx)
+        centered, axes = principal_axes(inliers.data.T)
         for res in results:
-            want = pca_reduce(inliers.data.T, min(res.k, inliers.n, inliers.d))
+            want = centered @ axes[:res.k].T
             assert res.embedding.shape == want.shape
             assert res.embedding.tobytes() == want.tobytes()
             labels = kmeans(inliers.data.T, res.k, seed=0).labels
@@ -313,10 +315,9 @@ class TestWriteOutputs:
         stored = dict(line.split("=", 1)
                       for line in (out / "metrics.txt").read_text().splitlines())
         assert stored["k"] == "4"
-        assert abs(metrics.hmean_cosine_distance(cents)
-                   - float(stored["d_cos_hmean"])) < 1e-12
-        assert abs(metrics.std_cosine_distance(cents)
-                   - float(stored["d_cos_std"])) < 1e-12
+        hmean, std = metrics.distance_stats(cents)
+        assert abs(hmean - float(stored["d_cos_hmean"])) < 1e-12
+        assert abs(std - float(stored["d_cos_std"])) < 1e-12
 
     @staticmethod
     def _run_into(segment_archive, out, **kw):

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import (lambda_max, lasso_objective_ref, lasso_prox_grad,
                      omp_best_subset, omp_column_lstsq, omp_gram_column_ref)
-from usvclust import (CoefficientMatrix, ParameterError, PreprocessConfig,
-                      SparseCodingConfig, ValidationError, denoise,
-                      generate_segments, lasso_column, omp_column,
+from usvclust import (ParameterError, PreprocessConfig, SparseCodingConfig,
+                      ValidationError, generate_segments, lasso_column, omp_column,
                       self_express, split, vectorize)
 from usvclust import sparse_coding
 from usvclust.sparse_coding import _omp_gram, kkt_violation
@@ -450,7 +449,9 @@ class TestBatchedPursuit:
                                                        denoise_eps=0.0))
         assert np.array_equal(coeffs.y, self_express_oracle(data, 2))
         assert coeffs.n_dependent == 1
-        assert denoise(coeffs, 0.5).n_dependent == 1
+        denoised = self_express(data, SparseCodingConfig(method="omp", sparsity_k=2,
+                                                         denoise_eps=0.5))
+        assert denoised.n_dependent == 1
 
 
 class TestSelfExpress:
@@ -468,8 +469,6 @@ class TestSelfExpress:
     def test_omp_budget_one(self):
         data = unit_dictionary(5, 3, seed=19)
         coeffs = self_express(data, SparseCodingConfig(method="omp", sparsity_k=1))
-        assert coeffs.method == "omp"
-        assert coeffs.lam is None
         for j in range(3):
             assert np.count_nonzero(coeffs.y[:, j]) <= 1
 
@@ -538,20 +537,30 @@ class TestSelfExpress:
 
 
 class TestDenoise:
-    def _cm(self, y):
-        return CoefficientMatrix(np.array(y), "lasso", 0.3, 0.001)
+    @staticmethod
+    def _code(cos, eps):
+        # two unit columns at cosine ``cos``; at lam=0.3 each codes the
+        # other by cos - 0.3 when cos > 0.3, and by cos + 0.3 when cos < -0.3
+        data = np.array([[1.0, cos], [0.0, np.sqrt(1.0 - cos * cos)]])
+        return self_express(data, SparseCodingConfig(lam=0.3, denoise_eps=eps)).y
 
     def test_small_positive_zeroed(self):
-        out = denoise(self._cm([[0.0, 0.0005], [0.5, 0.0]]))
-        np.testing.assert_array_equal(out.y, [[0.0, 0.0], [0.5, 0.0]])
+        assert 0.0 < self._code(0.3005, 0.0)[0, 1] < 0.001
+        np.testing.assert_array_equal(self._code(0.3005, 0.001), 0.0)
 
     def test_small_negative_zeroed(self):
-        out = denoise(self._cm([[0.0, -0.0005], [0.5, 0.0]]))
-        np.testing.assert_array_equal(out.y, [[0.0, 0.0], [0.5, 0.0]])
+        assert -0.001 < self._code(-0.3005, 0.0)[0, 1] < 0.0
+        np.testing.assert_array_equal(self._code(-0.3005, 0.001), 0.0)
 
     def test_boundary_value_kept(self):
-        out = denoise(self._cm([[0.0, 0.001], [-0.001, 0.0]]))
-        np.testing.assert_array_equal(out.y, [[0.0, 0.001], [-0.001, 0.0]])
+        # an entry exactly at eps survives and one just below it is zeroed,
+        # whatever its sign
+        for cos in (0.35, -0.35):
+            raw = self._code(cos, 0.0)
+            eps = abs(raw[0, 1])
+            assert raw[1, 0] == raw[0, 1] != 0.0
+            np.testing.assert_array_equal(self._code(cos, eps), raw)
+            np.testing.assert_array_equal(self._code(cos, np.nextafter(eps, 1.0)), 0.0)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -562,7 +571,5 @@ class TestDenoise:
             for key in ("lam", "tol", "denoise_eps"):
                 with pytest.raises(ParameterError, match="finite"):
                     SparseCodingConfig(**{key: bad})
-            with pytest.raises(ParameterError, match="finite"):
-                denoise(self._cm([[0.0, 0.5], [0.5, 0.0]]), bad)
         with pytest.raises(ParameterError):
             SparseCodingConfig(method="omp", sparsity_k=0)

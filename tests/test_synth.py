@@ -18,6 +18,14 @@ class TestSubspaceSpec:
         with pytest.raises(ParameterError):
             SubspaceSpec(ambient_dim=10, n_subspaces=2, dims=(3,), points_per=5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -2), ("noise_sigma", -0.1),
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf"))])
+    def test_seed_and_noise_ranges(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            SubspaceSpec(ambient_dim=10, n_subspaces=1, dims=(3,), points_per=5,
+                         **{field: value})
+
 
 class TestGenerateSubspaces:
     def test_noise_free_line_collapses(self):
@@ -147,3 +155,7 @@ class TestGenerateSegments:
             generate_segments(5, 6, seed=0)
         with pytest.raises(ParameterError):
             generate_segments(5, 3, seed=0, outlier_frac=1.0)
+
+    def test_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            generate_segments(5, 3, seed=-1)
