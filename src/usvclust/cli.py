@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: pipeline, synth (subspaces | segments), evaluate, preprocess,
-metrics. Exit codes: 0 success, 2 usage error, 3 invalid data, 4 numerical
-failure.
+metrics. Exit codes: 0 success; a failure exits with the ``exit_code`` of
+its error class (``errors``).
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 from . import ingest, metrics, synth
-from .config import SETTINGS, build_config, parse_setting, read_config_file
-from .errors import (FormatError, NumericalError, ParameterError,
-                     UsvClustError, ValidationError)
+from .config import (SETTINGS, build_config, check_output_path, parse_setting,
+                     read_config_file)
+from .errors import UsvClustError
 from .pipeline import evaluate, load_features, run_pipeline, write_outputs
 from .preprocess import PreprocessConfig
 
@@ -100,8 +100,18 @@ def _default_labels_path(output: str) -> str:
     return str(p.with_name(p.stem + "_labels.csv"))
 
 
+def _made_parent(path: str) -> str:
+    """The path, once its missing parent directories are made."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _cmd_synth(args) -> int:
     labels_path = args.labels or _default_labels_path(args.output)
+    # a segment archive path without the .ssca suffix is a CSV directory
+    check_output_path(args.output, "--output", directory=(
+        args.synth_kind == "segments" and Path(args.output).suffix != ".ssca"))
+    check_output_path(labels_path, "--labels")
     if args.synth_kind == "subspaces":
         spec = synth.SubspaceSpec(
             ambient_dim=args.ambient, n_subspaces=args.n,
@@ -109,31 +119,34 @@ def _cmd_synth(args) -> int:
             noise_sigma=args.noise, outlier_count=args.outliers, seed=args.seed,
         )
         features, labels = synth.generate_subspaces(spec)
-        ingest.write_vectors(features.ids, features.data.T, args.output)
-        ingest.write_label_rows(features.ids, labels, labels < 0, labels_path)
+        ingest.write_vectors(features.ids, features.data.T, _made_parent(args.output))
+        ingest.write_label_rows(features.ids, labels, labels < 0, _made_parent(labels_path))
         print(f"wrote {features.n} vectors to {args.output}")
     else:
         archive, labels = synth.generate_segments(
             args.n, args.classes, args.seed, outlier_frac=args.outlier_frac)
-        ingest.write_archive(archive, args.output)
-        ingest.write_label_rows(archive.ids, labels, labels < 0, labels_path)
+        ingest.write_archive(archive, _made_parent(args.output))
+        ingest.write_label_rows(archive.ids, labels, labels < 0, _made_parent(labels_path))
         print(f"wrote {len(archive)} segments to {args.output}")
     print(f"wrote truth labels to {labels_path}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
+    if args.output:
+        check_output_path(args.output, "--output")
     rep = evaluate(args.labels, args.input, f=args.f, t=args.t, method=args.method)
     for line in rep.to_lines():
         print(line)
     if args.output:
-        metrics.write_report(rep, args.output)
+        metrics.write_report(rep, _made_parent(args.output))
     return 0
 
 
 def _cmd_preprocess(args) -> int:
+    check_output_path(args.output, "--output")
     features, _ = load_features(args.input, args.f, args.t)
-    ingest.write_vectors(features.ids, features.data.T, args.output)
+    ingest.write_vectors(features.ids, features.data.T, _made_parent(args.output))
     print(f"wrote {features.n} feature vectors to {args.output}")
     return 0
 
@@ -167,18 +180,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except ParameterError as exc:
+    except UsvClustError as exc:
         print(f"usvclust: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, FormatError) as exc:
-        print(f"usvclust: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"usvclust: {exc}", file=sys.stderr)
-        return 4
-    except UsvClustError as exc:  # pragma: no cover - base class safety net
-        print(f"usvclust: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

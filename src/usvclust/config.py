@@ -71,6 +71,24 @@ def _parse_bool(value) -> bool:
 _PARSERS = {bool: _parse_bool, tuple: parse_k}
 
 
+def check_output_path(path, what: str, directory: bool = False) -> None:
+    """Refuse an output path that cannot be written, before any work starts.
+
+    Missing directories are made at write time, so the nearest path that
+    exists among the path and its parents must be a directory. A file
+    output must not name an existing directory either.
+    """
+    out = Path(path).resolve()
+    if not directory:
+        if out.is_dir():
+            raise ParameterError(f"{what} {str(path)!r} is a directory")
+        out = out.parent
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ParameterError(
+            f"{what} {str(path)!r} cannot be made: {existing} is not a directory")
+
+
 def _setting(default, help: str, key: str | None = None, parse=None):
     """A PipelineConfig field with its help text, its parser for config-file
     and flag text, and its external key when that is not the field name."""
@@ -114,13 +132,7 @@ class PipelineConfig:
             raise ParameterError("input path is required")
         if not self.output_dir:
             raise ParameterError("output_dir is required")
-        # write_outputs creates output_dir and its missing parents; refuse a
-        # file in the way now rather than after the whole run
-        out = Path(self.output_dir).resolve()
-        existing = next(p for p in (out, *out.parents) if p.exists())
-        if not existing.is_dir():
-            raise ParameterError(
-                f"output_dir {self.output_dir!r} cannot be made: {existing} is not a directory")
+        check_output_path(self.output_dir, "output_dir", directory=True)
         if self.method not in METHODS:
             raise ParameterError(
                 f"method must be one of {METHODS}, got {self.method!r}"

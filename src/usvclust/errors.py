@@ -1,16 +1,20 @@
 """Exception hierarchy shared by all usvclust modules.
 
-The CLI maps these onto exit codes: ParameterError -> 2 (usage),
-FormatError / ValidationError -> 3 (validation), NumericalError -> 4.
+Each class carries the exit code the CLI returns for it: ParameterError 2
+(usage), FormatError and ValidationError 3 (invalid data), NumericalError 4.
 """
 
 
 class UsvClustError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3
+
 
 class ParameterError(UsvClustError):
     """An argument or configuration value is out of range or inconsistent."""
+
+    exit_code = 2
 
 
 class ValidationError(UsvClustError):
@@ -23,3 +27,5 @@ class FormatError(UsvClustError):
 
 class NumericalError(UsvClustError):
     """A numerical routine failed to produce a usable result."""
+
+    exit_code = 4

@@ -427,10 +427,19 @@ def write_labels(model, path) -> None:
     write_label_rows(model.ids, model.labels, flags, path)
 
 
+def _open_input(path: Path):
+    """Open a CSV input for reading; a path that cannot be opened is a
+    FormatError naming it."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def read_labels(path):
     """Read a labels CSV; returns (ids, labels, is_outlier)."""
     path = Path(path)
-    with open(path, newline="") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -512,9 +521,12 @@ def read_centroid_dir(path) -> np.ndarray:
     table = path / "centroids.csv"
     if table.is_file():
         return read_vectors(table)[1]
-    files = sorted(path.glob("centroid_*.csv"), key=_centroid_rank)
+    files = sorted(path.glob("centroid_*.csv"), key=lambda p: (_centroid_rank(p), p.name))
     if not files:
         raise FormatError(f"{path}: no centroid_*.csv files")
+    for a, b in zip(files, files[1:]):
+        if _centroid_rank(a) == _centroid_rank(b):
+            raise FormatError(f"{path}: {a.name} and {b.name} both hold rank {_centroid_rank(a)}")
     mats = [_read_matrix_csv(p) for p in files]
     shape = mats[0].shape
     for p, m in zip(files, mats):
@@ -558,7 +570,7 @@ def read_vectors(path):
     ``float`` but refuses underscores such as ``1_0``.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with _open_input(path) as fh:
         first = fh.readline()
         if not first:
             raise FormatError(f"{path}: empty file at line 1")

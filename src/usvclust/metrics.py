@@ -9,7 +9,7 @@ once with assigned outliers folded into the means.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,19 +18,28 @@ from .errors import ParameterError, ValidationError
 from .preprocess import FeatureMatrix
 from .spectral import cosine_gram
 
-_FLOAT_FMT = "%.17g"
+
+def _text(value) -> str:
+    """A report value as text: floats as %.17g, cluster sizes comma-joined."""
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, tuple):
+        return ",".join(str(s) for s in value)
+    return str(value)
 
 
 @dataclass(frozen=True)
 class MetricsReport:
     """Distance statistics for one clustering, plus the cluster sizes.
 
-    cluster_sizes counts inlier members per cluster; cluster_sizes_full
-    counts all members after outlier assignment.
+    The field order is the ``metrics.txt`` line order; every field but the
+    two size tuples is a ``metrics.csv`` column. cluster_sizes counts
+    inlier members per cluster; cluster_sizes_full counts all members
+    after outlier assignment.
     """
 
-    k: int
     method: str
+    k: int
     d_cos_hmean: float
     d_cos_std: float
     d_cos_hmean_full: float
@@ -40,30 +49,14 @@ class MetricsReport:
 
     def to_lines(self) -> list[str]:
         """Flat ``key=value`` lines, one per field."""
-        return [
-            f"method={self.method}",
-            f"k={self.k}",
-            "d_cos_hmean=" + _FLOAT_FMT % self.d_cos_hmean,
-            "d_cos_std=" + _FLOAT_FMT % self.d_cos_std,
-            "d_cos_hmean_full=" + _FLOAT_FMT % self.d_cos_hmean_full,
-            "d_cos_std_full=" + _FLOAT_FMT % self.d_cos_std_full,
-            "cluster_sizes=" + ",".join(str(s) for s in self.cluster_sizes),
-            "cluster_sizes_full=" + ",".join(str(s) for s in self.cluster_sizes_full),
-        ]
+        return [f"{fld.name}={_text(getattr(self, fld.name))}" for fld in fields(self)]
 
     @staticmethod
     def csv_header() -> str:
-        return "method,k,d_cos_hmean,d_cos_std,d_cos_hmean_full,d_cos_std_full"
+        return ",".join(fld.name for fld in fields(MetricsReport)[:-2])
 
     def csv_row(self) -> str:
-        return ",".join([
-            self.method,
-            str(self.k),
-            _FLOAT_FMT % self.d_cos_hmean,
-            _FLOAT_FMT % self.d_cos_std,
-            _FLOAT_FMT % self.d_cos_hmean_full,
-            _FLOAT_FMT % self.d_cos_std_full,
-        ])
+        return ",".join(_text(getattr(self, fld.name)) for fld in fields(self)[:-2])
 
 
 def write_report(rep: MetricsReport, path) -> None:

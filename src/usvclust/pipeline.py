@@ -148,13 +148,13 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
     """
     out = Path(cfg.output_dir).resolve()
     out.parent.mkdir(parents=True, exist_ok=True)
-    # stage is made inside a private mkdtemp directory, not as one, so that
-    # it gets the usual permissions instead of mkdtemp's 0700
-    holder = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
-    stage = holder / out.name
-    coefficients = triplets = None
-    try:
+    # stage is made inside a private temporary directory, not as one, so
+    # that it gets the usual permissions instead of mkdtemp's 0700
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent,
+                                     ignore_cleanup_errors=True) as holder:
+        stage = Path(holder) / out.name
         stage.mkdir()
+        coefficients = triplets = None
         for res in results:
             sub = stage if len(results) == 1 else stage / f"k_{res.k}"
             sub.mkdir(exist_ok=True)
@@ -188,8 +188,6 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
                         old.unlink()
             for entry in stage.iterdir():
                 shutil.move(entry, out / entry.name)
-    finally:
-        shutil.rmtree(holder, ignore_errors=True)
 
 
 def evaluate(labels_path, input_path, f: int = PreprocessConfig.f,

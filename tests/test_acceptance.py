@@ -28,10 +28,11 @@ from usvclust.preprocess import normalize_columns, resize_bicubic
 from usvclust.kmeans import kmeans
 from usvclust.spectral import affinity_from_coefficients, embed
 
-# Captured once from scripts/trend_table.py at the exact settings of
-# test_lasso_ssc_at_least_matches_baselines (archive seed 1, pipeline
-# seed 0, K=5, tau=0.8, lambda=0.3, 64x64 grid). The test is a fixed-seed
-# regression against these numbers.
+# Captured once from the method table that `scripts/sweep.py --vary method
+# kmeans cs_sc lasso_ssc` prints, at the exact settings of
+# test_lasso_ssc_at_least_matches_baselines (archive seed 1, pipeline seed 0,
+# K=5, tau=0.8, lambda=0.3, 64x64 grid). The test is a fixed-seed regression
+# against these numbers.
 TREND_BASELINE = {
     "d_cos_hmean": 0.85160991278463893,
     "d_cos_std": 0.04590547988640787,

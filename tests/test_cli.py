@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usvclust import ingest
+from usvclust import (FormatError, NumericalError, ParameterError, UsvClustError,
+                      ValidationError, cli, ingest)
 from usvclust.cli import main
 
 
@@ -26,6 +27,26 @@ def archive_path(tmp_path_factory):
 def tree_bytes(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def assert_refused(capsys, needle: str) -> None:
+    """The command printed one ``usvclust:`` message naming ``needle``."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usvclust: ") and needle in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("error, code", [
+    (ParameterError, 2), (ValidationError, 3), (FormatError, 3),
+    (NumericalError, 4), (UsvClustError, 3)])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("no good")
+
+    monkeypatch.setitem(cli._DISPATCH, "metrics", fail)
+    assert run("metrics", "--centroids", "c.csv") == code
+    assert capsys.readouterr().err == "usvclust: no good\n"
 
 
 class TestSynth:
@@ -70,6 +91,31 @@ class TestSynth:
         assert run("synth", *argv, "--output", out) == 2
         assert argv[1].lstrip("-") in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("kind, name", [("segments", "x.ssca"), ("subspaces", "s.csv")])
+    def test_missing_output_parents_are_made(self, tmp_path, kind, name):
+        out = tmp_path / "nodir" / "deeper" / name
+        assert run("synth", kind, "--n", 3, "--output", out) == 0
+        assert out.is_file()
+        assert out.with_name(out.stem + "_labels.csv").is_file()
+
+    @pytest.mark.parametrize("argv, blocker", [
+        (("segments", "--output", "c.ssca", "--labels", "afile/l.csv"), "afile"),
+        (("segments", "--output", "afile/segs"), "afile"),
+        (("subspaces", "--output", "afile/s.csv"), "afile"),
+        (("subspaces", "--output", "adir"), "adir")],
+        ids=["labels_below_a_file", "archive_dir_below_a_file",
+             "output_below_a_file", "output_is_a_directory"])
+    def test_unusable_output_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, argv, blocker):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("keep me\n")
+        (tmp_path / "adir").mkdir()
+        assert run("synth", *argv) == 2
+        assert_refused(capsys, blocker)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
+        assert (tmp_path / "afile").read_text() == "keep me\n"
 
 
 class TestPipeline:
@@ -205,6 +251,13 @@ class TestPipeline:
                    "--output_dir", tmp_path / "o") == 3
         assert not (tmp_path / "o").exists()
 
+    def test_missing_vector_input_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run("pipeline", "--input", missing, "--output_dir", tmp_path / "o",
+                   "--method", "kmeans", "--k", 2) == 3
+        assert_refused(capsys, f"cannot read {missing}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupt_archive_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ssca"
         bad.write_bytes(b"NOPE" + b"\0" * 20)
@@ -236,6 +289,21 @@ class TestEvaluate:
                                 tmp_path / "short.csv")
         assert run("evaluate", "--labels", tmp_path / "short.csv",
                    "--input", archive_path, "--f", 12, "--t", 12) == 3
+
+
+    def test_missing_labels_exit_3(self, archive_path, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run("evaluate", "--labels", missing, "--input", archive_path) == 3
+        assert_refused(capsys, f"cannot read {missing}")
+
+    def test_output_below_a_file_exits_2_before_reading(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep me\n")
+        assert run("evaluate", "--labels", tmp_path / "missing.csv",
+                   "--input", tmp_path / "missing.ssca", "--output", afile / "r.txt") == 2
+        assert_refused(capsys, f"{afile} is not a directory")
+        assert afile.read_text() == "keep me\n"
+        assert list(tmp_path.iterdir()) == [afile]
 
 
 class TestPreprocessAndMetrics:
@@ -310,3 +378,19 @@ class TestPreprocessAndMetrics:
         ingest.write_vectors(["centroid_00"], np.array([[1.0, 0.0]]),
                              tmp_path / "c.csv")
         assert run("metrics", "--centroids", tmp_path / "c.csv") == 2
+
+    def test_missing_centroid_table_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run("metrics", "--centroids", missing) == 3
+        assert_refused(capsys, f"cannot read {missing}")
+
+    @pytest.mark.parametrize("where", ["adir", "afile/x.csv"],
+                             ids=["is_a_directory", "below_a_file"])
+    def test_preprocess_unusable_output_exits_2_before_reading(
+            self, tmp_path, capsys, where):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("keep me\n")
+        assert run("preprocess", "--input", tmp_path / "missing.ssca",
+                   "--output", tmp_path / where) == 2
+        assert_refused(capsys, where.split("/")[0])
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]

@@ -312,6 +312,12 @@ class TestCentroids:
         with pytest.raises(FormatError, match="centroid_old"):
             read_centroid_dir(tmp_path / "c")
 
+    def test_repeated_rank_rejected(self, tmp_path):
+        write_centroids(self._model([0, 1], np.ones((2, 4)), 2, (2, 2)), tmp_path / "c")
+        (tmp_path / "c" / "centroid_01.csv").rename(tmp_path / "c" / "centroid_0.csv")
+        with pytest.raises(FormatError, match="centroid_0.csv and centroid_00.csv both hold rank 0"):
+            read_centroid_dir(tmp_path / "c")
+
     def test_no_shape_writes_vector_table(self, tmp_path):
         # sizes 2, 3, 3: the two tied clusters keep their index order
         labels = [2, 0, 1, 2, 0, 1, 1, 2]
