@@ -176,7 +176,7 @@ def parse_setting(key: str, value):
 def read_config_file(path) -> dict:
     """Parse a flat config file into {field_name: parsed value}."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ParameterError(f"config file not found: {path}")
     values = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):

@@ -92,7 +92,6 @@ class TestSynth:
         assert argv[1].lstrip("-") in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-
     @pytest.mark.parametrize("kind, name", [("segments", "x.ssca"), ("subspaces", "s.csv")])
     def test_missing_output_parents_are_made(self, tmp_path, kind, name):
         out = tmp_path / "nodir" / "deeper" / name
@@ -289,7 +288,6 @@ class TestEvaluate:
                                 tmp_path / "short.csv")
         assert run("evaluate", "--labels", tmp_path / "short.csv",
                    "--input", archive_path, "--f", 12, "--t", 12) == 3
-
 
     def test_missing_labels_exit_3(self, archive_path, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

@@ -162,6 +162,10 @@ class TestConfigFile:
         with pytest.raises(ParameterError, match="not found"):
             read_config_file(tmp_path / "nope.cfg")
 
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="not found"):
+            read_config_file(tmp_path)
+
     def test_unknown_flag_field_rejected(self):
         with pytest.raises(ParameterError, match="unknown config fields"):
             build_config(None, {"input": "a", "output_dir": "b", "shrink": 2})
