@@ -100,18 +100,13 @@ def _default_labels_path(output: str) -> str:
     return str(p.with_name(p.stem + "_labels.csv"))
 
 
-def _made_parent(path: str) -> str:
-    """The path, once its missing parent directories are made."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _cmd_synth(args) -> int:
     labels_path = args.labels or _default_labels_path(args.output)
     # a segment archive path without the .ssca suffix is a CSV directory
     check_output_path(args.output, "--output", directory=(
-        args.synth_kind == "segments" and Path(args.output).suffix != ".ssca"))
-    check_output_path(labels_path, "--labels")
+        args.synth_kind == "segments" and Path(args.output).suffix != ".ssca"),
+        others={"--labels": labels_path})
+    check_output_path(labels_path, "--labels", others={"--output": args.output})
     if args.synth_kind == "subspaces":
         spec = synth.SubspaceSpec(
             ambient_dim=args.ambient, n_subspaces=args.n,
@@ -119,14 +114,14 @@ def _cmd_synth(args) -> int:
             noise_sigma=args.noise, outlier_count=args.outliers, seed=args.seed,
         )
         features, labels = synth.generate_subspaces(spec)
-        ingest.write_vectors(features.ids, features.data.T, _made_parent(args.output))
-        ingest.write_label_rows(features.ids, labels, labels < 0, _made_parent(labels_path))
+        ingest.write_vectors(features.ids, features.data.T, args.output)
+        ingest.write_label_rows(features.ids, labels, labels < 0, labels_path)
         print(f"wrote {features.n} vectors to {args.output}")
     else:
         archive, labels = synth.generate_segments(
             args.n, args.classes, args.seed, outlier_frac=args.outlier_frac)
-        ingest.write_archive(archive, _made_parent(args.output))
-        ingest.write_label_rows(archive.ids, labels, labels < 0, _made_parent(labels_path))
+        ingest.write_archive(archive, args.output)
+        ingest.write_label_rows(archive.ids, labels, labels < 0, labels_path)
         print(f"wrote {len(archive)} segments to {args.output}")
     print(f"wrote truth labels to {labels_path}")
     return 0
@@ -134,19 +129,20 @@ def _cmd_synth(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if args.output:
-        check_output_path(args.output, "--output")
+        check_output_path(args.output, "--output",
+                          others={"--labels": args.labels, "--input": args.input})
     rep = evaluate(args.labels, args.input, f=args.f, t=args.t, method=args.method)
     for line in rep.to_lines():
         print(line)
     if args.output:
-        metrics.write_report(rep, _made_parent(args.output))
+        metrics.write_report(rep, args.output)
     return 0
 
 
 def _cmd_preprocess(args) -> int:
-    check_output_path(args.output, "--output")
+    check_output_path(args.output, "--output", others={"--input": args.input})
     features, _ = load_features(args.input, args.f, args.t)
-    ingest.write_vectors(features.ids, features.data.T, _made_parent(args.output))
+    ingest.write_vectors(features.ids, features.data.T, args.output)
     print(f"wrote {features.n} feature vectors to {args.output}")
     return 0
 

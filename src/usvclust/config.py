@@ -8,16 +8,23 @@ Both come from one table, the fields of ``PipelineConfig``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
+from .ingest import _open_input
 from .preprocess import PreprocessConfig
 from .sparse_coding import SparseCodingConfig
 
 METHODS = ("kmeans", "cs_sc", "lasso_ssc", "omp_ssc")
 
 TAU_PRESETS = {"dba": 0.8, "c57": 0.7}
+
+# every top-level entry a pipeline run can create in output_dir
+OUTPUT_NAMES = re.compile(
+    r"labels\.csv|metrics\.txt|metrics\.csv|centroids|embedding\.csv"
+    r"|coefficients\.csv|k_\d+")
 
 
 def parse_tau(value) -> float:
@@ -71,14 +78,22 @@ def _parse_bool(value) -> bool:
 _PARSERS = {bool: _parse_bool, tuple: parse_k}
 
 
-def check_output_path(path, what: str, directory: bool = False) -> None:
+def check_output_path(path, what: str, directory: bool = False,
+                      others: dict | None = None) -> None:
     """Refuse an output path that cannot be written, before any work starts.
 
-    Missing directories are made at write time, so the nearest path that
-    exists among the path and its parents must be a directory. A file
-    output must not name an existing directory either.
+    ``others`` maps flag names to the command's input paths and its other
+    outputs; the output must not be one of them, nor lie inside one, such
+    as a segment-archive directory. Missing directories are made at write
+    time, so the nearest path that exists among the path and its parents
+    must be a directory. A file output must not name an existing directory
+    either.
     """
     out = Path(path).resolve()
+    for name, other in (others or {}).items():
+        if (p := Path(other).resolve()) == out or p in out.parents:
+            where = "names" if p == out else "lies inside"
+            raise ParameterError(f"{what} {str(path)!r} {where} the {name} path {str(other)!r}")
     if not directory:
         if out.is_dir():
             raise ParameterError(f"{what} {str(path)!r} is a directory")
@@ -132,7 +147,13 @@ class PipelineConfig:
             raise ParameterError("input path is required")
         if not self.output_dir:
             raise ParameterError("output_dir is required")
-        check_output_path(self.output_dir, "output_dir", directory=True)
+        check_output_path(self.output_dir, "output_dir", directory=True,
+                          others={"input": self.input})
+        # a run replaces every entry of output_dir that it can write
+        inp, out = Path(self.input).resolve(), Path(self.output_dir).resolve()
+        if out in inp.parents and OUTPUT_NAMES.fullmatch(inp.relative_to(out).parts[0]):
+            raise ParameterError(f"input {self.input!r} would be replaced by the "
+                                 f"outputs written to output_dir {self.output_dir!r}")
         if self.method not in METHODS:
             raise ParameterError(
                 f"method must be one of {METHODS}, got {self.method!r}"
@@ -179,7 +200,12 @@ def read_config_file(path) -> dict:
     if not path.is_file():
         raise ParameterError(f"config file not found: {path}")
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        with _open_input(path) as fh:
+            lines = fh.read().splitlines()
+    except FormatError as exc:  # a fault in a config file is a usage error
+        raise ParameterError(str(exc)) from None
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

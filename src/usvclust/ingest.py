@@ -9,11 +9,13 @@ Two archive encodings are supported:
   u32 n_freq, u32 n_time and the row-major f64 energy values.
 
 CSV floats are printed with 17 significant digits so numeric round-trips
-are value-exact.
+are value-exact. Every file is opened by ``_open_input`` or ``_open_output``:
+text is UTF-8 whatever the locale, and csv sees line endings as written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ParameterError, ValidationError
 
 MAGIC = b"SSCA"
 VERSION = 1
@@ -31,6 +33,53 @@ MANIFEST_NAME = "manifest.csv"
 
 # an id holding one of these, or an empty one, goes through csv's quoting
 _CSV_QUOTED = frozenset(',"\r\n')
+
+
+@contextlib.contextmanager
+def _open_input(path, mode="r"):
+    """Open a file to read, as text or, with mode "rb", as bytes. A file
+    that cannot be opened or is not UTF-8 text is a FormatError naming it."""
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        fh = open(path, mode, **text)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise FormatError(f"cannot read {path}: not UTF-8 text") from None
+
+
+def _open_output(path, mode="w"):
+    """Open a file to write, as text or, with mode "wb", as bytes, making
+    its missing parent directories. A path that cannot be written is a
+    ParameterError naming it."""
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        try:
+            return open(path, mode, **text)
+        except FileNotFoundError:  # only then, so an existing parent costs nothing
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            return open(path, mode, **text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _csv_rows(path, header) -> list:
+    """The (line number, row) pairs of a CSV file after its header line,
+    which must equal ``header``; every row must have as many fields."""
+    with _open_input(path) as fh:
+        reader = csv.reader(fh)
+        if (first := next(reader, None)) != header:
+            what = "empty file" if first is None else f"bad header {first}"
+            raise FormatError(f"{path}: {what} at line 1")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise FormatError(f"{path}: expected {len(header)} fields at line {reader.line_num}")
+            rows.append((reader.line_num, row))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +249,7 @@ def _csv_blocks(mat: np.ndarray):
 
 
 def _write_matrix_csv(mat: np.ndarray, path) -> None:
-    with open(path, "wb") as fh:
+    with _open_output(path, "wb") as fh:
         fh.writelines(_csv_blocks(mat))
 
 
@@ -269,8 +318,6 @@ class SegmentArchive:
 def read_archive(path) -> SegmentArchive:
     """Read a segment archive from a CSV directory or a binary ``.ssca`` file."""
     path = Path(path)
-    if not path.exists():
-        raise FormatError(f"archive path does not exist: {path}")
     if path.is_dir():
         return _read_archive_csv(path)
     return _read_archive_binary(path)
@@ -287,7 +334,7 @@ def write_archive(archive: SegmentArchive, path) -> None:
 
 
 def _write_archive_binary(archive: SegmentArchive, path: Path) -> None:
-    with open(path, "wb") as fh:
+    with _open_output(path, "wb") as fh:
         fh.write(struct.pack("<4sII", MAGIC, VERSION, len(archive)))
         for seg in archive.segments:
             id_bytes = seg.id.encode("utf-8")
@@ -300,7 +347,8 @@ def _write_archive_binary(archive: SegmentArchive, path: Path) -> None:
 
 
 def _read_archive_binary(path: Path) -> SegmentArchive:
-    data = path.read_bytes()
+    with _open_input(path, "rb") as fh:
+        data = fh.read()
     if len(data) < 12:
         raise FormatError(f"{path}: truncated header at byte {len(data)}")
     magic, version, count = struct.unpack_from("<4sII", data, 0)
@@ -336,42 +384,21 @@ def _read_archive_binary(path: Path) -> SegmentArchive:
 
 
 def _write_archive_csv(archive: SegmentArchive, path: Path) -> None:
-    path.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, seg in enumerate(archive.segments):
         name = f"seg_{i:05d}.csv"
         rows.append((seg.id, name))
         _write_matrix_csv(seg.energy, path / name)
-    with open(path / MANIFEST_NAME, "w", newline="") as fh:
+    with _open_output(path / MANIFEST_NAME) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "file"])
         writer.writerows(rows)
 
 
 def _read_archive_csv(path: Path) -> SegmentArchive:
-    manifest = path / MANIFEST_NAME
-    if not manifest.exists():
-        raise FormatError(f"{path}: missing {MANIFEST_NAME}")
-    with open(manifest, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{manifest}: empty manifest at line 1") from None
-        if header != ["id", "file"]:
-            raise FormatError(f"{manifest}: bad header {header} at line 1")
-        entries = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise FormatError(f"{manifest}: expected 2 fields at line {lineno}")
-            entries.append((row[0], row[1]))
-    segments = []
-    for seg_id, name in entries:
-        cell = path / name
-        if not cell.exists():
-            raise FormatError(f"{path}: missing segment file {name}")
-        segments.append(SpectroSegment(seg_id, _read_matrix_csv(cell)))
-    return SegmentArchive(tuple(segments))
+    rows = _csv_rows(path / MANIFEST_NAME, ["id", "file"])
+    return SegmentArchive(tuple(SpectroSegment(seg_id, _read_matrix_csv(path / name))
+                                for _, (seg_id, name) in rows))
 
 
 def _read_matrix_csv(path: Path) -> np.ndarray:
@@ -380,7 +407,7 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
     The numbers are parsed by numpy's C text reader, which reads the same
     doubles as ``float`` but refuses underscores such as ``1_0``.
     """
-    with open(path) as fh:
+    with _open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 break
@@ -399,6 +426,8 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
 
         try:
             return np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
+        except UnicodeDecodeError:  # a ValueError too; _open_input names it
+            raise
         except ValueError as exc:
             what = "ragged row" if line.count(",") + 1 != width else "bad number"
             raise FormatError(f"{path}: {what} at line {lineno}") from exc
@@ -413,7 +442,7 @@ LABELS_HEADER = ["id", "label", "is_outlier"]
 
 def write_label_rows(ids, labels, is_outlier, path) -> None:
     """Write ``id,label,is_outlier`` rows (is_outlier encoded as 0/1)."""
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LABELS_HEADER)
         for sid, lab, out in zip(ids, labels, is_outlier):
@@ -427,39 +456,19 @@ def write_labels(model, path) -> None:
     write_label_rows(model.ids, model.labels, flags, path)
 
 
-def _open_input(path: Path):
-    """Open a CSV input for reading; a path that cannot be opened is a
-    FormatError naming it."""
-    try:
-        return open(path, newline="")
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
-
-
 def read_labels(path):
     """Read a labels CSV; returns (ids, labels, is_outlier)."""
-    path = Path(path)
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
+    ids, labels, flags = [], [], []
+    for lineno, (sid, label, flag) in _csv_rows(path, LABELS_HEADER):
+        ids.append(sid)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file at line 1") from None
-        if header != LABELS_HEADER:
-            raise FormatError(f"{path}: bad header {header} at line 1")
-        ids, labels, flags = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise FormatError(f"{path}: expected 3 fields at line {lineno}")
-            ids.append(row[0])
-            try:
-                labels.append(int(row[1]))
-                flag = int(row[2])
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad number at line {lineno}") from exc
-            if flag not in (0, 1):
-                raise FormatError(f"{path}: is_outlier must be 0/1 at line {lineno}")
-            flags.append(bool(flag))
+            labels.append(int(label))
+            flag = int(flag)
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad number at line {lineno}") from exc
+        if flag not in (0, 1):
+            raise FormatError(f"{path}: is_outlier must be 0/1 at line {lineno}")
+        flags.append(bool(flag))
     return ids, np.array(labels, dtype=int), np.array(flags, dtype=bool)
 
 
@@ -483,7 +492,6 @@ def write_centroids(model, out_dir) -> None:
     if shape is not None and d != shape[0] * shape[1]:
         raise ValidationError(f"centroid length {d} != {shape[0]}*{shape[1]}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = [f"centroid_{rank:02d}" for rank in range(model.k)]
     if shape is None:
         write_vectors(names, model.centroids[order], out_dir / "centroids.csv")
@@ -498,7 +506,8 @@ def write_centroids(model, out_dir) -> None:
         ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[f - 1::f] + 1
         view = memoryview(text)
         for name, lo, hi in zip(names[first:], [0, *ends[:-1].tolist()], ends.tolist()):
-            (out_dir / f"{name}.csv").write_bytes(view[lo:hi])
+            with _open_output(out_dir / f"{name}.csv", "wb") as fh:
+                fh.write(view[lo:hi])
 
 
 def _centroid_rank(path: Path) -> int:
@@ -545,7 +554,7 @@ def write_vectors(ids, coords: np.ndarray, path) -> None:
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[0] != len(ids):
         raise ValidationError("coords must be 2-D with one row per id")
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + [f"dim{j}" for j in range(coords.shape[1])])
         if coords.shape[1] == 0:
@@ -569,7 +578,6 @@ def read_vectors(path):
     are parsed by numpy's C text reader, which reads the same doubles as
     ``float`` but refuses underscores such as ``1_0``.
     """
-    path = Path(path)
     with _open_input(path) as fh:
         first = fh.readline()
         if not first:
@@ -601,6 +609,8 @@ def read_vectors(path):
         try:
             table = np.loadtxt(lines(), dtype=[("id", object), ("v", np.float64, (dim,))],
                                delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except UnicodeDecodeError:  # a ValueError too; _open_input names it
+            raise
         except ValueError as exc:
             detail = str(exc).split(" at row ")[0]
             raise FormatError(f"{expected} {lineno}: {detail}") from exc

@@ -15,6 +15,7 @@ import numpy as np
 
 from .assign import ClusterModel, centroids
 from .errors import ParameterError, ValidationError
+from .ingest import _open_output
 from .preprocess import FeatureMatrix
 from .spectral import cosine_gram
 
@@ -60,7 +61,7 @@ class MetricsReport:
 
 
 def write_report(rep: MetricsReport, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         for line in rep.to_lines():
             fh.write(line)
             fh.write("\n")

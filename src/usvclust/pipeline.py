@@ -7,7 +7,6 @@ a failing run leaves no partial output directory behind.
 
 from __future__ import annotations
 
-import re
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import ingest, metrics
 from .assign import ClusterModel, assign_outliers, centroids
-from .config import PipelineConfig
+from .config import OUTPUT_NAMES, PipelineConfig
 from .errors import FormatError, ParameterError, ValidationError
 from .kmeans import kmeans, principal_axes
 from .outlier_split import Partition, split
@@ -130,12 +129,6 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
     return results
 
 
-# every top-level entry write_outputs can create
-_OUTPUT_NAMES = re.compile(
-    r"labels\.csv|metrics\.txt|metrics\.csv|centroids|embedding\.csv"
-    r"|coefficients\.csv|k_\d+")
-
-
 def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
     """Write labels, centroids, per-K reports and the sweep CSV.
 
@@ -143,7 +136,7 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
     ``k_<K>/`` subdirectory per value. Everything is written to a staging
     directory next to output_dir first and moved in only once complete, so
     a failure leaves output_dir as it was. Before the move, every entry a
-    run can write (``_OUTPUT_NAMES``) is removed from output_dir, so no
+    run can write (``OUTPUT_NAMES``) is removed from output_dir, so no
     file of a previous run is left; entries of other names stay.
     """
     out = Path(cfg.output_dir).resolve()
@@ -157,7 +150,6 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
         coefficients = triplets = None
         for res in results:
             sub = stage if len(results) == 1 else stage / f"k_{res.k}"
-            sub.mkdir(exist_ok=True)
             ingest.write_labels(res.model, sub / "labels.csv")
             ingest.write_centroids(res.model, sub / "centroids")
             metrics.write_report(res.report, sub / "metrics.txt")
@@ -169,8 +161,9 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
                 if res.coefficients is not coefficients:
                     coefficients = res.coefficients
                     triplets = ingest.coefficient_triplets(coefficients)
-                (sub / "coefficients.csv").write_bytes(triplets)
-        with open(stage / "metrics.csv", "w", newline="") as fh:
+                with ingest._open_output(sub / "coefficients.csv", "wb") as fh:
+                    fh.write(triplets)
+        with ingest._open_output(stage / "metrics.csv") as fh:
             fh.write(metrics.MetricsReport.csv_header())
             fh.write("\n")
             for res in results:
@@ -181,7 +174,7 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
             shutil.move(stage, out)
         else:
             for old in out.iterdir():
-                if _OUTPUT_NAMES.fullmatch(old.name):
+                if OUTPUT_NAMES.fullmatch(old.name):
                     if old.is_dir() and not old.is_symlink():
                         shutil.rmtree(old)
                     else:

@@ -1,11 +1,16 @@
 import filecmp
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from usvclust import (FormatError, NumericalError, ParameterError, UsvClustError,
-                      ValidationError, cli, ingest)
+from usvclust import (FormatError, NumericalError, ParameterError, SegmentArchive,
+                      SpectroSegment, UsvClustError, ValidationError, cli, ingest,
+                      synth)
 from usvclust.cli import main
 
 
@@ -35,6 +40,12 @@ def assert_refused(capsys, needle: str) -> None:
     assert captured.out == ""
     assert captured.err.startswith("usvclust: ") and needle in captured.err
     assert "Traceback" not in captured.err
+
+
+def write_small_archive(path) -> None:
+    """A CSV archive directory of two 2 x 2 segments, ``a`` and ``b``."""
+    segs = (SpectroSegment("a", np.ones((2, 2))), SpectroSegment("b", np.eye(2) + 1))
+    ingest.write_archive(SegmentArchive(segs), path)
 
 
 @pytest.mark.parametrize("error, code", [
@@ -392,3 +403,105 @@ class TestPreprocessAndMetrics:
                    "--output", tmp_path / where) == 2
         assert_refused(capsys, where.split("/")[0])
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
+
+
+PIPELINE_ON_DIR = ("pipeline", "--input", "d", "--output_dir", "o", "--k", "2")
+PIPELINE_ON_TABLE = ("pipeline", "--input", "v.csv", "--output_dir", "o",
+                     "--method", "kmeans", "--k", "2")
+# (argv, the file to spoil, its new bytes or "dir" to make it a directory).
+# The "late" files are past the 8 KiB a text reader decodes at once, so
+# their fault surfaces while numpy parses the rows
+UNREADABLE = {
+    "labels_not_utf8": (("evaluate", "--labels", "l.csv", "--input", "{ssca}"),
+                        "l.csv", b"id,label,is_outlier\n\xe9,0,0\n"),
+    "pipeline_table_not_utf8": (PIPELINE_ON_TABLE, "v.csv", b"id,dim0,dim1\n\xe9,1,0\nb,0,1\n"),
+    "pipeline_table_late_not_utf8": (PIPELINE_ON_TABLE, "v.csv",
+                                     b"id,dim0,dim1\n" + b"a,1,0\n" * 2000 + b"\xe9,0,1\n"),
+    "metrics_table_not_utf8": (("metrics", "--centroids", "c.csv"), "c.csv",
+                               b"id,dim0,dim1\n\xe9,1,0\nb,0,1\n"),
+    "manifest_not_utf8": (PIPELINE_ON_DIR, "d/manifest.csv", b"id,file\n\xe9,seg_00000.csv\n"),
+    "segment_not_utf8": (PIPELINE_ON_DIR, "d/seg_00000.csv", b"1,2\n3,\xe9\n"),
+    "segment_late_not_utf8": (PIPELINE_ON_DIR, "d/seg_00000.csv", b"1,2\n" * 3000 + b"3,\xe9\n"),
+    "ssca_as_labels": (("evaluate", "--labels", "{ssca}", "--input", "{ssca}"), "{ssca}", None),
+    "ssca_as_centroids": (("metrics", "--centroids", "{ssca}"), "{ssca}", None),
+    "manifest_is_a_directory": (PIPELINE_ON_DIR, "d/manifest.csv", "dir"),
+    "segment_is_a_directory": (PIPELINE_ON_DIR, "d/seg_00000.csv", "dir"),
+    "centroid_is_a_directory": (("metrics", "--centroids", "c"), "c/centroid_00.csv", "dir"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_exits_3(tmp_path, capsys, monkeypatch, archive_path, case):
+    argv, target, content = UNREADABLE[case]
+    monkeypatch.chdir(tmp_path)
+    write_small_archive(tmp_path / "d")
+    target = Path(target.format(ssca=archive_path))
+    if content == "dir":
+        target.unlink(missing_ok=True)
+        target.mkdir(parents=True)
+    elif content is not None:
+        target.write_bytes(content)
+    assert run(*(a.format(ssca=archive_path) for a in argv)) == 3
+    reason = "Is a directory" if content == "dir" else "not UTF-8 text"
+    assert_refused(capsys, f"cannot read {target}: {reason}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_ascii_locale_writes_the_same_bytes(tmp_path):
+    # ids outside ASCII, written under an ASCII locale and under the default
+    archive, _ = synth.generate_segments(20, 2, 0)
+    ingest.write_archive(SegmentArchive(tuple(SpectroSegment(f"\u00e9{s.id}", s.energy)
+                                              for s in archive.segments)), tmp_path / "a.ssca")
+    src = str(Path(ingest.__file__).resolve().parents[1])
+    ascii_env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    trees = []
+    for name, extra in (("ascii", ascii_env), ("default", {})):
+        proc = subprocess.run(
+            [sys.executable, "-m", "usvclust", "pipeline", "--input", str(tmp_path / "a.ssca"),
+             "--output_dir", str(tmp_path / name), "--method", "cs_sc", "--k", "2",
+             "--f", "12", "--t", "12", "--export_embedding"],
+            env={**os.environ, **extra, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trees.append(tree_bytes(tmp_path / name))
+    assert trees[0] == trees[1]
+    assert "\u00e9s0000".encode() in trees[0]["labels.csv"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("preprocess", "--input", "a.ssca", "--output", "a.ssca"),
+     "--output 'a.ssca' names the --input path 'a.ssca'"),
+    (("evaluate", "--labels", "o/labels.csv", "--input", "a.ssca", "--output", "o/labels.csv"),
+     "--output 'o/labels.csv' names the --labels path"),
+    (("synth", "subspaces", "--points", "4", "--output", "v.csv", "--labels", "v.csv"),
+     "--output 'v.csv' names the --labels path"),
+    (("synth", "segments", "--n", "12", "--output", "d", "--labels", "d/manifest.csv"),
+     "--labels 'd/manifest.csv' lies inside the --output path 'd'"),
+    (("preprocess", "--input", "d", "--output", "d/features.csv"),
+     "--output 'd/features.csv' lies inside the --input path 'd'"),
+    (("pipeline", "--input", "d", "--output_dir", "d/out", "--method", "kmeans", "--k", "2",
+      "--tau", "-0.9"),
+     "output_dir 'd/out' lies inside the input path 'd'"),
+    (("pipeline", "--input", "o/centroids/centroids.csv", "--output_dir", "o",
+      "--method", "kmeans", "--k", "2", "--tau", "-0.9"),
+     "input 'o/centroids/centroids.csv' would be replaced by the outputs")],
+    ids=["preprocess_over_input", "evaluate_over_labels", "synth_labels_over_table",
+         "synth_labels_over_manifest", "preprocess_into_archive", "pipeline_into_archive",
+         "pipeline_over_an_earlier_output"])
+def test_output_clashing_with_an_input_exits_2(tmp_path, capsys, monkeypatch, archive_path,
+                                               argv, needle):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(archive_path, tmp_path / "a.ssca")
+    write_small_archive(tmp_path / "d")
+    (tmp_path / "o" / "centroids").mkdir(parents=True)
+    ids = ingest.read_archive(archive_path).ids
+    ingest.write_label_rows(ids, np.arange(len(ids)) % 2, np.zeros(len(ids)),
+                            tmp_path / "o" / "labels.csv")
+    # the table of centroids a run on vector input writes: itself a vector input
+    ingest.write_vectors(["centroid_00", "centroid_01"], np.eye(2),
+                         tmp_path / "o" / "centroids" / "centroids.csv")
+    (tmp_path / "v.csv").write_text("keep me\n")
+    before = tree_bytes(tmp_path), sorted(tmp_path.rglob("*"))
+    assert run(*argv) == 2
+    assert_refused(capsys, needle)
+    assert (tree_bytes(tmp_path), sorted(tmp_path.rglob("*"))) == before

@@ -166,6 +166,13 @@ class TestConfigFile:
         with pytest.raises(ParameterError, match="not found"):
             read_config_file(tmp_path)
 
+    def test_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"method = cs_sc\n# caf\xe9\n")
+        with pytest.raises(ParameterError, match=r"run\.cfg: not UTF-8 text"):
+            read_config_file(p)
+        assert cli.main(["pipeline", "--config", str(p)]) == 2
+
     def test_unknown_flag_field_rejected(self):
         with pytest.raises(ParameterError, match="unknown config fields"):
             build_config(None, {"input": "a", "output_dir": "b", "shrink": 2})

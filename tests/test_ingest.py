@@ -128,6 +128,19 @@ class TestArchiveRoundTrip:
         with pytest.raises(FormatError, match="byte"):
             read_archive(bad)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"SSCA\x01\x00", "truncated header at byte 6"),
+        (struct.pack("<4sII", b"SSCA", 1, 1), "truncated id length at byte 12"),
+        (struct.pack("<4sIIH", b"SSCA", 1, 1, 3) + b"abc\x02\x00", "truncated segment header at byte 14"),
+        (struct.pack("<4sIIH", b"SSCA", 1, 1, 1) + b"\xff" + struct.pack("<II4d", 2, 2, 1, 2, 3, 4),
+         "invalid UTF-8 id at byte 14"),
+    ], ids=["header", "id_length", "segment_header", "id_not_utf8"])
+    def test_binary_errors(self, tmp_path, data, message):
+        path = tmp_path / "bad.ssca"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=rf"bad\.ssca: {message}$"):
+            read_archive(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         good = tmp_path / "good.ssca"
         write_archive(SegmentArchive((seg(0, [[1, 2], [3, 4]]),)), good)
@@ -155,6 +168,18 @@ class TestArchiveRoundTrip:
         d.mkdir()
         (d / "manifest.csv").write_text("nope,nope\n")
         with pytest.raises(FormatError, match="line 1"):
+            read_archive(d)
+
+    @pytest.mark.parametrize("body, message", [
+        ("", "empty file at line 1"),
+        ("id,file\na,seg_00000.csv,extra\n", "expected 2 fields at line 2"),
+        ('id,file\n"a\nb",seg_00000.csv\nc\n', "expected 2 fields at line 4"),  # id spans lines
+    ], ids=["empty", "field_count", "after_an_id_spanning_lines"])
+    def test_csv_manifest_errors(self, tmp_path, body, message):
+        d = tmp_path / "d"
+        write_archive(SegmentArchive((seg(0, [[1, 2], [3, 4]]),)), d)
+        (d / "manifest.csv").write_text(body)
+        with pytest.raises(FormatError, match=rf"manifest\.csv: {message}$"):
             read_archive(d)
 
     def test_csv_ragged_matrix(self, tmp_path):
@@ -256,6 +281,18 @@ class TestLabels:
         with pytest.raises(FormatError):
             read_labels(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("", "empty file at line 1"),
+        ("id,label,is_outlier\na,0\n", "expected 3 fields at line 2"),
+        ("id,label,is_outlier\na,x,0\n", "bad number at line 2"),
+        ('id,label,is_outlier\n"a\nb",0,0\nc,x,0\n', "bad number at line 4"),  # id spans lines
+    ], ids=["empty", "field_count", "bad_number", "after_an_id_spanning_lines"])
+    def test_errors_name_the_line(self, tmp_path, body, message):
+        path = tmp_path / "labels.csv"
+        path.write_text(body)
+        with pytest.raises(FormatError, match=rf"labels\.csv: {message}$"):
+            read_labels(path)
+
 
 class TestCentroids:
     def _model(self, inlier_labels, centroids, k, shape):
@@ -316,6 +353,18 @@ class TestCentroids:
         write_centroids(self._model([0, 1], np.ones((2, 4)), 2, (2, 2)), tmp_path / "c")
         (tmp_path / "c" / "centroid_01.csv").rename(tmp_path / "c" / "centroid_0.csv")
         with pytest.raises(FormatError, match="centroid_0.csv and centroid_00.csv both hold rank 0"):
+            read_centroid_dir(tmp_path / "c")
+
+    @pytest.mark.parametrize("files, message", [
+        ({}, r"no centroid_\*\.csv files"),
+        ({"centroid_00.csv": "1,2\n3,4\n", "centroid_01.csv": "1,2,3\n4,5,6\n"},
+         r"centroid_01\.csv: centroid shape \(2, 3\) != \(2, 2\)"),
+    ], ids=["no_files", "mixed_shapes"])
+    def test_unusable_dir_rejected(self, tmp_path, files, message):
+        (tmp_path / "c").mkdir()
+        for name, body in files.items():
+            (tmp_path / "c" / name).write_text(body)
+        with pytest.raises(FormatError, match=message):
             read_centroid_dir(tmp_path / "c")
 
     def test_no_shape_writes_vector_table(self, tmp_path):
@@ -385,6 +434,12 @@ class TestVectors:
         ids, back = read_vectors(path)
         assert ids == ["#a", "b#"]
         np.testing.assert_array_equal(back, [[1.0, 2.0], [0.5, -300.0]])
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("")
+        with pytest.raises(FormatError, match=r"v\.csv: empty file at line 1$"):
+            read_vectors(path)
 
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "v.csv"

@@ -81,6 +81,13 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match="outlier"):
             run_pipeline(cfg)
 
+    def test_one_sample_rejected(self, tmp_path):
+        archive, _ = generate_segments(1, 1, seed=0)
+        ingest.write_archive(archive, tmp_path / "one.ssca")
+        cfg = make_cfg(tmp_path / "one.ssca", tmp_path / "o", k=2)
+        with pytest.raises(ValidationError, match="need at least 2 samples"):
+            run_pipeline(cfg)
+
     def test_kmeans_and_ssc_share_interface(self, segment_archive, tmp_path):
         for method in ("kmeans", "lasso_ssc"):
             cfg = make_cfg(segment_archive, tmp_path / method, method=method)
@@ -412,6 +419,15 @@ class TestEvaluate:
         ingest.write_label_rows(["x_" + i for i in ids], labels, flags,
                                 tmp_path / "bad.csv")
         with pytest.raises(ValidationError, match="ids"):
+            evaluate(tmp_path / "bad.csv", segment_archive, f=12, t=12)
+
+    def test_every_sample_an_outlier_rejected(self, segment_archive, tmp_path):
+        out = tmp_path / "out"
+        cfg = make_cfg(segment_archive, out)
+        write_outputs(cfg, run_pipeline(cfg))
+        ids, labels, flags = ingest.read_labels(out / "labels.csv")
+        ingest.write_label_rows(ids, labels, np.ones_like(flags), tmp_path / "bad.csv")
+        with pytest.raises(ValidationError, match="every sample as an outlier"):
             evaluate(tmp_path / "bad.csv", segment_archive, f=12, t=12)
 
     def test_negative_inlier_label_rejected(self, segment_archive, tmp_path):
