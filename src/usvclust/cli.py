@@ -3,6 +3,9 @@
 Subcommands: pipeline, synth (subspaces | segments), evaluate, preprocess,
 metrics. Exit codes: 0 success; a failure exits with the ``exit_code`` of
 its error class (``errors``).
+
+Each handler imports the numeric modules it runs, after the checks that
+need no input, so parsing a command and refusing it never load numpy.
 """
 
 from __future__ import annotations
@@ -11,12 +14,18 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import ingest, metrics, synth
-from .config import (SETTINGS, build_config, check_output_path, parse_setting,
-                     read_config_file)
+from .config import (SETTINGS, PreprocessConfig, build_config, check_output_path,
+                     parse_setting, read_config_file)
 from .errors import UsvClustError
-from .pipeline import evaluate, load_features, run_pipeline, write_outputs
-from .preprocess import PreprocessConfig
+
+
+def __getattr__(name):
+    # run_pipeline and write_outputs load the numeric modules on first use;
+    # _cmd_pipeline looks them up on this module, so a test can replace them
+    if name in ("run_pipeline", "write_outputs"):
+        from . import pipeline
+        return getattr(pipeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,8 +97,9 @@ def _cmd_pipeline(args) -> int:
     flag_values = dict(parse_setting(key, flags[fld.name])
                        for key, fld in SETTINGS.items() if flags[fld.name] is not None)
     cfg = build_config(file_values, flag_values)
-    results = run_pipeline(cfg)
-    write_outputs(cfg, results)
+    cli = sys.modules[__name__]
+    results = cli.run_pipeline(cfg)
+    cli.write_outputs(cfg, results)
     for res in results:
         print(f"k={res.k}: " + ", ".join(res.report.to_lines()[2:6]))
     return 0
@@ -107,6 +117,7 @@ def _cmd_synth(args) -> int:
         args.synth_kind == "segments" and Path(args.output).suffix != ".ssca"),
         others={"--labels": labels_path})
     check_output_path(labels_path, "--labels", others={"--output": args.output})
+    from . import ingest, synth
     if args.synth_kind == "subspaces":
         spec = synth.SubspaceSpec(
             ambient_dim=args.ambient, n_subspaces=args.n,
@@ -131,23 +142,28 @@ def _cmd_evaluate(args) -> int:
     if args.output:
         check_output_path(args.output, "--output",
                           others={"--labels": args.labels, "--input": args.input})
+    from .metrics import write_report
+    from .pipeline import evaluate
     rep = evaluate(args.labels, args.input, f=args.f, t=args.t, method=args.method)
     for line in rep.to_lines():
         print(line)
     if args.output:
-        metrics.write_report(rep, args.output)
+        write_report(rep, args.output)
     return 0
 
 
 def _cmd_preprocess(args) -> int:
     check_output_path(args.output, "--output", others={"--input": args.input})
+    from .ingest import write_vectors
+    from .pipeline import load_features
     features, _ = load_features(args.input, args.f, args.t)
-    ingest.write_vectors(features.ids, features.data.T, args.output)
+    write_vectors(features.ids, features.data.T, args.output)
     print(f"wrote {features.n} feature vectors to {args.output}")
     return 0
 
 
 def _cmd_metrics(args) -> int:
+    from . import ingest, metrics
     path = Path(args.centroids)
     if path.is_dir():
         cents = ingest.read_centroid_dir(path)

@@ -1,21 +1,24 @@
-"""Pipeline configuration and the flat ``key = value`` config file format.
+"""Pipeline and stage configuration, the flat ``key = value`` config file
+format, and the two file openers every module reads and writes through.
 
 Command-line flags override file values, which override the defaults
 below. The file format is deliberately plain text: one assignment per
 line, ``#`` starts a comment line, keys named exactly like the flags.
 Both come from one table, the fields of ``PipelineConfig``.
+
+Nothing here imports numpy, so the CLI parses and checks a command before
+the numeric modules load.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import FormatError, ParameterError
-from .ingest import _open_input
-from .preprocess import PreprocessConfig
-from .sparse_coding import SparseCodingConfig
 
 METHODS = ("kmeans", "cs_sc", "lasso_ssc", "omp_ssc")
 
@@ -76,6 +79,84 @@ def _parse_bool(value) -> bool:
 
 # parsers by the type of a field's default; any other type is its own parser
 _PARSERS = {bool: _parse_bool, tuple: parse_k}
+
+
+@dataclass
+class PreprocessConfig:
+    """Target f x t grid for resizing."""
+
+    f: int = 64
+    t: int = 64
+
+    def __post_init__(self):
+        if self.f < 2 or self.t < 2:
+            raise ParameterError(f"target grid must be at least 2x2, got {self.f}x{self.t}")
+
+
+@dataclass
+class SparseCodingConfig:
+    """Knobs for building the coefficient matrix.
+
+    method : 'lasso' or 'omp'
+    lam : L1 weight for the LASSO route
+    sparsity_k : atom budget for the OMP route
+    max_iter : homotopy step cap for the LASSO route
+    tol : OMP residual norm below which no further atom is picked
+    denoise_eps : entries with magnitude strictly below this are zeroed
+    """
+
+    method: str = "lasso"
+    lam: float = 0.3
+    sparsity_k: int = 10
+    max_iter: int = 1000
+    tol: float = 1e-7
+    denoise_eps: float = 0.001
+
+    def __post_init__(self):
+        if self.method not in ("lasso", "omp"):
+            raise ParameterError(f"unknown sparse coding method {self.method!r}")
+        # written so that NaN fails each range check
+        if not 0 < self.lam < math.inf:
+            raise ParameterError(f"lambda must be positive and finite, got {self.lam}")
+        if self.sparsity_k < 1:
+            raise ParameterError(f"sparsity budget must be >= 1, got {self.sparsity_k}")
+        if self.max_iter < 1:
+            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not 0 < self.tol < math.inf:
+            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
+        if not 0 <= self.denoise_eps < math.inf:
+            raise ParameterError(f"denoise_eps must be >= 0 and finite, got {self.denoise_eps}")
+
+
+@contextlib.contextmanager
+def _open_input(path, mode="r"):
+    """Open a file to read, as text or, with mode "rb", as bytes. A file
+    that cannot be opened or is not UTF-8 text is a FormatError naming it."""
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        fh = open(path, mode, **text)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise FormatError(f"cannot read {path}: not UTF-8 text") from None
+
+
+def _open_output(path, mode="w"):
+    """Open a file to write, as text or, with mode "wb", as bytes, making
+    its missing parent directories. A path that cannot be written is a
+    ParameterError naming it."""
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        try:
+            return open(path, mode, **text)
+        except FileNotFoundError:  # only then, so an existing parent costs nothing
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            return open(path, mode, **text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def check_output_path(path, what: str, directory: bool = False,

@@ -9,13 +9,13 @@ Two archive encodings are supported:
   u32 n_freq, u32 n_time and the row-major f64 energy values.
 
 CSV floats are printed with 17 significant digits so numeric round-trips
-are value-exact. Every file is opened by ``_open_input`` or ``_open_output``:
-text is UTF-8 whatever the locale, and csv sees line endings as written.
+are value-exact. Every file is opened by ``config._open_input`` or
+``config._open_output``: text is UTF-8 whatever the locale, and csv sees
+line endings as written.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import itertools
@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, ValidationError
+from .config import _open_input, _open_output
+from .errors import FormatError, ValidationError
 
 MAGIC = b"SSCA"
 VERSION = 1
@@ -35,50 +36,22 @@ MANIFEST_NAME = "manifest.csv"
 _CSV_QUOTED = frozenset(',"\r\n')
 
 
-@contextlib.contextmanager
-def _open_input(path, mode="r"):
-    """Open a file to read, as text or, with mode "rb", as bytes. A file
-    that cannot be opened or is not UTF-8 text is a FormatError naming it."""
-    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
-    try:
-        fh = open(path, mode, **text)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            raise FormatError(f"cannot read {path}: not UTF-8 text") from None
-
-
-def _open_output(path, mode="w"):
-    """Open a file to write, as text or, with mode "wb", as bytes, making
-    its missing parent directories. A path that cannot be written is a
-    ParameterError naming it."""
-    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
-    try:
-        try:
-            return open(path, mode, **text)
-        except FileNotFoundError:  # only then, so an existing parent costs nothing
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-            return open(path, mode, **text)
-    except OSError as exc:
-        raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
-
-
 def _csv_rows(path, header) -> list:
     """The (line number, row) pairs of a CSV file after its header line,
     which must equal ``header``; every row must have as many fields."""
     with _open_input(path) as fh:
         reader = csv.reader(fh)
-        if (first := next(reader, None)) != header:
-            what = "empty file" if first is None else f"bad header {first}"
-            raise FormatError(f"{path}: {what} at line 1")
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise FormatError(f"{path}: expected {len(header)} fields at line {reader.line_num}")
-            rows.append((reader.line_num, row))
+        try:
+            if (first := next(reader, None)) != header:
+                what = "empty file" if first is None else f"bad header {first}"
+                raise FormatError(f"{path}: {what} at line 1")
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise FormatError(f"{path}: expected {len(header)} fields at line {reader.line_num}")
+                rows.append((reader.line_num, row))
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise FormatError(f"{path}: {exc} at line {reader.line_num}") from None
     return rows
 
 
@@ -582,7 +555,10 @@ def read_vectors(path):
         first = fh.readline()
         if not first:
             raise FormatError(f"{path}: empty file at line 1")
-        header = next(csv.reader([first]))
+        try:
+            header = next(csv.reader([first]))
+        except csv.Error as exc:
+            raise FormatError(f"{path}: {exc} at line 1") from None
         if len(header) < 2 or header[0] != "id" or any(
             h != f"dim{j}" for j, h in enumerate(header[1:])
         ):

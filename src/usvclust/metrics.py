@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .assign import ClusterModel, centroids
+from .config import _open_output
 from .errors import ParameterError, ValidationError
-from .ingest import _open_output
 from .preprocess import FeatureMatrix
 from .spectral import cosine_gram
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ingest, metrics
 from .assign import ClusterModel, assign_outliers, centroids
-from .config import OUTPUT_NAMES, PipelineConfig
+from .config import OUTPUT_NAMES, PipelineConfig, _open_output
 from .errors import FormatError, ParameterError, ValidationError
 from .kmeans import kmeans, principal_axes
 from .outlier_split import Partition, split
@@ -161,9 +161,9 @@ def write_outputs(cfg: PipelineConfig, results: list[KResult]) -> None:
                 if res.coefficients is not coefficients:
                     coefficients = res.coefficients
                     triplets = ingest.coefficient_triplets(coefficients)
-                with ingest._open_output(sub / "coefficients.csv", "wb") as fh:
+                with _open_output(sub / "coefficients.csv", "wb") as fh:
                     fh.write(triplets)
-        with ingest._open_output(stage / "metrics.csv") as fh:
+        with _open_output(stage / "metrics.csv") as fh:
             fh.write(metrics.MetricsReport.csv_header())
             fh.write("\n")
             for res in results:

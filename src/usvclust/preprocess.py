@@ -12,22 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import PreprocessConfig
 from .errors import ParameterError, ValidationError
 from .ingest import SegmentArchive, SpectroSegment
 
 KEYS_A = -0.5
-
-
-@dataclass
-class PreprocessConfig:
-    """Target f x t grid for resizing."""
-
-    f: int = 64
-    t: int = 64
-
-    def __post_init__(self):
-        if self.f < 2 or self.t < 2:
-            raise ParameterError(f"target grid must be at least 2x2, got {self.f}x{self.t}")
 
 
 @dataclass(frozen=True)

@@ -12,47 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SparseCodingConfig
 from .errors import ParameterError, ValidationError
 
 KKT_TOL = 1e-9  # largest KKT violation a certified LASSO column may have
 _PARALLEL = 1e-12  # correlations closing on the level slower than this never meet it
 _RANK_TOL = 1e-10  # an OMP atom this close (squared, relative) to the active span is dependent
 _OMP_BLOCK_BYTES = 1 << 22  # gram[active] gathered for one block of OMP targets
-
-
-@dataclass
-class SparseCodingConfig:
-    """Knobs for building the coefficient matrix.
-
-    method : 'lasso' or 'omp'
-    lam : L1 weight for the LASSO route
-    sparsity_k : atom budget for the OMP route
-    max_iter : homotopy step cap for the LASSO route
-    tol : OMP residual norm below which no further atom is picked
-    denoise_eps : entries with magnitude strictly below this are zeroed
-    """
-
-    method: str = "lasso"
-    lam: float = 0.3
-    sparsity_k: int = 10
-    max_iter: int = 1000
-    tol: float = 1e-7
-    denoise_eps: float = 0.001
-
-    def __post_init__(self):
-        if self.method not in ("lasso", "omp"):
-            raise ParameterError(f"unknown sparse coding method {self.method!r}")
-        # written so that NaN fails each range check
-        if not 0 < self.lam < np.inf:
-            raise ParameterError(f"lambda must be positive and finite, got {self.lam}")
-        if self.sparsity_k < 1:
-            raise ParameterError(f"sparsity budget must be >= 1, got {self.sparsity_k}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0 < self.tol < np.inf:
-            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
-        if not 0 <= self.denoise_eps < np.inf:
-            raise ParameterError(f"denoise_eps must be >= 0 and finite, got {self.denoise_eps}")
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,22 @@ class TestPipeline:
         assert "finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda", "nan", "lambda must be positive and finite, got nan"),
+        ("--tol", "0", "tol must be positive and finite, got 0.0"),
+        ("--denoise_eps", "-1", "denoise_eps must be >= 0 and finite, got -1.0"),
+        ("--sparsity_k", "0", "sparsity budget must be >= 1, got 0"),
+        ("--max_iter", "0", "max_iter must be >= 1, got 0"),
+        ("--f", "1", "target grid must be at least 2x2, got 1x64"),
+    ])
+    def test_stage_setting_refused_with_its_message(self, tmp_path, capsys, flag, value,
+                                                    message):
+        out = tmp_path / "o"
+        assert run("pipeline", "--input", tmp_path / "missing.ssca",
+                   "--output_dir", out, flag, value) == 2
+        assert capsys.readouterr().err == f"usvclust: {message}\n"
+        assert not out.exists()
+
     def test_negative_seed_exits_2_before_reading_input(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run("pipeline", "--input", tmp_path / "missing.ssca",
@@ -300,6 +316,12 @@ class TestEvaluate:
         assert run("evaluate", "--labels", tmp_path / "short.csv",
                    "--input", archive_path, "--f", 12, "--t", 12) == 3
 
+    def test_field_over_the_csv_limit_exits_3(self, archive_path, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label,is_outlier\n" + "x" * 200000 + ",0,0\n")
+        assert run("evaluate", "--labels", labels, "--input", archive_path) == 3
+        assert_refused(capsys, f"{labels}: field larger than field limit (131072) at line 2")
+
     def test_missing_labels_exit_3(self, archive_path, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert run("evaluate", "--labels", missing, "--input", archive_path) == 3
@@ -387,6 +409,12 @@ class TestPreprocessAndMetrics:
         ingest.write_vectors(["centroid_00"], np.array([[1.0, 0.0]]),
                              tmp_path / "c.csv")
         assert run("metrics", "--centroids", tmp_path / "c.csv") == 2
+
+    def test_header_field_over_the_csv_limit_exits_3(self, tmp_path, capsys):
+        table = tmp_path / "h.csv"
+        table.write_text("id," + "d" * 140000 + "\na,1\n")
+        assert run("metrics", "--centroids", table) == 3
+        assert_refused(capsys, f"{table}: field larger than field limit (131072) at line 1")
 
     def test_missing_centroid_table_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
@@ -505,3 +533,22 @@ def test_output_clashing_with_an_input_exits_2(tmp_path, capsys, monkeypatch, ar
     assert run(*argv) == 2
     assert_refused(capsys, needle)
     assert (tree_bytes(tmp_path), sorted(tmp_path.rglob("*"))) == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["pipeline", "--help"], 0),
+    (["pipeline", "--input", "in.ssca", "--output_dir", "o", "--tau", "1.5"], 2),
+    (["pipeline", "--config", "bad.cfg"], 2),
+], ids=["help", "refused_flag", "malformed_config"])
+def test_parsing_and_refusing_leave_numpy_unloaded(tmp_path, argv, code):
+    (tmp_path / "bad.cfg").write_text("tau 0.5\n")
+    src = str(Path(ingest.__file__).resolve().parents[1])
+    # -X importtime logs each module to stderr as it is first imported
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "usvclust", *argv],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "usvclust.config" in imported
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
