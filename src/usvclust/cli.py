@@ -19,13 +19,15 @@ from .config import (SETTINGS, PreprocessConfig, build_config, check_output_path
 from .errors import UsvClustError
 
 
-def __getattr__(name):
-    # run_pipeline and write_outputs load the numeric modules on first use;
-    # _cmd_pipeline looks them up on this module, so a test can replace them
-    if name in ("run_pipeline", "write_outputs"):
-        from . import pipeline
-        return getattr(pipeline, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# numpy loads when a run starts; _cmd_pipeline calls these so a test can replace them
+def run_pipeline(cfg):
+    from .pipeline import run_pipeline
+    return run_pipeline(cfg)
+
+
+def write_outputs(cfg, results) -> None:
+    from .pipeline import write_outputs
+    write_outputs(cfg, results)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,9 +99,8 @@ def _cmd_pipeline(args) -> int:
     flag_values = dict(parse_setting(key, flags[fld.name])
                        for key, fld in SETTINGS.items() if flags[fld.name] is not None)
     cfg = build_config(file_values, flag_values)
-    cli = sys.modules[__name__]
-    results = cli.run_pipeline(cfg)
-    cli.write_outputs(cfg, results)
+    results = run_pipeline(cfg)
+    write_outputs(cfg, results)
     for res in results:
         print(f"k={res.k}: " + ", ".join(res.report.to_lines()[2:6]))
     return 0
@@ -142,22 +143,20 @@ def _cmd_evaluate(args) -> int:
     if args.output:
         check_output_path(args.output, "--output",
                           others={"--labels": args.labels, "--input": args.input})
-    from .metrics import write_report
-    from .pipeline import evaluate
-    rep = evaluate(args.labels, args.input, f=args.f, t=args.t, method=args.method)
+    from . import metrics, pipeline
+    rep = pipeline.evaluate(args.labels, args.input, f=args.f, t=args.t, method=args.method)
     for line in rep.to_lines():
         print(line)
     if args.output:
-        write_report(rep, args.output)
+        metrics.write_report(rep, args.output)
     return 0
 
 
 def _cmd_preprocess(args) -> int:
     check_output_path(args.output, "--output", others={"--input": args.input})
-    from .ingest import write_vectors
-    from .pipeline import load_features
-    features, _ = load_features(args.input, args.f, args.t)
-    write_vectors(features.ids, features.data.T, args.output)
+    from . import ingest, pipeline
+    features, _ = pipeline.load_features(args.input, args.f, args.t)
+    ingest.write_vectors(features.ids, features.data.T, args.output)
     print(f"wrote {features.n} feature vectors to {args.output}")
     return 0
 

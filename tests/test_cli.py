@@ -535,12 +535,14 @@ def test_output_clashing_with_an_input_exits_2(tmp_path, capsys, monkeypatch, ar
     assert (tree_bytes(tmp_path), sorted(tmp_path.rglob("*"))) == before
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["pipeline", "--help"], 0),
-    (["pipeline", "--input", "in.ssca", "--output_dir", "o", "--tau", "1.5"], 2),
-    (["pipeline", "--config", "bad.cfg"], 2),
+@pytest.mark.parametrize("argv, code, message", [
+    (["pipeline", "--help"], 0, ""),
+    (["pipeline", "--input", "in.ssca", "--output_dir", "o", "--tau", "1.5"], 2,
+     "usvclust: tau must lie in (-1, 1], got 1.5"),
+    (["pipeline", "--config", "bad.cfg"], 2,
+     "usvclust: bad.cfg:1: expected 'key = value', got 'tau 0.5'"),
 ], ids=["help", "refused_flag", "malformed_config"])
-def test_parsing_and_refusing_leave_numpy_unloaded(tmp_path, argv, code):
+def test_parsing_and_refusing_leave_numpy_unloaded(tmp_path, argv, code, message):
     (tmp_path / "bad.cfg").write_text("tau 0.5\n")
     src = str(Path(ingest.__file__).resolve().parents[1])
     # -X importtime logs each module to stderr as it is first imported
@@ -548,7 +550,11 @@ def test_parsing_and_refusing_leave_numpy_unloaded(tmp_path, argv, code):
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
-    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+    lines = proc.stderr.splitlines()
+    imported = [line.rsplit("|", 1)[1].strip() for line in lines
                 if line.startswith("import time:")]
+    # the check meant to refuse it ran: not argparse's usage error or another refusal
+    assert [line for line in lines if not line.startswith("import time:")] == (
+        [message] if message else [])
     assert "usvclust.config" in imported
     assert [m for m in imported if m.split(".")[0] == "numpy"] == []
