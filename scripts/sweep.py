@@ -13,7 +13,7 @@ options stop the script with exit status 1.
 
 The abstract counts "greater distances between clusters and more
 variability between clusters" as the method's win; whether a larger
-d_cos_std is better is open (ROADMAP item 3).
+d_cos_std is better is open (ROADMAP item 5).
 """
 
 import argparse
@@ -24,9 +24,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from usvclust import PipelineConfig, UsvClustError, generate_segments, run_pipeline
-from usvclust.config import SETTINGS, parse_setting
+from usvclust.config import SETTINGS, PipelineConfig, parse_setting
+from usvclust.errors import UsvClustError
 from usvclust.ingest import write_archive
+from usvclust.pipeline import run_pipeline
+from usvclust.synth import generate_segments
 
 
 def main() -> int:

@@ -16,18 +16,7 @@ from pathlib import Path
 
 from .config import (SETTINGS, PreprocessConfig, build_config, check_output_path,
                      parse_setting, read_config_file)
-from .errors import UsvClustError
-
-
-# numpy loads when a run starts; _cmd_pipeline calls these so a test can replace them
-def run_pipeline(cfg):
-    from .pipeline import run_pipeline
-    return run_pipeline(cfg)
-
-
-def write_outputs(cfg, results) -> None:
-    from .pipeline import write_outputs
-    write_outputs(cfg, results)
+from .errors import UsvClustError, ValidationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,8 +88,9 @@ def _cmd_pipeline(args) -> int:
     flag_values = dict(parse_setting(key, flags[fld.name])
                        for key, fld in SETTINGS.items() if flags[fld.name] is not None)
     cfg = build_config(file_values, flag_values)
-    results = run_pipeline(cfg)
-    write_outputs(cfg, results)
+    from . import pipeline
+    results = pipeline.run_pipeline(cfg)
+    pipeline.write_outputs(cfg, results)
     for res in results:
         print(f"k={res.k}: " + ", ".join(res.report.to_lines()[2:6]))
     return 0
@@ -164,10 +154,9 @@ def _cmd_preprocess(args) -> int:
 def _cmd_metrics(args) -> int:
     from . import ingest, metrics
     path = Path(args.centroids)
-    if path.is_dir():
-        cents = ingest.read_centroid_dir(path)
-    else:
-        _, cents = ingest.read_vectors(path)
+    cents = ingest.read_centroid_dir(path) if path.is_dir() else ingest.read_vectors(path)[1]
+    if len(cents) < 2:
+        raise ValidationError(f"{path}: metrics need at least 2 centroids, got {len(cents)}")
     hmean, std = metrics.distance_stats(cents)
     print("d_cos_hmean=%.17g" % hmean)
     print("d_cos_std=%.17g" % std)

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import ingest, metrics
 from .assign import ClusterModel, assign_outliers, centroids
-from .config import OUTPUT_NAMES, PipelineConfig, _open_output
+from .config import OUTPUT_NAMES, PipelineConfig, PreprocessConfig, _open_output
 from .errors import FormatError, ParameterError, ValidationError
 from .kmeans import kmeans, principal_axes
 from .outlier_split import Partition, split
-from .preprocess import FeatureMatrix, PreprocessConfig, normalize_columns, vectorize
+from .preprocess import FeatureMatrix, normalize_columns, vectorize
 from .sparse_coding import self_express
 from .spectral import (affinity_from_coefficients, affinity_from_cosine,
                        cosine_gram, embed)
@@ -189,7 +189,7 @@ def evaluate(labels_path, input_path, f: int = PreprocessConfig.f,
 
     The features are rebuilt from the original input with the same grid, so
     the recomputed report matches the pipeline's byte for byte. The ids in
-    the labels file must equal the input ids in order.
+    the labels file must equal the input ids in order; the inlier labels give K.
     """
     ids, labels, flags = ingest.read_labels(labels_path)
     features, _ = load_features(input_path, f, t)
@@ -204,8 +204,13 @@ def evaluate(labels_path, input_path, f: int = PreprocessConfig.f,
         raise ValidationError("labels file marks every sample as an outlier")
     inlier_labels = labels[part.inlier_idx]
     if inlier_labels.min() < 0:
-        raise ValidationError("inlier labels must be >= 0")
-    k = int(labels.max()) + 1
+        raise ValidationError(f"{labels_path}: inlier labels must be >= 0")
+    k = int(inlier_labels.max()) + 1
+    if k < 2:
+        raise ValidationError(f"{labels_path}: the inliers form 1 cluster; metrics need 2 or more")
+    bad = labels[(labels < 0) | (labels >= k)]
+    if bad.size:
+        raise ValidationError(f"{labels_path}: outlier label {bad[0]} is not an inlier cluster")
     cents = centroids(features.select(part.inlier_idx), inlier_labels, k)
     model = ClusterModel(
         ids=features.ids, labels=labels, centroids=cents, partition=part,

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import PreprocessConfig
+from .config import PreprocessConfig  # also imported from here: perfbench does
 from .errors import ParameterError, ValidationError
 from .ingest import SegmentArchive, SpectroSegment
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SparseCodingConfig
+from .config import SparseCodingConfig  # also imported from here: perfbench does
 from .errors import ParameterError, ValidationError
 
 KKT_TOL = 1e-9  # largest KKT violation a certified LASSO column may have

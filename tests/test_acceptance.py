@@ -17,16 +17,17 @@ import scipy.linalg
 from oracles import (brute_force_split, clustering_error, lasso_objective_ref,
                      lasso_prox_grad, reference_bicubic,
                      reference_lsym_eigvals, straight_line_metrics)
-from usvclust import (PipelineConfig, SparseCodingConfig, SubspaceSpec,
-                      generate_segments, generate_subspaces, lasso_column,
-                      load_features, omp_column, run_pipeline, self_express)
 from usvclust.cli import main as cli_main
+from usvclust.config import PipelineConfig, SparseCodingConfig
 from usvclust.ingest import write_archive, write_vectors
+from usvclust.kmeans import kmeans
 from usvclust.metrics import distance_stats, pairwise_cosine_distances
 from usvclust.outlier_split import split
+from usvclust.pipeline import load_features, run_pipeline
 from usvclust.preprocess import normalize_columns, resize_bicubic
-from usvclust.kmeans import kmeans
+from usvclust.sparse_coding import lasso_column, omp_column, self_express
 from usvclust.spectral import affinity_from_coefficients, embed
+from usvclust.synth import SubspaceSpec, generate_segments, generate_subspaces
 
 # Captured once from the method table that `scripts/sweep.py --vary method
 # kmeans cs_sc lasso_ssc` prints, at the exact settings of

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import assign_outliers_loop, cosine_similarity
-from usvclust import (FeatureMatrix, Partition, ValidationError,
-                      assign_outliers, centroids)
+from usvclust.assign import assign_outliers, centroids
+from usvclust.errors import ValidationError
+from usvclust.outlier_split import Partition
+from usvclust.preprocess import FeatureMatrix
 
 
 def unit_features(raw):

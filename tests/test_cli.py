@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usvclust import (FormatError, NumericalError, ParameterError, SegmentArchive,
-                      SpectroSegment, UsvClustError, ValidationError, cli, ingest,
-                      synth)
+from usvclust import cli, ingest, synth
 from usvclust.cli import main
+from usvclust.errors import (FormatError, NumericalError, ParameterError, UsvClustError,
+                             ValidationError)
+from usvclust.ingest import SegmentArchive, SpectroSegment
 
 
 def run(*argv):
@@ -322,6 +323,22 @@ class TestEvaluate:
         assert run("evaluate", "--labels", labels, "--input", archive_path) == 3
         assert_refused(capsys, f"{labels}: field larger than field limit (131072) at line 2")
 
+    @pytest.mark.parametrize("inlier_labels, outlier_label, needle", [
+        ((0,), 0, "the inliers form 1 cluster; metrics need 2 or more"),
+        ((0, 1), 7, "outlier label 7 is not an inlier cluster"),
+        ((0, 1), -1, "outlier label -1 is not an inlier cluster"),
+    ], ids=["one_inlier_cluster", "outlier_above_k", "negative_outlier"])
+    def test_labels_outside_the_inlier_clusters_exit_3(
+            self, archive_path, tmp_path, capsys, inlier_labels, outlier_label, needle):
+        ids = ingest.read_archive(archive_path).ids
+        labels = [outlier_label] + [inlier_labels[i % len(inlier_labels)]
+                                    for i in range(len(ids) - 1)]
+        path = tmp_path / "labels.csv"
+        ingest.write_label_rows(ids, np.array(labels), np.arange(len(ids)) == 0, path)
+        assert run("evaluate", "--labels", path, "--input", archive_path,
+                   "--f", 12, "--t", 12) == 3
+        assert_refused(capsys, f"{path}: {needle}")
+
     def test_missing_labels_exit_3(self, archive_path, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert run("evaluate", "--labels", missing, "--input", archive_path) == 3
@@ -405,10 +422,11 @@ class TestPreprocessAndMetrics:
         for key in ("d_cos_hmean", "d_cos_std"):
             assert abs(float(printed[key]) - float(stored[key])) < 1e-12
 
-    def test_metrics_single_centroid_exit_2(self, tmp_path):
-        ingest.write_vectors(["centroid_00"], np.array([[1.0, 0.0]]),
-                             tmp_path / "c.csv")
-        assert run("metrics", "--centroids", tmp_path / "c.csv") == 2
+    def test_metrics_single_centroid_exits_3(self, tmp_path, capsys):
+        table = tmp_path / "c.csv"
+        ingest.write_vectors(["centroid_00"], np.array([[1.0, 0.0]]), table)
+        assert run("metrics", "--centroids", table) == 3
+        assert_refused(capsys, f"{table}: metrics need at least 2 centroids, got 1")
 
     def test_header_field_over_the_csv_limit_exits_3(self, tmp_path, capsys):
         table = tmp_path / "h.csv"

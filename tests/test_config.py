@@ -3,9 +3,10 @@ import re
 
 import pytest
 
-from usvclust import ParameterError, PipelineConfig, cli
-from usvclust.config import (SETTINGS, build_config, parse_k, parse_tau,
+from usvclust import cli
+from usvclust.config import (SETTINGS, PipelineConfig, build_config, parse_k, parse_tau,
                              read_config_file)
+from usvclust.errors import ParameterError
 
 
 class TestParseTau:
@@ -199,8 +200,8 @@ class TestOneFieldTable:
             seen.append(cfg)
             return []
 
-        monkeypatch.setattr(cli, "run_pipeline", capture)
-        monkeypatch.setattr(cli, "write_outputs", lambda cfg, results: None)
+        monkeypatch.setattr("usvclust.pipeline.run_pipeline", capture)
+        monkeypatch.setattr("usvclust.pipeline.write_outputs", lambda cfg, results: None)
         assert cli.main(["pipeline", *argv]) == 0
         return seen[0]
 

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import _write_matrix_csv, matrix_csv_ref
-from usvclust import (FormatError, SegmentArchive, SpectroSegment,
-                      ValidationError, read_archive, write_archive)
 from usvclust.assign import ClusterModel
-from usvclust.ingest import (_csv_blocks, coefficient_triplets,
-                             read_centroid_dir, read_labels, read_vectors,
-                             write_centroids, write_label_rows, write_labels,
-                             write_vectors)
+from usvclust.errors import FormatError, ValidationError
+from usvclust.ingest import (SegmentArchive, SpectroSegment, _csv_blocks,
+                             coefficient_triplets, read_archive, read_centroid_dir,
+                             read_labels, read_vectors, write_archive, write_centroids,
+                             write_label_rows, write_labels, write_vectors)
 from usvclust.outlier_split import Partition
 
 

@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -8,10 +7,11 @@ from hypothesis import strategies as st
 
 from oracles import (kmeans_lloyd_ref, nearest_center_direct, plus_plus_init,
                      repair_empty_clusters)
-from usvclust import ParameterError, generate_segments, kmeans, vectorize
-
-# the package exports the function ``kmeans`` under the module's name
-km = importlib.import_module("usvclust.kmeans")
+from usvclust import kmeans as km
+from usvclust.errors import ParameterError
+from usvclust.kmeans import kmeans
+from usvclust.preprocess import vectorize
+from usvclust.synth import generate_segments
 
 
 class TestKMeans:

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import straight_line_metrics
-from usvclust import (FeatureMatrix, ParameterError, Partition,
-                      assign_outliers, centroids, report)
 from usvclust import metrics
-from usvclust.metrics import distance_stats, pairwise_cosine_distances
+from usvclust.assign import assign_outliers, centroids
+from usvclust.errors import ParameterError
+from usvclust.metrics import distance_stats, pairwise_cosine_distances, report
+from usvclust.outlier_split import Partition
+from usvclust.preprocess import FeatureMatrix
 
 centroid_sets = hnp.arrays(
     np.float64,

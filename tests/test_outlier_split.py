@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_split, cosine_similarity
-from usvclust import FeatureMatrix, ParameterError, ValidationError, split
+from usvclust.errors import ParameterError, ValidationError
+from usvclust.outlier_split import split
+from usvclust.preprocess import FeatureMatrix
 
 
 def unit_features(raw):
@@ -94,7 +96,7 @@ class TestSplit:
         assert 0 in part.inlier_idx and 1 in part.inlier_idx
 
     def test_rescaling_a_column_changes_nothing(self):
-        from usvclust import cosine_gram
+        from usvclust.spectral import cosine_gram
 
         fm = random_unit_features(15, 6, seed=3)
         scaled = fm.data.copy()
@@ -106,7 +108,7 @@ class TestSplit:
         assert part1.outlier_idx.tolist() == part2.outlier_idx.tolist()
 
     def test_supplied_gram_untouched_and_boundary_exact(self):
-        from usvclust import cosine_gram
+        from usvclust.spectral import cosine_gram
 
         fm = random_unit_features(25, 4, seed=6)
         gram = cosine_gram(fm.data)

@@ -3,14 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from usvclust import (FormatError, MetricsReport, ParameterError, PipelineConfig,
-                      ValidationError, affinity_from_coefficients, affinity_from_cosine,
-                      cosine_gram, embed, evaluate, generate_segments, generate_subspaces,
-                      kmeans, load_features, run_pipeline, self_express, split,
-                      write_outputs, SubspaceSpec)
 from usvclust import ingest, metrics
-from usvclust.kmeans import principal_axes
-from usvclust.pipeline import KResult
+from usvclust.config import PipelineConfig
+from usvclust.errors import FormatError, ParameterError, ValidationError
+from usvclust.kmeans import kmeans, principal_axes
+from usvclust.metrics import MetricsReport
+from usvclust.outlier_split import split
+from usvclust.pipeline import (KResult, evaluate, load_features, run_pipeline,
+                               write_outputs)
+from usvclust.sparse_coding import self_express
+from usvclust.spectral import (affinity_from_coefficients, affinity_from_cosine,
+                               cosine_gram, embed)
+from usvclust.synth import SubspaceSpec, generate_segments, generate_subspaces
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +154,18 @@ class TestRunPipeline:
             assert res.embedding.tobytes() == want.tobytes()
             labels = kmeans(inliers.data.T, res.k, seed=0).labels
             np.testing.assert_array_equal(res.model.inlier_labels, labels)
+
+    def test_kmeans_embedding_has_at_most_d_columns(self, tmp_path):
+        # 3-d vectors have 3 principal components, whatever K asks for
+        features, _ = generate_subspaces(SubspaceSpec(ambient_dim=3, n_subspaces=3,
+                                                      dims=(2, 2, 2), points_per=50))
+        vectors = tmp_path / "v.csv"
+        ingest.write_vectors(features.ids, features.data.T, vectors)
+        cfg = PipelineConfig(input=str(vectors), output_dir=str(tmp_path / "out"),
+                             method="kmeans", k=5, tau=-0.9, export_embedding=True)
+        write_outputs(cfg, run_pipeline(cfg))
+        header = (tmp_path / "out" / "embedding.csv").read_text().split("\n", 1)[0]
+        assert header == "id,dim0,dim1,dim2"
 
 
 def isolated_inlier_table(path):

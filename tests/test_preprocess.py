@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import reference_bicubic
-from usvclust import (FeatureMatrix, ParameterError, PreprocessConfig,
-                      SegmentArchive, SpectroSegment, ValidationError,
-                      clip_below_mean, resize_bicubic, vectorize)
-from usvclust.preprocess import keys_kernel, normalize_columns, vectorize_segment
+from usvclust.config import PreprocessConfig
+from usvclust.errors import ParameterError, ValidationError
+from usvclust.ingest import SegmentArchive, SpectroSegment
+from usvclust.preprocess import (FeatureMatrix, clip_below_mean, keys_kernel,
+                                 normalize_columns, resize_bicubic, vectorize,
+                                 vectorize_segment)
 
 nonneg_matrices = hnp.arrays(
     np.float64,

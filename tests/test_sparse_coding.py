@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from oracles import (lambda_max, lasso_objective_ref, lasso_prox_grad,
                      omp_best_subset, omp_column_lstsq, omp_gram_column_ref)
-from usvclust import (ParameterError, PreprocessConfig, SparseCodingConfig,
-                      ValidationError, generate_segments, lasso_column, omp_column,
-                      self_express, split, vectorize)
 from usvclust import sparse_coding
-from usvclust.sparse_coding import _omp_gram, kkt_violation
+from usvclust.config import PreprocessConfig, SparseCodingConfig
+from usvclust.errors import ParameterError, ValidationError
+from usvclust.outlier_split import split
+from usvclust.preprocess import vectorize
+from usvclust.sparse_coding import (_omp_gram, kkt_violation, lasso_column, omp_column,
+                                    self_express)
+from usvclust.synth import generate_segments
 
 
 def unit_dictionary(d, n, seed):

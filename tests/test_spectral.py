@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import (affinity_from_cosine_ref, cosine_gram_ref,
                      reference_lsym_eigvals)
-from usvclust import (NumericalError, ParameterError, ValidationError,
-                      affinity_from_coefficients, affinity_from_cosine,
-                      cosine_gram, embed, kmeans)
+from usvclust.errors import NumericalError, ParameterError, ValidationError
+from usvclust.kmeans import kmeans
+from usvclust.spectral import (affinity_from_coefficients, affinity_from_cosine,
+                               cosine_gram, embed)
 
 
 def block_affinity(sizes, weight=1.0):

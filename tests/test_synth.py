@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from usvclust import (ParameterError, SubspaceSpec, generate_segments,
-                      generate_subspaces)
+from usvclust.errors import ParameterError
+from usvclust.synth import SubspaceSpec, generate_segments, generate_subspaces
 
 
 class TestSubspaceSpec:
