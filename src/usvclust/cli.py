@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import (SETTINGS, PreprocessConfig, build_config, check_output_path,
+from .config import (SETTINGS, PipelineConfig, PreprocessConfig, check_output_path,
                      parse_setting, read_config_file)
 from .errors import UsvClustError, ValidationError
 
@@ -63,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="recompute metrics from stored labels")
     ev.add_argument("--labels", required=True, help="labels CSV from a pipeline run")
     ev.add_argument("--input", required=True, help="the original pipeline input")
-    ev.add_argument("--f", type=int, default=PreprocessConfig.f)
-    ev.add_argument("--t", type=int, default=PreprocessConfig.t)
     ev.add_argument("--method", default="stored",
                     help="method name to repeat in the report")
     ev.add_argument("--output", help="also write the report to this path")
@@ -72,8 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pre = sub.add_parser("preprocess", help="write preprocessed feature vectors")
     pre.add_argument("--input", required=True, help="segment archive")
     pre.add_argument("--output", required=True, help="vector CSV path")
-    pre.add_argument("--f", type=int, default=PreprocessConfig.f)
-    pre.add_argument("--t", type=int, default=PreprocessConfig.t)
+    for grid_parser in (ev, pre):
+        for key in ("f", "t"):
+            grid_parser.add_argument(f"--{key}", type=int, default=SETTINGS[key].default,
+                                     help=SETTINGS[key].metadata["help"])
 
     met = sub.add_parser("metrics", help="centroid distance statistics")
     met.add_argument("--centroids", required=True,
@@ -83,11 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_pipeline(args) -> int:
-    file_values = read_config_file(args.config) if args.config else None
+    # defaults <- config file <- the flags that were set
+    values = read_config_file(args.config) if args.config else {}
     flags = vars(args)
-    flag_values = dict(parse_setting(key, flags[fld.name])
-                       for key, fld in SETTINGS.items() if flags[fld.name] is not None)
-    cfg = build_config(file_values, flag_values)
+    values.update(parse_setting(key, flags[fld.name])
+                  for key, fld in SETTINGS.items() if flags[fld.name] is not None)
+    cfg = PipelineConfig(**values)
     from . import pipeline
     results = pipeline.run_pipeline(cfg)
     pipeline.write_outputs(cfg, results)
@@ -130,6 +131,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    PreprocessConfig(f=args.f, t=args.t)  # refuse a bad grid before the input is read
     if args.output:
         check_output_path(args.output, "--output",
                           others={"--labels": args.labels, "--input": args.input})
@@ -143,6 +145,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    PreprocessConfig(f=args.f, t=args.t)
     check_output_path(args.output, "--output", others={"--input": args.input})
     from . import ingest, pipeline
     features, _ = pipeline.load_features(args.input, args.f, args.t)

@@ -303,16 +303,3 @@ def read_config_file(path) -> dict:
         values[name] = value
     return values
 
-
-def build_config(file_values: dict | None = None, flag_values: dict | None = None) -> PipelineConfig:
-    """Merge defaults <- config file <- flags into a validated config."""
-    merged: dict = {}
-    if file_values:
-        merged.update(file_values)
-    if flag_values:
-        merged.update({k: v for k, v in flag_values.items() if v is not None})
-    names = {fld.name for fld in fields(PipelineConfig)}
-    unknown = set(merged) - names
-    if unknown:
-        raise ParameterError(f"unknown config fields: {sorted(unknown)}")
-    return PipelineConfig(**merged)

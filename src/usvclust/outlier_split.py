@@ -26,10 +26,6 @@ class Partition:
         object.__setattr__(self, "inlier_idx", np.asarray(self.inlier_idx, dtype=int))
         object.__setattr__(self, "outlier_idx", np.asarray(self.outlier_idx, dtype=int))
 
-    @property
-    def n(self) -> int:
-        return len(self.inlier_idx) + len(self.outlier_idx)
-
 
 def split(features: FeatureMatrix, tau: float, gram: np.ndarray | None = None) -> Partition:
     """Partition the samples of ``features`` at threshold ``tau``.

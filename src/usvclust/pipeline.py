@@ -208,6 +208,9 @@ def evaluate(labels_path, input_path, f: int = PreprocessConfig.f,
     k = int(inlier_labels.max()) + 1
     if k < 2:
         raise ValidationError(f"{labels_path}: the inliers form 1 cluster; metrics need 2 or more")
+    missing = np.setdiff1d(np.arange(k), inlier_labels)
+    if missing.size:
+        raise ValidationError(f"{labels_path}: no inlier has label {missing[0]}")
     bad = labels[(labels < 0) | (labels >= k)]
     if bad.size:
         raise ValidationError(f"{labels_path}: outlier label {bad[0]} is not an inlier cluster")

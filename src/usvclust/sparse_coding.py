@@ -125,31 +125,6 @@ def _homotopy(gram: np.ndarray, corr: np.ndarray, lam: float,
     return y, False
 
 
-def lasso_column(dictionary: np.ndarray, target: np.ndarray, lam: float,
-                 max_iter: int = SparseCodingConfig.max_iter):
-    """Solve min_y 0.5*||target - dictionary @ y||^2 + lam*||y||_1.
-
-    Parameters
-    ----------
-    dictionary : (d, n) array
-    target : (d,) array
-    lam : positive L1 weight
-    max_iter : maximum number of homotopy steps (atoms entering or leaving)
-
-    Returns
-    -------
-    (y, converged) : coefficient vector and whether the path reached lam
-    within max_iter steps and the result passed the KKT check.
-    """
-    a = np.asarray(dictionary, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if a.ndim != 2 or t.ndim != 1 or a.shape[0] != t.shape[0]:
-        raise ValidationError("dictionary and target shapes do not match")
-    if not 0 < lam < np.inf:
-        raise ParameterError(f"lambda must be positive and finite, got {lam}")
-    return _homotopy(a.T @ a, a.T @ t, lam, max_iter)
-
-
 def kkt_violation(dictionary: np.ndarray, target: np.ndarray,
                   y: np.ndarray, lam: float) -> float:
     """Worst first-order optimality violation of y for the LASSO.
@@ -247,28 +222,6 @@ def _omp_block(gram, corr, tt, sparsity_k, tol, barred, out) -> int:
         if not live.size:
             break
     return n_dependent
-
-
-def omp_column(dictionary: np.ndarray, target: np.ndarray, sparsity_k: int,
-               tol: float = SparseCodingConfig.tol) -> np.ndarray:
-    """Orthogonal matching pursuit with at most ``sparsity_k`` atoms.
-
-    Atoms are picked by largest absolute correlation with the residual and
-    the active coefficients are re-fit by least squares each round, all on
-    the Gram form (see ``_omp_gram``). If the newest atom is dependent on
-    the active set it is dropped and the previous solution is returned.
-    """
-    a = np.asarray(dictionary, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if a.ndim != 2 or t.ndim != 1 or a.shape[0] != t.shape[0]:
-        raise ValidationError("dictionary and target shapes do not match")
-    n_atoms = a.shape[1]
-    if not 1 <= sparsity_k <= n_atoms:
-        raise ParameterError(
-            f"sparsity budget {sparsity_k} out of range for {n_atoms} atoms"
-        )
-    y, _ = _omp_gram(a.T @ a, (a.T @ t)[None], np.array([t @ t]), sparsity_k, tol)
-    return y[:, 0]
 
 
 def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMatrix:

@@ -6,7 +6,9 @@ the homotopy path, exhaustive search instead of greedy selection, plain
 loops instead of matrix tricks, least squares on the data instead of the
 Gram form) so agreement is meaningful evidence. The rest are the
 package's earlier code kept verbatim, so a faster rewrite can be held to
-the same bits.
+the same bits. Two are not references at all: ``lasso_column`` and
+``omp_column`` run the package's own solvers on a single target, the entry
+points the solver tests call them through.
 """
 
 from __future__ import annotations
@@ -18,8 +20,24 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
+from usvclust.config import SparseCodingConfig
 from usvclust.errors import ParameterError, ValidationError
-from usvclust.sparse_coding import _RANK_TOL
+from usvclust.sparse_coding import _RANK_TOL, _homotopy, _omp_gram
+
+
+def lasso_column(dictionary, target, lam, max_iter=SparseCodingConfig.max_iter):
+    """The package's LASSO homotopy path on one target; returns (y, certified)."""
+    a = np.asarray(dictionary, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    return _homotopy(a.T @ a, a.T @ t, lam, max_iter)
+
+
+def omp_column(dictionary, target, sparsity_k, tol=SparseCodingConfig.tol):
+    """The package's Batch-OMP on one target; returns its coefficient vector."""
+    a = np.asarray(dictionary, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    y, _ = _omp_gram(a.T @ a, (a.T @ t)[None], np.array([t @ t]), sparsity_k, tol)
+    return y[:, 0]
 
 
 def lasso_objective_ref(dictionary, target, y, lam):

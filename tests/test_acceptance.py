@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import (brute_force_split, clustering_error, lasso_objective_ref,
-                     lasso_prox_grad, reference_bicubic,
+from oracles import (brute_force_split, clustering_error, lasso_column, lasso_objective_ref,
+                     lasso_prox_grad, omp_column, reference_bicubic,
                      reference_lsym_eigvals, straight_line_metrics)
 from usvclust.cli import main as cli_main
 from usvclust.config import PipelineConfig, SparseCodingConfig
@@ -25,7 +25,7 @@ from usvclust.metrics import distance_stats, pairwise_cosine_distances
 from usvclust.outlier_split import split
 from usvclust.pipeline import load_features, run_pipeline
 from usvclust.preprocess import normalize_columns, resize_bicubic
-from usvclust.sparse_coding import lasso_column, omp_column, self_express
+from usvclust.sparse_coding import self_express
 from usvclust.spectral import affinity_from_coefficients, embed
 from usvclust.synth import SubspaceSpec, generate_segments, generate_subspaces
 

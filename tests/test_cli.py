@@ -104,6 +104,15 @@ class TestSynth:
         assert argv[1].lstrip("-") in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--outliers", "-1"), "outlier_count must be >= 0"),
+        (("--n", "0"), "need at least one subspace")], ids=["outliers", "n"])
+    def test_bad_subspace_spec_exits_2_and_writes_nothing(self, tmp_path, capsys, argv,
+                                                           message):
+        assert run("synth", "subspaces", *argv, "--output", tmp_path / "v.csv") == 2
+        assert_refused(capsys, message)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind, name", [("segments", "x.ssca"), ("subspaces", "s.csv")])
     def test_missing_output_parents_are_made(self, tmp_path, kind, name):
         out = tmp_path / "nodir" / "deeper" / name
@@ -327,7 +336,8 @@ class TestEvaluate:
         ((0,), 0, "the inliers form 1 cluster; metrics need 2 or more"),
         ((0, 1), 7, "outlier label 7 is not an inlier cluster"),
         ((0, 1), -1, "outlier label -1 is not an inlier cluster"),
-    ], ids=["one_inlier_cluster", "outlier_above_k", "negative_outlier"])
+        ((0, 2), 0, "no inlier has label 1"),
+    ], ids=["one_inlier_cluster", "outlier_above_k", "negative_outlier", "skipped_label"])
     def test_labels_outside_the_inlier_clusters_exit_3(
             self, archive_path, tmp_path, capsys, inlier_labels, outlier_label, needle):
         ids = ingest.read_archive(archive_path).ids
@@ -559,7 +569,11 @@ def test_output_clashing_with_an_input_exits_2(tmp_path, capsys, monkeypatch, ar
      "usvclust: tau must lie in (-1, 1], got 1.5"),
     (["pipeline", "--config", "bad.cfg"], 2,
      "usvclust: bad.cfg:1: expected 'key = value', got 'tau 0.5'"),
-], ids=["help", "refused_flag", "malformed_config"])
+    (["preprocess", "--input", "in.ssca", "--output", "o.csv", "--f", "1"], 2,
+     "usvclust: target grid must be at least 2x2, got 1x64"),
+    (["evaluate", "--labels", "l.csv", "--input", "in.ssca", "--t", "0"], 2,
+     "usvclust: target grid must be at least 2x2, got 64x0"),
+], ids=["help", "refused_flag", "malformed_config", "preprocess_grid", "evaluate_grid"])
 def test_parsing_and_refusing_leave_numpy_unloaded(tmp_path, argv, code, message):
     (tmp_path / "bad.cfg").write_text("tau 0.5\n")
     src = str(Path(ingest.__file__).resolve().parents[1])

@@ -4,8 +4,7 @@ import re
 import pytest
 
 from usvclust import cli
-from usvclust.config import (SETTINGS, PipelineConfig, build_config, parse_k, parse_tau,
-                             read_config_file)
+from usvclust.config import SETTINGS, PipelineConfig, parse_k, parse_tau, read_config_file
 from usvclust.errors import ParameterError
 
 
@@ -125,7 +124,7 @@ class TestConfigFile:
             "seed = 7\n"
         )
         values = read_config_file(p)
-        cfg = build_config(values)
+        cfg = PipelineConfig(**values)
         assert cfg.input == "data.ssca"
         assert cfg.method == "omp_ssc"
         assert cfg.k == (10, 20)
@@ -133,13 +132,6 @@ class TestConfigFile:
         assert cfg.lam == 0.25
         assert cfg.export_embedding is True
         assert cfg.seed == 7
-
-    def test_flags_override_file(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("input = a\noutput_dir = b\nseed = 7\ntau = 0.5\n")
-        cfg = build_config(read_config_file(p), {"seed": 11, "tau": None})
-        assert cfg.seed == 11
-        assert cfg.tau == 0.5  # None flags fall back to the file value
 
     def test_unknown_key_points_at_line(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -174,9 +166,16 @@ class TestConfigFile:
             read_config_file(p)
         assert cli.main(["pipeline", "--config", str(p)]) == 2
 
-    def test_unknown_flag_field_rejected(self):
-        with pytest.raises(ParameterError, match="unknown config fields"):
-            build_config(None, {"input": "a", "output_dir": "b", "shrink": 2})
+    @pytest.mark.parametrize("value, error", [
+        ("no", None), ("maybe", "c.cfg:1: expected a boolean, got 'maybe'")])
+    def test_boolean_value(self, tmp_path, capsys, value, error):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"export_embedding = {value}\n")
+        if error is None:
+            assert read_config_file(p) == {"export_embedding": False}
+        else:
+            assert cli.main(["pipeline", "--config", str(p)]) == 2
+            assert error in capsys.readouterr().err
 
 
 # a non-default value for every PipelineConfig field, as flag/file text;
@@ -221,6 +220,13 @@ class TestOneFieldTable:
         assert from_flags == from_file
         fld = next(f for f in dataclasses.fields(PipelineConfig) if f.name == name)
         assert getattr(from_flags, name) != fld.default
+
+    def test_flags_override_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "run.cfg"
+        p.write_text("input = a\noutput_dir = b\nseed = 7\ntau = 0.5\n")
+        cfg = self._config(monkeypatch, ["--config", str(p), "--seed", "11"])
+        assert cfg.seed == 11
+        assert cfg.tau == 0.5  # unset flags fall back to the file value
 
     @pytest.mark.parametrize("key", sorted(SETTINGS))
     def test_help_lists_flag(self, key, capsys):

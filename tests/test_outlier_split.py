@@ -126,7 +126,7 @@ class TestSplit:
         part = split(fm, 0.9)
         both = np.concatenate([part.inlier_idx, part.outlier_idx])
         assert sorted(both.tolist()) == list(range(20))
-        assert part.n == 20
+        assert len(part.inlier_idx) + len(part.outlier_idx) == 20
 
     def test_tau_out_of_range(self):
         fm = random_unit_features(3, 3, seed=5)
