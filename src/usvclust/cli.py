@@ -14,8 +14,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import (SETTINGS, PipelineConfig, PreprocessConfig, check_output_path,
-                     parse_setting, read_config_file)
+from .config import (SETTINGS, PipelineConfig, PreprocessConfig, SubspaceSpec,
+                     check_output_path, check_segment_params, parse_setting,
+                     read_config_file)
 from .errors import UsvClustError, ValidationError
 
 
@@ -103,6 +104,14 @@ def _default_labels_path(output: str) -> str:
 
 
 def _cmd_synth(args) -> int:
+    if args.synth_kind == "subspaces":
+        spec = SubspaceSpec(
+            ambient_dim=args.ambient, n_subspaces=args.n,
+            dims=(args.dim,) * args.n, points_per=args.points,
+            noise_sigma=args.noise, outlier_count=args.outliers, seed=args.seed,
+        )
+    else:
+        check_segment_params(args.n, args.classes, args.seed, args.outlier_frac)
     labels_path = args.labels or _default_labels_path(args.output)
     # a segment archive path without the .ssca suffix is a CSV directory
     check_output_path(args.output, "--output", directory=(
@@ -111,11 +120,6 @@ def _cmd_synth(args) -> int:
     check_output_path(labels_path, "--labels", others={"--output": args.output})
     from . import ingest, synth
     if args.synth_kind == "subspaces":
-        spec = synth.SubspaceSpec(
-            ambient_dim=args.ambient, n_subspaces=args.n,
-            dims=(args.dim,) * args.n, points_per=args.points,
-            noise_sigma=args.noise, outlier_count=args.outliers, seed=args.seed,
-        )
         features, labels = synth.generate_subspaces(spec)
         ingest.write_vectors(features.ids, features.data.T, args.output)
         ingest.write_label_rows(features.ids, labels, labels < 0, labels_path)

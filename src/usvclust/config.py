@@ -1,5 +1,6 @@
-"""Pipeline and stage configuration, the flat ``key = value`` config file
-format, and the two file openers every module reads and writes through.
+"""Pipeline and stage configuration, the synthetic generators' parameters,
+the flat ``key = value`` config file format, and the two file openers every
+module reads and writes through.
 
 Command-line flags override file values, which override the defaults
 below. The file format is deliberately plain text: one assignment per
@@ -128,6 +129,63 @@ class SparseCodingConfig:
             raise ParameterError(f"denoise_eps must be >= 0 and finite, got {self.denoise_eps}")
 
 
+@dataclass(frozen=True)
+class SubspaceSpec:
+    """Layout of a union-of-subspaces dataset."""
+
+    ambient_dim: int
+    n_subspaces: int
+    dims: tuple[int, ...]
+    points_per: int
+    noise_sigma: float = 0.0
+    outlier_count: int = 0
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        if self.n_subspaces != len(self.dims):
+            raise ParameterError(
+                f"n_subspaces={self.n_subspaces} but {len(self.dims)} dims given"
+            )
+        if self.n_subspaces < 1:
+            raise ParameterError("need at least one subspace")
+        for d in self.dims:
+            if not 1 <= d < self.ambient_dim:
+                raise ParameterError(
+                    f"subspace dim {d} must lie in [1, {self.ambient_dim})"
+                )
+        if self.points_per < max(self.dims) + 1:
+            raise ParameterError(
+                f"points_per={self.points_per} too small; need at least "
+                f"max(dims)+1 = {max(self.dims) + 1} samples per subspace"
+            )
+        # written so that NaN fails the range check
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ParameterError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
+        if self.outlier_count < 0:
+            raise ParameterError("outlier_count must be >= 0")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+
+
+# the contour families of synthetic segments, in class-label order
+FAMILIES = ("flat", "up", "down", "u", "arch")
+
+
+def check_segment_params(n: int, shape_classes: int, seed: int, outlier_frac: float) -> None:
+    """Refuse parameters ``synth.generate_segments`` cannot render."""
+    if n < 1:
+        raise ParameterError("need n >= 1 segments")
+    if not 1 <= shape_classes <= len(FAMILIES):
+        raise ParameterError(
+            f"shape_classes must lie in [1, {len(FAMILIES)}], got {shape_classes}"
+        )
+    if not 0.0 <= outlier_frac < 1.0:
+        raise ParameterError(f"outlier_frac must lie in [0, 1), got {outlier_frac}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 @contextlib.contextmanager
 def _open_input(path, mode="r"):
     """Open a file to read, as text or, with mode "rb", as bytes. A file
@@ -210,15 +268,11 @@ class PipelineConfig:
     tau: float = _setting(0.8, "outlier threshold in (-1,1], or preset dba/c57",
                           parse=parse_tau)
     lam: float = _setting(SparseCodingConfig.lam, "L1 weight for lasso_ssc", key="lambda")
-    denoise_eps: float = _setting(SparseCodingConfig.denoise_eps,
-                                  "zero coefficients below this magnitude")
     f: int = _setting(PreprocessConfig.f, "target frequency bins")
     t: int = _setting(PreprocessConfig.t, "target time bins")
     seed: int = _setting(0, "k-means seed, >= 0")
     export_embedding: bool = _setting(False, "also write the clustering-space coordinates")
     sparsity_k: int = _setting(SparseCodingConfig.sparsity_k, "atom budget for omp_ssc")
-    max_iter: int = _setting(SparseCodingConfig.max_iter, "LASSO homotopy step cap")
-    tol: float = _setting(SparseCodingConfig.tol, "OMP residual-norm stopping tolerance")
     dump_coefficients: bool = _setting(False, "also write the sparse coefficients as triplets")
 
     def __post_init__(self):
@@ -250,12 +304,10 @@ class PipelineConfig:
         PreprocessConfig(f=self.f, t=self.t)
 
     def coding(self) -> SparseCodingConfig:
-        """The self-expression settings: LASSO for lasso_ssc, OMP otherwise."""
-        return SparseCodingConfig(
-            method="lasso" if self.method == "lasso_ssc" else "omp",
-            lam=self.lam, sparsity_k=self.sparsity_k, max_iter=self.max_iter,
-            tol=self.tol, denoise_eps=self.denoise_eps,
-        )
+        """The self-expression settings: LASSO for lasso_ssc, OMP otherwise;
+        the solver tolerances keep their SparseCodingConfig defaults."""
+        return SparseCodingConfig(method="lasso" if self.method == "lasso_ssc" else "omp",
+                                  lam=self.lam, sparsity_k=self.sparsity_k)
 
 
 # external key (config-file key and flag name) -> PipelineConfig field

@@ -7,54 +7,13 @@ built from Gaussian-ridged frequency contours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+# SubspaceSpec is also imported from here
+from .config import FAMILIES, SubspaceSpec, check_segment_params
 from .errors import ParameterError
 from .ingest import SegmentArchive, SpectroSegment
 from .preprocess import FeatureMatrix
-
-FAMILIES = ("flat", "up", "down", "u", "arch")
-
-
-@dataclass(frozen=True)
-class SubspaceSpec:
-    """Layout of a union-of-subspaces dataset."""
-
-    ambient_dim: int
-    n_subspaces: int
-    dims: tuple[int, ...]
-    points_per: int
-    noise_sigma: float = 0.0
-    outlier_count: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.n_subspaces != len(self.dims):
-            raise ParameterError(
-                f"n_subspaces={self.n_subspaces} but {len(self.dims)} dims given"
-            )
-        if self.n_subspaces < 1:
-            raise ParameterError("need at least one subspace")
-        for d in self.dims:
-            if not 1 <= d < self.ambient_dim:
-                raise ParameterError(
-                    f"subspace dim {d} must lie in [1, {self.ambient_dim})"
-                )
-        if self.points_per < max(self.dims) + 1:
-            raise ParameterError(
-                f"points_per={self.points_per} too small; need at least "
-                f"max(dims)+1 = {max(self.dims) + 1} samples per subspace"
-            )
-        # written so that NaN fails the range check
-        if not 0 <= self.noise_sigma < np.inf:
-            raise ParameterError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
-        if self.outlier_count < 0:
-            raise ParameterError("outlier_count must be >= 0")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_subspaces(spec: SubspaceSpec):
@@ -158,16 +117,7 @@ def generate_segments(n: int, shape_classes: int, seed: int,
     Returns (SegmentArchive, labels); inliers cycle through the families
     and outliers (label -1) are appended at the end.
     """
-    if n < 1:
-        raise ParameterError("need n >= 1 segments")
-    if not 1 <= shape_classes <= len(FAMILIES):
-        raise ParameterError(
-            f"shape_classes must lie in [1, {len(FAMILIES)}], got {shape_classes}"
-        )
-    if not 0.0 <= outlier_frac < 1.0:
-        raise ParameterError(f"outlier_frac must lie in [0, 1), got {outlier_frac}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_segment_params(n, shape_classes, seed, outlier_frac)
     rng = np.random.default_rng(seed)
     n_out = int(round(n * outlier_frac))
     n_in = n - n_out

@@ -206,7 +206,7 @@ class TestPipeline:
         assert ">= 2" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--lambda", "--tol", "--denoise_eps"])
+    @pytest.mark.parametrize("flag", ["--lambda"])
     def test_nan_setting_exits_2_before_reading_input(self, tmp_path, capsys, flag):
         out = tmp_path / "o"
         assert run("pipeline", "--input", tmp_path / "missing.ssca",
@@ -216,10 +216,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--lambda", "nan", "lambda must be positive and finite, got nan"),
-        ("--tol", "0", "tol must be positive and finite, got 0.0"),
-        ("--denoise_eps", "-1", "denoise_eps must be >= 0 and finite, got -1.0"),
         ("--sparsity_k", "0", "sparsity budget must be >= 1, got 0"),
-        ("--max_iter", "0", "max_iter must be >= 1, got 0"),
         ("--f", "1", "target grid must be at least 2x2, got 1x64"),
     ])
     def test_stage_setting_refused_with_its_message(self, tmp_path, capsys, flag, value,
@@ -573,7 +570,12 @@ def test_output_clashing_with_an_input_exits_2(tmp_path, capsys, monkeypatch, ar
      "usvclust: target grid must be at least 2x2, got 1x64"),
     (["evaluate", "--labels", "l.csv", "--input", "in.ssca", "--t", "0"], 2,
      "usvclust: target grid must be at least 2x2, got 64x0"),
-], ids=["help", "refused_flag", "malformed_config", "preprocess_grid", "evaluate_grid"])
+    (["synth", "subspaces", "--n", "0", "--output", "v.csv"], 2,
+     "usvclust: need at least one subspace"),
+    (["synth", "segments", "--classes", "9", "--output", "x.ssca"], 2,
+     "usvclust: shape_classes must lie in [1, 5], got 9"),
+], ids=["help", "refused_flag", "malformed_config", "preprocess_grid", "evaluate_grid",
+        "synth_subspaces", "synth_segments"])
 def test_parsing_and_refusing_leave_numpy_unloaded(tmp_path, argv, code, message):
     (tmp_path / "bad.cfg").write_text("tau 0.5\n")
     src = str(Path(ingest.__file__).resolve().parents[1])

@@ -4,7 +4,8 @@ import re
 import pytest
 
 from usvclust import cli
-from usvclust.config import SETTINGS, PipelineConfig, parse_k, parse_tau, read_config_file
+from usvclust.config import (SETTINGS, PipelineConfig, SparseCodingConfig, parse_k, parse_tau,
+                             read_config_file)
 from usvclust.errors import ParameterError
 
 
@@ -79,18 +80,19 @@ class TestPipelineConfig:
         with pytest.raises(ParameterError):
             PipelineConfig(**base, lam=0.0)
         with pytest.raises(ParameterError):
-            PipelineConfig(**base, denoise_eps=-0.1)
-        with pytest.raises(ParameterError):
             PipelineConfig(**base, f=1)
-        with pytest.raises(ParameterError):
-            PipelineConfig(**base, tol=0.0)
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             PipelineConfig(**base, seed=-1)
-        # NaN fails every comparison, so each range check is written to fail on it
-        for key in ("lam", "tol", "denoise_eps"):
-            for value in (float("nan"), float("inf")):
-                with pytest.raises(ParameterError, match="finite"):
-                    PipelineConfig(**base, **{key: value})
+        # NaN fails every comparison, so the range check is written to fail on it
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="finite"):
+                PipelineConfig(**base, lam=value)
+
+    @pytest.mark.parametrize("method, solver", [("lasso_ssc", "lasso"), ("omp_ssc", "omp")])
+    def test_coding_sets_only_the_paper_parameters(self, method, solver):
+        cfg = PipelineConfig(input="a", output_dir="b", method=method, lam=0.2, sparsity_k=4)
+        # the solver tolerances are not settings: they keep SparseCodingConfig's defaults
+        assert cfg.coding() == SparseCodingConfig(method=solver, lam=0.2, sparsity_k=4)
 
     @pytest.mark.parametrize("k", [1, "1,5", (5, 1)])
     def test_k_below_two_refused(self, k):
@@ -182,9 +184,8 @@ class TestConfigFile:
 # True marks a bare flag (written "true" in a file)
 NON_DEFAULT = {
     "input": "in.ssca", "output_dir": "out", "method": "cs_sc", "k": "3,4",
-    "tau": "c57", "lam": "0.25", "denoise_eps": "0.01", "f": "32", "t": "16",
-    "seed": "7", "export_embedding": True, "sparsity_k": "5",
-    "max_iter": "50", "tol": "1e-5", "dump_coefficients": True,
+    "tau": "c57", "lam": "0.25", "f": "32", "t": "16", "seed": "7",
+    "export_embedding": True, "sparsity_k": "5", "dump_coefficients": True,
 }
 KEYS = {fld.name: key for key, fld in SETTINGS.items()}
 
@@ -232,6 +233,23 @@ class TestOneFieldTable:
     def test_help_lists_flag(self, key, capsys):
         assert cli.main(["pipeline", "--help"]) == 0
         assert re.search(rf"--{key}\b", capsys.readouterr().out)
+
+    def test_settings_are_the_twelve_keys(self):
+        # a new setting has to be added here on purpose
+        assert set(SETTINGS) == {
+            "input", "output_dir", "method", "k", "tau", "lambda", "f", "t", "seed",
+            "sparsity_k", "export_embedding", "dump_coefficients"}
+
+    @pytest.mark.parametrize("key, value", [
+        ("tol", "1e-5"), ("max_iter", "5"), ("denoise_eps", "0.01")])
+    def test_solver_tolerances_are_not_settings(self, key, value, tmp_path, capsys):
+        base = ["pipeline", "--input", "a", "--output_dir", str(tmp_path / "o")]
+        assert cli.main([*base, f"--{key}", value]) == 2
+        assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        assert cli.main([*base, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"usvclust: {path}:1: unknown key {key!r}\n"
 
     def test_bad_flag_value_names_flag(self, capsys):
         assert cli.main(["pipeline", "--input", "a", "--output_dir", "b",

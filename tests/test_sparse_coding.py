@@ -559,3 +559,20 @@ class TestDenoise:
                     SparseCodingConfig(**{key: bad})
         with pytest.raises(ParameterError):
             SparseCodingConfig(method="omp", sparsity_k=0)
+
+    @pytest.mark.parametrize("key, message", [
+        ("tol", "tol must be positive and finite, got nan"),
+        ("denoise_eps", "denoise_eps must be >= 0 and finite, got nan"),
+    ], ids=["tol", "denoise_eps"])
+    def test_nan_setting_refused_with_its_message(self, key, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SparseCodingConfig(**{key: float("nan")})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tol", 0.0, "tol must be positive and finite, got 0.0"),
+        ("denoise_eps", -1.0, "denoise_eps must be >= 0 and finite, got -1.0"),
+        ("max_iter", 0, "max_iter must be >= 1, got 0"),
+    ], ids=["tol", "denoise_eps", "max_iter"])
+    def test_setting_refused_with_its_message(self, key, value, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SparseCodingConfig(**{key: value})
