@@ -549,7 +549,9 @@ def read_vectors(path):
 
     Ids may be csv-quoted, as ``write_vectors`` writes them. The numbers
     are parsed by numpy's C text reader, which reads the same doubles as
-    ``float`` but refuses underscores such as ``1_0``.
+    ``float`` but refuses underscores such as ``1_0``. A number that is not
+    finite (``nan``, ``inf``, or one too large for a double) is refused
+    with the line that holds it.
     """
     with _open_input(path) as fh:
         first = fh.readline()
@@ -569,6 +571,7 @@ def read_vectors(path):
             return [], np.empty((0, dim))
         expected = f"{path}: expected an id and {dim} numbers at line"
         lineno = 1
+        ends = []  # the line each row ends on, which holds its numbers
 
         def lines():
             # loadtxt pulls an iterable's lines one at a time as it parses,
@@ -580,6 +583,8 @@ def read_vectors(path):
                 if not quoted and not line.strip("\r\n"):
                     raise FormatError(f"{expected} {lineno}, got a blank line")
                 quoted ^= line.count('"') % 2 == 1
+                if not quoted:
+                    ends.append(lineno)
                 yield line
 
         try:
@@ -590,7 +595,12 @@ def read_vectors(path):
         except ValueError as exc:
             detail = str(exc).split(" at row ")[0]
             raise FormatError(f"{expected} {lineno}: {detail}") from exc
-    return table["id"].tolist(), np.ascontiguousarray(table["v"])
+    values = np.ascontiguousarray(table["v"])
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}: a number that is not finite at line "
+                          f"{ends[int(np.argmin(finite))]}")
+    return table["id"].tolist(), values
 
 
 def coefficient_triplets(y: np.ndarray) -> bytes:

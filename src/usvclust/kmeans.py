@@ -2,6 +2,18 @@
 
 All restarts draw from one seeded generator, so a (points, k, seed) triple
 fixes the result exactly.
+
+A call takes one of two paths, chosen by the shape of its n x d points.
+With n >= d, which covers every spectral embedding (d = K <= n), each
+k-means++ distance and each Lloyd step works on the points themselves.
+With n < d, as in raw k-means on the 4096-d features, the n x n Gram
+G = X X^T, no larger than the points, is formed once and every restart
+works on it (``_GramSpace``): a squared distance to the mean of a set of
+rows is a sum of Gram entries. The Gram path makes four kinds of decision
+from approximate values: each k-means++ draw, each label, the pick of the
+winning restart, and the winner's centers, inertia and trace. Each is
+certified against a proven rounding bound or made by the kernels of the
+points path, so both paths return the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +27,10 @@ from .errors import ParameterError, ValidationError
 # bytes of one block of rows in a seeding distance computation; small
 # enough that the block's difference and square stay in cache
 _SEED_BLOCK_BYTES = 1 << 18
+_EPS = float(np.finfo(np.float64).eps)
+# the Gram path's distance bound in units of (d + n + 2) eps times the
+# largest squared norm: about twice what ``_GramSpace`` proves
+_GRAM_SLACK = 16.0
 
 
 @dataclass(frozen=True)
@@ -77,20 +93,41 @@ class _SeedDistances:
             out[idx] = block.sum(axis=1)
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The normalized running sum of ``p`` that a draw searches."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(p: np.ndarray, u: float) -> int:
+    """The index ``Generator.choice(p.size, p=p)`` picks when the one
+    ``random()`` it draws is ``u``: the first whose cdf entry exceeds u.
+
+    Both k-means paths draw through this, so they pick alike whatever a
+    numpy release does inside ``choice``.
+    """
+    return int(_cdf(p).searchsorted(u, side="right"))
+
+
+def _next_row(d2: np.ndarray, rng: np.random.Generator) -> int:
+    """The next k-means++ row for the distances ``d2`` to the rows drawn so
+    far: drawn in proportion to them, or uniformly when all are zero."""
+    total = d2.sum()
+    if total > 0:
+        return _draw(d2 / total, rng.random())
+    return int(rng.integers(d2.size))
+
+
 def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator,
                     seeds: _SeedDistances) -> np.ndarray:
     """k-means++ seeding: each next center is drawn with probability
     proportional to squared distance from the centers chosen so far."""
-    n = points.shape[0]
     rows = np.empty(k, dtype=np.intp)
-    rows[0] = rng.integers(n)
+    rows[0] = rng.integers(points.shape[0])
     d2 = seeds(rows[0])
     for i in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            rows[i] = rng.choice(n, p=d2 / total)
-        else:
-            rows[i] = rng.integers(n)
+        rows[i] = _next_row(d2, rng)
         d2 = np.minimum(d2, seeds(rows[i]))
     return points[rows]
 
@@ -112,22 +149,33 @@ def _assign(points: np.ndarray, centers: np.ndarray,
     same argmin under both. The other rows are ranked by the direct kernel,
     and the labels equal those of ``_direct_sq_dist`` bit for bit.
     """
-    n, d = points.shape
+    d = points.shape[1]
     center_sq = np.einsum("ij,ij->i", centers, centers)
     d2 = points @ centers.T
     d2 *= -2.0
     d2 += sq_norms[:, None]
     d2 += center_sq
     labels = np.argmin(d2, axis=1)
-    slack = 8.0 * (d + 2) * np.finfo(np.float64).eps * (sq_norms + center_sq.max())
+    slack = 8.0 * (d + 2) * _EPS * (sq_norms + center_sq.max())
     near = d2 <= (d2.min(axis=1) + slack)[:, None]
-    tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
-    # blocks of n // k rows keep the fallback within O(n*d) memory
-    step = max(1, n // centers.shape[0])
-    for lo in range(0, tied.size, step):
-        rows = tied[lo:lo + step]
-        labels[rows] = np.argmin(_direct_sq_dist(points[rows], centers), axis=1)
+    _direct_labels(points, np.flatnonzero(np.count_nonzero(near, axis=1) > 1),
+                   centers, labels)
     return labels
+
+
+def _direct_labels(points: np.ndarray, rows: np.ndarray, centers: np.ndarray,
+                   labels: np.ndarray) -> None:
+    """Set ``labels[rows]`` to the rows' nearest centers by the direct
+    kernel, ties to the lowest index.
+
+    The rows are gathered into new C blocks, so each is summed as the
+    kernel sums the C rows of ``points``; blocks of n // k rows keep this
+    within O(n*d) memory.
+    """
+    step = max(1, points.shape[0] // centers.shape[0])
+    for lo in range(0, rows.size, step):
+        block = rows[lo:lo + step]
+        labels[block] = np.argmin(_direct_sq_dist(points[block], centers), axis=1)
 
 
 def _repair_empty(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -201,12 +249,214 @@ def _lloyd_once(points: np.ndarray, sq_norms: np.ndarray, k: int,
     return labels, centers, trace[-1], iterations, converged, tuple(trace)
 
 
+def _partition_key(labels: np.ndarray) -> bytes:
+    """The labels renumbered in order of first appearance: equal for two
+    labelings exactly when they make the same partition."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse].tobytes()
+
+
+class _GramSpace:
+    """The Gram path of one ``kmeans`` call, for n < d points.
+
+    G = X X^T is formed once. The squared distance of row i to the mean of
+    a set C of m rows is G_ii - 2/m sum_{j in C} G_ij + 1/m^2 sum_{j,l in C} G_jl
+    in exact arithmetic; ``distances`` evaluates it for k sets at once by
+    one product of G with their 0/1 membership columns. A k-means++ seed is
+    the set of its one row.
+
+    The bound. Let u = eps, S the largest G_ii, and n + d < 1 / (100 u).
+    Every row, exact mean and rounded mean then has a squared norm of at
+    most 1.01 S. ``kmeans`` takes this path only for 2^-900 < S <
+    max / (4 n^2), so no value formed here overflows, and each subnormal
+    rounding (at most 2^-1075) is far below the bounds that follow.
+
+    - Each Gram entry is a dot product of length d, within 1.01 d u S of
+      x_i.x_j. A sum of m of them over m is within 1.01 (d + n) u S of its
+      exact value, and a double sum over m^2 within 1.01 (d + 2n) u S. With
+      the roundings that combine the terms, a Gram distance lies within
+      4.1 (d + n + 4) u S of the exact distance to the exact mean.
+    - The points path sums d rounded squared differences from a center c:
+      within 4.1 (d + 2) u S of ||x_i - c||^2. Its c is a data row, or a
+      rounded mean within 1.02 n u sqrt(S) of the exact mean (each
+      coordinate sums m terms and divides by m), which moves the distance by
+      at most 4.2 n u S.
+
+    So a Gram distance and the points path's value differ by at most
+    E = 16 (d + n + 2) u S, ``self.bound``, about twice the sum of the two.
+    Four kinds of decision are made from Gram values, each only when a
+    certificate holds; otherwise the points path's kernels make it:
+
+    1. Each k-means++ draw (``seed``). The distances to the drawn rows, a
+       from the points path and b from G clamped at zero, differ by at most
+       E per entry. If max b > E, the exact total is positive too. Their
+       cdfs then differ by at most 4 n E / sum(b) + 16 (n + 1) u: in exact
+       arithmetic a partial sum over the total moves by at most
+       2 n E / sum(b), or 2.02 n E over its rounded value, and rounding
+       moves each cdf by at most 1.01 (4n + 3) u. A uniform draw further
+       than that from both neighbouring entries of the Gram cdf picks the
+       same row on both cdfs.
+    2. Each label (``lloyd``). A row whose runner-up Gram distance lies more
+       than 2E behind its nearest has that nearest center on the points path
+       too. The other rows are ranked by the direct kernel on the centers
+       the points path holds at that step.
+    3. The restart pick (``run``). The inertia summed from n Gram distances
+       and the one ``_inertia`` sums from n d squares differ by at most
+       n E + 4 (n d + n + 2) u (|I| + n E). A restart whose Gram inertia I
+       exceeds the smallest by more than both restarts' bounds cannot be the
+       first minimum; ``_inertia`` decides among the others.
+    4. The winner's centers, inertia and trace are recomputed from its
+       labels, which are exact, by ``_update_centers`` and ``_inertia``.
+    """
+
+    def __init__(self, points: np.ndarray, seeds: _SeedDistances, work: np.ndarray):
+        n, d = points.shape
+        self.points = points
+        self.seeds = seeds
+        self.work = work
+        self.gram = points @ points.T
+        self.diag = self.gram.diagonal().copy()
+        self.bound = _GRAM_SLACK * (d + n + 2) * _EPS * self.diag.max()
+
+    def distances(self, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The n x k Gram distances of every row to the mean of each column's members."""
+        prod = self.gram @ members
+        sums = np.einsum("ij,ij->j", members, prod)
+        prod *= -2.0 / counts
+        prod += self.diag[:, None]
+        prod += sums / (counts * counts)
+        return prod
+
+    def _row_distances(self, row: int) -> np.ndarray:
+        """The Gram distances of every row to row ``row``, clamped at zero."""
+        d2 = self.diag + self.gram[row, row]
+        d2 -= 2.0 * self.gram[row]
+        return np.maximum(d2, 0.0, out=d2)
+
+    def _exact_distances(self, rows: np.ndarray) -> np.ndarray:
+        """The points path's distances of every row to the nearest of ``rows``."""
+        d2 = self.seeds(rows[0])
+        for r in rows[1:]:
+            d2 = np.minimum(d2, self.seeds(r))
+        return d2
+
+    def seed(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        """The rows ``_plus_plus_init`` draws from ``rng`` (certificate 1)."""
+        n = self.diag.size
+        rows = np.empty(k, dtype=np.intp)
+        rows[0] = rng.integers(n)
+        d2 = self._row_distances(rows[0])
+        for i in range(1, k):
+            if d2.max() > self.bound:
+                u = rng.random()
+                total = d2.sum()
+                cdf = _cdf(d2 / total)
+                j = int(cdf.searchsorted(u, side="right"))
+                margin = 4 * n * self.bound / total + 16 * (n + 1) * _EPS
+                if (j == 0 or u - cdf[j - 1] > margin) and cdf[j] - u > margin:
+                    rows[i] = j
+                else:
+                    exact = self._exact_distances(rows[:i])
+                    rows[i] = _draw(exact / exact.sum(), u)
+            else:
+                rows[i] = _next_row(self._exact_distances(rows[:i]), rng)
+            np.minimum(d2, self._row_distances(rows[i]), out=d2)
+        return rows
+
+    def means(self, labels: np.ndarray, k: int) -> np.ndarray:
+        """The points path's centers for ``labels``."""
+        centers = np.empty((k, self.points.shape[1]))
+        _update_centers(self.points, labels, centers, self.work)
+        return centers
+
+    def lloyd(self, rows: np.ndarray, max_iter: int):
+        """One restart's Lloyd run from the seed ``rows`` (certificate 2).
+
+        Returns the labels of each step that changed them, the step count,
+        whether the labels converged, and the Gram inertia of the last labels.
+        """
+        points = self.points
+        n, k = points.shape[0], rows.size
+        every = np.arange(n)
+        members = np.zeros((n, k))
+        members[rows, np.arange(k)] = 1.0
+        counts = np.ones(k)
+        labels = np.full(n, -1)
+        history = []
+        converged = False
+        for it in range(1, max_iter + 1):
+            iterations = it
+            dist = self.distances(members, counts)
+            new_labels = np.argmin(dist, axis=1)
+            if k > 1:
+                two = np.partition(dist, 1, axis=1)
+                unsure = np.flatnonzero(~(two[:, 1] - two[:, 0] > 2.0 * self.bound))
+                if unsure.size:
+                    centers = points[rows] if it == 1 else self.means(labels, k)
+                    _direct_labels(points, unsure, centers, new_labels)
+            new_labels = _repair_empty(points, new_labels, k)
+            if np.array_equal(new_labels, labels):
+                converged = True
+                break
+            labels = new_labels
+            history.append(labels)
+            members.fill(0.0)
+            members[every, labels] = 1.0
+            counts = np.bincount(labels, minlength=k)
+        else:
+            dist = self.distances(members, counts)
+        return history, iterations, converged, float(dist[every, labels].sum())
+
+    def run(self, k: int, rng: np.random.Generator, max_iter: int,
+            n_init: int) -> KMeansResult:
+        """The restarts and their pick (certificates 3 and 4)."""
+        runs = [self.lloyd(self.seed(k, rng), max_iter) for _ in range(n_init)]
+        finals = [run[0][-1] for run in runs]
+        n, d = self.points.shape
+        approx = np.array([run[3] for run in runs])
+        slack = n * self.bound + 4 * (n * d + n + 2) * _EPS * (np.abs(approx) + n * self.bound)
+        low = int(np.argmin(approx))
+        near = np.flatnonzero(~(approx - slack > approx[low] + slack[low]))
+        # restarts that end on one partition, however numbered, have the same
+        # centers and ``_inertia`` bits, and the first of them stands for all
+        firsts: dict[bytes, int] = {}
+        for r in near.tolist():
+            firsts.setdefault(_partition_key(finals[r]), r)
+        picks = list(firsts.values())
+        winner = picks[0]
+        if len(picks) > 1:
+            exact = [_inertia(self.points, self.means(finals[r], k), finals[r], self.work)
+                     for r in picks]
+            winner = picks[int(np.argmin(exact))]
+        history, iterations, converged, _ = runs[winner]
+        trace = []
+        for labels in history:
+            centers = self.means(labels, k)
+            trace.append(_inertia(self.points, centers, labels, self.work))
+        if converged:
+            trace.append(trace[-1])
+        return KMeansResult(labels=history[-1], centers=centers, inertia=trace[-1],
+                            iterations=iterations, converged=converged,
+                            inertia_trace=tuple(trace))
+
+
 def kmeans(points: np.ndarray, k: int, seed: int,
            max_iter: int = 300, n_init: int = 10) -> KMeansResult:
     """Cluster the rows of ``points`` into k groups.
 
     k-means works on one C-ordered float64 copy of ``points`` (none is made
     when they already are one), so its results depend only on the values.
+
+    With n >= d points every distance is computed from the points. With
+    n < d (and squared norms far from underflow and overflow) the restarts
+    run on the n x n Gram of the points instead, and four kinds of decision
+    are certified against proven rounding bounds: each k-means++ draw, each
+    label, the pick of the winning restart, and the winner's centers,
+    inertia and trace, which are recomputed from its labels. A decision
+    that cannot be certified is made from the points, so both paths return
+    the same result bit for bit.
 
     Parameters
     ----------
@@ -221,11 +471,16 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     KMeansResult
         ``inertia_trace`` is the per-iteration inertia of the winning
         restart and never increases.
+
+    Raises
+    ------
+    ValidationError
+        If a point is not finite or its squared norm overflows.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValidationError("points must be 2-D (one row per sample)")
-    n = points.shape[0]
+    n, d = points.shape
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} out of range for {n} points")
     if n_init < 1 or max_iter < 1:
@@ -233,9 +488,15 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     sq_norms = np.einsum("ij,ij->i", points, points)
+    if not np.isfinite(sq_norms).all():
+        raise ValidationError("points must be finite, with squared norms below "
+                              "the float64 maximum")
     rng = np.random.default_rng(seed)
     seeds = _SeedDistances(points, min(n, k * n_init))
     work = np.empty_like(points)
+    scale = sq_norms.max()
+    if n < d and 2.0 ** -900 < scale < np.finfo(np.float64).max / (4 * n * n):
+        return _GramSpace(points, seeds, work).run(k, rng, max_iter, n_init)
     best = None
     for _ in range(n_init):
         run = _lloyd_once(points, sq_norms, k, rng, max_iter, seeds, work)

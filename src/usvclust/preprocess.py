@@ -40,7 +40,7 @@ class FeatureMatrix:
         if data.shape[1] and not np.allclose(norms, 1.0, atol=1e-8):
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise ValidationError(
-                f"column {worst} ({self.ids[worst]!r}) has norm {norms[worst]!r}"
+                f"column {worst} ({self.ids[worst]!r}) has norm {float(norms[worst])}"
             )
 
     @property
@@ -131,10 +131,17 @@ def vectorize(archive: SegmentArchive, config: PreprocessConfig | None = None) -
 
 
 def normalize_columns(data: np.ndarray, ids) -> FeatureMatrix:
-    """Build a FeatureMatrix from raw vectors by L2-normalizing each column."""
+    """Build a FeatureMatrix from raw vectors by L2-normalizing each column.
+
+    A column whose norm is zero, or not finite (a non-finite value, or
+    one whose square overflows), is refused.
+    """
     data = np.asarray(data, dtype=np.float64)
-    norms = np.linalg.norm(data, axis=0)
-    if np.any(norms == 0.0):
-        bad = int(np.argmin(norms))
-        raise ValidationError(f"column {bad} ({list(ids)[bad]!r}) is all zero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(data, axis=0)
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        col = int(bad[0])
+        what = "is all zero" if norms[col] == 0.0 else f"has norm {float(norms[col])}"
+        raise ValidationError(f"column {col} ({list(ids)[col]!r}) {what}")
     return FeatureMatrix(data / norms, tuple(ids))

@@ -1,8 +1,10 @@
 import filecmp
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +386,20 @@ class TestPreprocessAndMetrics:
                    "--method", "kmeans", "--k", 2) == 3
         assert "duplicate vector id 'a'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", r"v\.csv: a number that is not finite at line 5$"),
+        ("inf", r"v\.csv: a number that is not finite at line 5$"),
+        ("1e308", r"column 3 \('s3'\) has norm inf$"),
+    ])
+    def test_non_finite_vector_table_exits_3(self, tmp_path, capsys, cell, message):
+        table = tmp_path / "v.csv"
+        table.write_text(f"id,dim0,dim1\ns0,1,0\ns1,0,1\ns2,1,1\ns3,{cell},1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("pipeline", "--input", table, "--output_dir", tmp_path / "o",
+                       "--method", "kmeans", "--k", 2) == 3
+        assert re.search(message, capsys.readouterr().err.strip())
 
     def test_metrics_on_centroid_dir(self, archive_path, tmp_path, capsys):
         out = tmp_path / "out"

@@ -412,11 +412,17 @@ class TestVectors:
         assert back.flags.c_contiguous
 
     def test_awkward_values_bit_exact(self, tmp_path):
-        coords = np.vstack([AWKWARD, AWKWARD[::-1]])
+        # the writer writes any double; the reader takes the finite ones
+        # back bit for bit and refuses the others
+        finite = AWKWARD[np.isfinite(AWKWARD)]
+        coords = np.vstack([finite, finite[::-1]])
         path = tmp_path / "v.csv"
         write_vectors(["x", "y"], coords, path)
         _, back = read_vectors(path)
         np.testing.assert_array_equal(back.view(np.int64), coords.view(np.int64))
+        write_vectors(["x", "y"], np.vstack([AWKWARD, AWKWARD[::-1]]), path)
+        with pytest.raises(FormatError, match="not finite at line 2$"):
+            read_vectors(path)
 
     def test_quoted_ids(self, tmp_path):
         ids = ["a,b", 'q"x', "line\nbreak", "two\n\nblank", "", "crlf\r\nin"]
@@ -460,6 +466,20 @@ class TestVectors:
         path = tmp_path / "v.csv"
         path.write_text("id,dim0,dim1\n" + body)
         with pytest.raises(FormatError, match=rf"at line {line}\b"):
+            read_vectors(path)
+
+    @pytest.mark.parametrize("body, line", [
+        ("a,1,2\nb,nan,4\n", 3),
+        ("a,1,2\nb,3,inf\nc,-inf,6\n", 3),
+        ("a,1,2\nb,3,4\nc,-Infinity,6\n", 4),
+        ("a,1e309,2\n", 2),                     # too large for a double
+        ('"a\nb",1,2\nc,3,4\nd,NaN,6\n', 5),   # after an id spanning lines
+        ('a,1,2\n"b\nc",nan,4\n', 4),          # on the last line of its row
+    ])
+    def test_non_finite_number_names_the_line(self, tmp_path, body, line):
+        path = tmp_path / "v.csv"
+        path.write_text("id,dim0,dim1\n" + body)
+        with pytest.raises(FormatError, match=rf"v\.csv: .*not finite at line {line}$"):
             read_vectors(path)
 
     def test_triplets(self, tmp_path):

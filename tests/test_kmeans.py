@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (kmeans_lloyd_ref, nearest_center_direct, plus_plus_init,
-                     repair_empty_clusters)
+from oracles import kmeans_lloyd_ref, nearest_center_direct, repair_empty_clusters
 from usvclust import kmeans as km
-from usvclust.errors import ParameterError
+from usvclust.errors import ParameterError, ValidationError
 from usvclust.kmeans import kmeans
 from usvclust.preprocess import vectorize
 from usvclust.synth import generate_segments
@@ -204,21 +203,28 @@ def segment_features():
     return vectorize(archive).data.T  # F-ordered; inlier selection makes it C
 
 
+def _assert_same_run(res, ref):
+    """A ``kmeans`` result equals a ``kmeans_lloyd_ref`` tuple bit for bit."""
+    labels, centers, inertia, iterations, converged, trace = ref
+    np.testing.assert_array_equal(res.labels, labels)
+    assert res.centers.tobytes() == centers.tobytes()
+    assert res.inertia.hex() == inertia.hex()
+    assert [v.hex() for v in res.inertia_trace] == [v.hex() for v in trace]
+    assert res.iterations == iterations
+    assert res.converged == converged
+
+
+def _ref_run(points, k, seed, n_init=10, max_iter=300):
+    return kmeans_lloyd_ref(np.ascontiguousarray(points), k, seed=seed,
+                            max_iter=max_iter, n_init=n_init)
+
+
 class TestKMeansBitIdentical:
     @pytest.mark.parametrize("order", ["F", "C"])
-    def test_whole_run_matches_direct_kernel_lloyd(
-            self, segment_features, monkeypatch, order):
+    def test_whole_run_matches_direct_kernel_lloyd(self, segment_features, order):
         points = _lay_out(segment_features, order)
         assert points.shape == (60, 4096)
-        fast = kmeans(points, 6, seed=3)
-        monkeypatch.setattr(km, "_assign",
-                            lambda p, c, sq_norms: nearest_center_direct(p, c))
-        ref = kmeans(points, 6, seed=3)
-        np.testing.assert_array_equal(fast.labels, ref.labels)
-        np.testing.assert_array_equal(fast.centers, ref.centers)
-        assert fast.inertia == ref.inertia
-        assert fast.inertia_trace == ref.inertia_trace
-        assert fast.iterations == ref.iterations
+        _assert_same_run(kmeans(points, 6, seed=3), _ref_run(points, 6, seed=3))
 
 
 def _seeding_case(case, order):
@@ -229,6 +235,8 @@ def _seeding_case(case, order):
         points = rng.standard_normal((12, 300))[rng.integers(12, size=40)]
     elif case == "identical":  # every distance is 0: each center is drawn uniformly
         points = np.ones((40, 300))
+    elif case == "tall":  # n >= d: the points path, and its seeding memo
+        points = rng.standard_normal((60, 20)) + 1e3
     else:  # one column: numpy's mean sums it pairwise, not row by row
         points = rng.standard_normal((12, 1))[rng.integers(12, size=60)] + 0.1
     return _lay_out(points, order)
@@ -238,29 +246,16 @@ class TestSeedingMemo:
     """The restarts share each drawn row's distance vector, and the seeding
     still draws exactly the centers of the recomputing oracle."""
 
-    @staticmethod
-    def _assert_matches_oracle_seeding(monkeypatch, points, k, seed):
-        fast = kmeans(points, k, seed=seed, n_init=10)
-        monkeypatch.setattr(km, "_plus_plus_init",
-                            lambda p, k, rng, seeds: plus_plus_init(p, k, rng))
-        ref = kmeans(points, k, seed=seed, n_init=10)
-        np.testing.assert_array_equal(fast.labels, ref.labels)
-        np.testing.assert_array_equal(fast.centers, ref.centers)
-        assert fast.inertia == ref.inertia
-        assert fast.inertia_trace == ref.inertia_trace
-        assert fast.iterations == ref.iterations
-
     @pytest.mark.parametrize("order", ["C", "F", "view"])
-    @pytest.mark.parametrize("case", ["distinct", "duplicates", "identical"])
-    def test_whole_run_matches_oracle_seeding(self, monkeypatch, case, order):
-        self._assert_matches_oracle_seeding(
-            monkeypatch, _seeding_case(case, order), 6, seed=5)
+    @pytest.mark.parametrize("case", ["distinct", "duplicates", "identical", "tall"])
+    def test_whole_run_matches_oracle_seeding(self, case, order):
+        points = _seeding_case(case, order)
+        _assert_same_run(kmeans(points, 6, seed=5), _ref_run(points, 6, seed=5))
 
     @pytest.mark.parametrize("order", ["F", "C"])
-    def test_segment_features_match_oracle_seeding(self, segment_features,
-                                                   monkeypatch, order):
-        self._assert_matches_oracle_seeding(
-            monkeypatch, _lay_out(segment_features, order), 20, seed=0)
+    def test_segment_features_match_oracle_seeding(self, segment_features, order):
+        points = _lay_out(segment_features, order)
+        _assert_same_run(kmeans(points, 20, seed=0), _ref_run(points, 20, seed=0))
 
     def test_each_pair_computed_at_most_once_per_call(self, monkeypatch):
         pairs = []
@@ -271,14 +266,14 @@ class TestSeedingMemo:
             return fill(seeds, row, rows, out)
 
         monkeypatch.setattr(km._SeedDistances, "_fill", counting)
-        points = _seeding_case("distinct", "C")
+        points = _seeding_case("tall", "C")  # n >= d, so the points path
         counts = []
         for _ in range(2):
             pairs.clear()
             kmeans(points, 8, seed=1, n_init=10)
-            # 80 draws from 40 distinct rows; a pair whose rows were both
+            # 80 draws from 60 distinct rows; a pair whose rows were both
             # drawn is computed for the first of them only
-            assert len(pairs) == len(set(pairs)) <= 40 * 41 // 2
+            assert len(pairs) == len(set(pairs)) <= 60 * 61 // 2
             counts.append(len(pairs))
         # the memo lives for one call: the second call computes its own
         assert counts[0] == counts[1] > 0
@@ -302,19 +297,126 @@ class TestSeedingMemo:
             assert seeds(r).tobytes() == direct(c_points, r).tobytes()
 
 
+def test_draw_picks_as_generator_choice():
+    # zero entries make empty cdf steps that the search must step over
+    meta = np.random.default_rng(13)
+    for case in range(600):
+        n = int(meta.integers(1, 40))
+        w = meta.random(n) * (meta.random(n) < meta.uniform(0.2, 1.0))
+        if not w.any():
+            w[meta.integers(n)] = 1.0
+        p = w / w.sum()
+        ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+        assert km._draw(p, ours.random()) == theirs.choice(n, p=p)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _ScriptedGenerator:
+    """Stands in for a Generator whose next ``integers`` and ``random``
+    draws are known."""
+
+    def __init__(self, first, uniform):
+        self.first, self.uniform = first, uniform
+
+    def integers(self, n):
+        return self.first
+
+    def random(self):
+        return self.uniform
+
+
+class TestGramPath:
+    """Runs on n < d points take the Gram path, whose certified decisions
+    must give exactly the points path's runs."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"fill": 0, "direct": 0, "inertia": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(km._SeedDistances, "_fill",
+                            counting("fill", km._SeedDistances._fill))
+        monkeypatch.setattr(km, "_direct_sq_dist", counting("direct", km._direct_sq_dist))
+        monkeypatch.setattr(km, "_inertia", counting("inertia", km._inertia))
+        return calls
+
+    @pytest.mark.parametrize("case, k", [("distinct", 6), ("duplicates", 6),
+                                         ("identical", 4), ("segments", 6)])
+    def test_every_decision_falls_back_under_an_infinite_bound(
+            self, monkeypatch, segment_features, case, k):
+        points = segment_features if case == "segments" else _seeding_case(case, "C")
+        monkeypatch.setattr(km, "_GRAM_SLACK", np.inf)
+        calls = self._count(monkeypatch)
+        res = kmeans(points, k, seed=2)
+        # every draw and every label came from the points path's kernels
+        assert calls["fill"] > 0 and calls["direct"] > 0
+        _assert_same_run(res, _ref_run(points, k, seed=2))
+
+    def test_shipped_bound_certifies_every_decision(self, monkeypatch, segment_features):
+        calls = self._count(monkeypatch)
+        res = kmeans(segment_features, 20, seed=0)
+        assert calls["fill"] == 0 and calls["direct"] == 0
+        # one restart is certified the winner, and only its steps are replayed
+        assert calls["inertia"] == res.iterations - res.converged
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rounding_ties_match_the_points_path(self, seed):
+        # points on the plane halfway between two centers, plus 40 copies of
+        # each: when the seeds are copies, rounding alone decides the labels
+        mirror, centers = _assign_case("mirror", 1, 60, 2, 4096)
+        points = np.vstack([mirror, np.repeat(centers, 40, axis=0)])
+        _assert_same_run(kmeans(points, 2, seed=seed, n_init=2),
+                         _ref_run(points, 2, seed=seed, n_init=2))
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_draws_on_a_cdf_entry_match_the_points_path(self, nudge):
+        # a uniform draw on, or one float beside, an entry of the points
+        # path's cdf, where the Gram cdf's rounding could pick the next row
+        points = _seeding_case("distinct", "C")
+        d2 = ((points - points[0]) ** 2).sum(axis=1)
+        seeds = km._SeedDistances(points, points.shape[0])
+        space = km._GramSpace(points, seeds, np.empty_like(points))
+        for u in km._cdf(d2 / d2.sum())[:-1]:
+            rng = _ScriptedGenerator(first=0, uniform=np.nextafter(u, nudge * np.inf)
+                                     if nudge else u)
+            np.testing.assert_array_equal(points[space.seed(2, rng)],
+                                          km._plus_plus_init(points, 2, rng, seeds))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 30),
+           st.sampled_from(["random", "identical", "two_rows"]))
+    def test_small_integer_inputs_match(self, seed, n, extra, case):
+        # few distinct values make duplicate rows, exact ties and empty
+        # clusters; n < d puts every run on the Gram path
+        rng = np.random.default_rng(seed)
+        d = n + extra
+        points = rng.integers(0, 3, size=(n, d)) * 0.5 + 0.25
+        if case == "identical":
+            points[:] = points[0]
+        elif case == "two_rows":
+            points = points[rng.integers(min(2, n), size=n)]
+        k = int(rng.integers(1, n + 1))
+        _assert_same_run(kmeans(points, k, seed=seed, n_init=3),
+                         _ref_run(points, k, seed=seed, n_init=3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("d", [2, 50])
+    def test_non_finite_points_are_refused(self, bad, d):
+        points = np.ones((6, d))
+        points[3, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            kmeans(points, 2, seed=0)
+
+
 class TestLloydMatchesOracles:
     """Whole runs equal the oracle-driven run of the mask/mean loop on the
     C-ordered points, field by field and bit for bit."""
 
-    @staticmethod
-    def _assert_same(res, ref):
-        labels, centers, inertia, iterations, converged, trace = ref
-        np.testing.assert_array_equal(res.labels, labels)
-        assert res.centers.tobytes() == centers.tobytes()
-        assert res.inertia.hex() == inertia.hex()
-        assert [v.hex() for v in res.inertia_trace] == [v.hex() for v in trace]
-        assert res.iterations == iterations
-        assert res.converged == converged
 
     @pytest.mark.parametrize("order", ["C", "F", "view"])
     @pytest.mark.parametrize("case, k", [
@@ -323,7 +425,7 @@ class TestLloydMatchesOracles:
     ])
     def test_whole_run_matches(self, case, k, order):
         points = _seeding_case(case, order)
-        self._assert_same(kmeans(points, k, seed=5, n_init=3),
+        _assert_same_run(kmeans(points, k, seed=5, n_init=3),
                           kmeans_lloyd_ref(np.ascontiguousarray(points), k, seed=5,
                                            n_init=3))
 
@@ -336,7 +438,7 @@ class TestLloydMatchesOracles:
         rng = np.random.default_rng(seed)
         points = _lay_out(rng.integers(0, 3, size=(n, d)) * 0.5 + 0.25, order)
         k = int(rng.integers(1, n + 1))
-        self._assert_same(kmeans(points, k, seed=seed, n_init=2),
+        _assert_same_run(kmeans(points, k, seed=seed, n_init=2),
                           kmeans_lloyd_ref(np.ascontiguousarray(points), k,
                                            seed=seed, n_init=2))
 
@@ -356,7 +458,7 @@ class TestLloydMatchesOracles:
         res = kmeans(points, 6, seed=1, n_init=1)
         # the step that repeats the labels needed a repair to get there
         assert res.converged and repaired[-1]
-        self._assert_same(res, kmeans_lloyd_ref(np.ascontiguousarray(points), 6,
+        _assert_same_run(res, kmeans_lloyd_ref(np.ascontiguousarray(points), 6,
                                                 seed=1, n_init=1))
 
 
