@@ -188,9 +188,11 @@ def check_segment_params(n: int, shape_classes: int, seed: int, outlier_frac: fl
 
 @contextlib.contextmanager
 def _open_input(path, mode="r"):
-    """Open a file to read, as text or, with mode "rb", as bytes. A file
-    that cannot be opened or is not UTF-8 text is a FormatError naming it."""
-    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    """Open a file to read, as text or, with mode "rb", as bytes. Text
+    skips a leading UTF-8 byte-order mark, as spreadsheet programs and
+    Notepad write one. A file that cannot be opened or is not UTF-8 text
+    is a FormatError naming it."""
+    text = {} if "b" in mode else {"encoding": "utf-8-sig", "newline": ""}
     try:
         fh = open(path, mode, **text)
     except OSError as exc:

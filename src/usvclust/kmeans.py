@@ -3,17 +3,17 @@
 All restarts draw from one seeded generator, so a (points, k, seed) triple
 fixes the result exactly.
 
-A call takes one of two paths, chosen by the shape of its n x d points.
-With n >= d, which covers every spectral embedding (d = K <= n), each
-k-means++ distance and each Lloyd step works on the points themselves.
-With n < d, as in raw k-means on the 4096-d features, the n x n Gram
-G = X X^T, no larger than the points, is formed once and every restart
-works on it (``_GramSpace``): a squared distance to the mean of a set of
-rows is a sum of Gram entries. The Gram path makes four kinds of decision
-from approximate values: each k-means++ draw, each label, the pick of the
-winning restart, and the winner's centers, inertia and trace. Each is
-certified against a proven rounding bound or made by the kernels of the
-points path, so both paths return the same result bit for bit.
+A call takes one of two paths, chosen by the shape of its n x d points,
+and one driver in ``kmeans`` runs the restarts of either. With n >= d,
+which covers every spectral embedding (d = K <= n), each k-means++
+distance and each Lloyd step works on the points themselves
+(``_PointSpace``). With n < d, as in raw k-means on the 4096-d features,
+the n x n Gram G = X X^T, no larger than the points, is formed once and
+every restart works on it (``_GramSpace``): a squared distance to the mean
+of a set of rows is a sum of Gram entries. Each decision the Gram path
+makes from approximate values is certified against a proven rounding bound
+or made by the kernels of the points path, so both paths return the same
+result bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ _EPS = float(np.finfo(np.float64).eps)
 # the Gram path's distance bound in units of (d + n + 2) eps times the
 # largest squared norm: about twice what ``_GramSpace`` proves
 _GRAM_SLACK = 16.0
+# k-means++ restarts per call, and Lloyd steps per restart
+_N_INIT = 10
+_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class _SeedDistances:
     ``self(r)`` is ``((points - points[r]) ** 2).sum(axis=1)`` bit for bit.
     Centers are data rows, so each drawn row's vector is computed once and
     the restarts share it: ``table`` holds one vector per drawn row, at most
-    ``min(n, k * n_init)`` of them, and ``slot`` maps a row to its vector.
+    ``min(n, 10 k)`` of them, and ``slot`` maps a row to its vector.
 
     The rows are computed in blocks of C rows, like those of that temporary,
     in one reused buffer, so numpy sums each row in the same order. The
@@ -119,17 +122,17 @@ def _next_row(d2: np.ndarray, rng: np.random.Generator) -> int:
     return int(rng.integers(d2.size))
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator,
+def _plus_plus_init(k: int, rng: np.random.Generator,
                     seeds: _SeedDistances) -> np.ndarray:
-    """k-means++ seeding: each next center is drawn with probability
-    proportional to squared distance from the centers chosen so far."""
+    """The rows k-means++ seeding draws: each next center is drawn with
+    probability proportional to squared distance from the centers chosen so far."""
     rows = np.empty(k, dtype=np.intp)
-    rows[0] = rng.integers(points.shape[0])
+    rows[0] = rng.integers(seeds.slot.size)
     d2 = seeds(rows[0])
     for i in range(1, k):
         rows[i] = _next_row(d2, rng)
         d2 = np.minimum(d2, seeds(rows[i]))
-    return points[rows]
+    return rows
 
 
 def _direct_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -226,27 +229,44 @@ def _inertia(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
     return float(work.sum())
 
 
-def _lloyd_once(points: np.ndarray, sq_norms: np.ndarray, k: int,
-                rng: np.random.Generator, max_iter: int, seeds: _SeedDistances,
-                work: np.ndarray):
-    centers = _plus_plus_init(points, k, rng, seeds)
-    labels = np.full(points.shape[0], -1)
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        new_labels = _repair_empty(points, _assign(points, centers, sq_norms), k)
-        if np.array_equal(new_labels, labels):
-            # nothing has written into ``centers`` since they were the means
-            # of these labels, so the centers and inertia stand as they are
-            trace.append(trace[-1])
-            converged = True
-            break
-        labels = new_labels
-        _update_centers(points, labels, centers, work)
-        trace.append(_inertia(points, centers, labels, work))
-    return labels, centers, trace[-1], iterations, converged, tuple(trace)
+@dataclass
+class _PointSpace:
+    """The points path of one ``kmeans`` call, for n >= d points, with the
+    interface of ``_GramSpace``: ``seed`` draws a restart's seed rows,
+    ``lloyd`` runs it, and ``slack`` bounds how far each final inertia may
+    lie from ``_inertia``'s, here 0 because it is ``_inertia``'s."""
+
+    points: np.ndarray
+    sq_norms: np.ndarray
+    seeds: _SeedDistances
+    work: np.ndarray
+
+    def seed(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        return _plus_plus_init(k, rng, self.seeds)
+
+    def lloyd(self, rows: np.ndarray, step):
+        """One restart's Lloyd steps from the seed ``rows``, calling ``step``
+        with each step's labels when they change. Returns the last labels,
+        the step count, whether they converged, and their inertia."""
+        points = self.points
+        centers = points[rows]
+        labels = np.full(points.shape[0], -1)
+        converged = False
+        for iterations in range(1, _MAX_ITER + 1):
+            new_labels = _repair_empty(points, _assign(points, centers, self.sq_norms),
+                                       rows.size)
+            if np.array_equal(new_labels, labels):
+                # nothing has written into ``centers`` since they were the
+                # means of these labels, so they stand as they are
+                converged = True
+                break
+            labels = new_labels
+            step(labels)
+            _update_centers(points, labels, centers, self.work)
+        return labels, iterations, converged, _inertia(points, centers, labels, self.work)
+
+    def slack(self, inertia: np.ndarray) -> np.ndarray:
+        return np.zeros_like(inertia)
 
 
 def _partition_key(labels: np.ndarray) -> bytes:
@@ -256,6 +276,23 @@ def _partition_key(labels: np.ndarray) -> bytes:
     rank = np.empty(first.size, dtype=np.intp)
     rank[np.argsort(first)] = np.arange(first.size)
     return rank[inverse].tobytes()
+
+
+def _pick(finals: list, inertia: np.ndarray, slack: np.ndarray, exact) -> int:
+    """The first restart whose final labels ``finals[r]`` have the least
+    inertia by ``exact``, given ``inertia[r]`` within ``slack[r]`` of it: a
+    restart above the smallest by more than both slacks cannot be first."""
+    low = int(np.argmin(inertia))
+    near = np.flatnonzero(~(inertia - slack > inertia[low] + slack[low]))
+    # restarts that end on one partition, however numbered, have the same
+    # centers and ``_inertia`` bits, and the first of them stands for all
+    firsts: dict[bytes, int] = {}
+    for r in near.tolist():
+        firsts.setdefault(_partition_key(finals[r]), r)
+    picks = list(firsts.values())
+    if len(picks) == 1:
+        return picks[0]
+    return picks[int(np.argmin([exact(finals[r]) for r in picks]))]
 
 
 class _GramSpace:
@@ -286,7 +323,7 @@ class _GramSpace:
 
     So a Gram distance and the points path's value differ by at most
     E = 16 (d + n + 2) u S, ``self.bound``, about twice the sum of the two.
-    Four kinds of decision are made from Gram values, each only when a
+    Three kinds of decision are made from Gram values, each only when a
     certificate holds; otherwise the points path's kernels make it:
 
     1. Each k-means++ draw (``seed``). The distances to the drawn rows, a
@@ -302,13 +339,13 @@ class _GramSpace:
        than 2E behind its nearest has that nearest center on the points path
        too. The other rows are ranked by the direct kernel on the centers
        the points path holds at that step.
-    3. The restart pick (``run``). The inertia summed from n Gram distances
-       and the one ``_inertia`` sums from n d squares differ by at most
-       n E + 4 (n d + n + 2) u (|I| + n E). A restart whose Gram inertia I
-       exceeds the smallest by more than both restarts' bounds cannot be the
-       first minimum; ``_inertia`` decides among the others.
-    4. The winner's centers, inertia and trace are recomputed from its
-       labels, which are exact, by ``_update_centers`` and ``_inertia``.
+    3. The restart pick (``slack``). The inertia summed from n Gram
+       distances and the one ``_inertia`` sums from n d squares differ by
+       at most n E + 4 (n d + n + 2) u (|I| + n E), the slack ``_pick``
+       certifies the first minimum with.
+
+    The winner's centers, inertia and trace are never read from G: ``kmeans``
+    runs it again and computes them from its exact labels at each step.
     """
 
     def __init__(self, points: np.ndarray, seeds: _SeedDistances, work: np.ndarray):
@@ -365,18 +402,9 @@ class _GramSpace:
             np.minimum(d2, self._row_distances(rows[i]), out=d2)
         return rows
 
-    def means(self, labels: np.ndarray, k: int) -> np.ndarray:
-        """The points path's centers for ``labels``."""
-        centers = np.empty((k, self.points.shape[1]))
-        _update_centers(self.points, labels, centers, self.work)
-        return centers
-
-    def lloyd(self, rows: np.ndarray, max_iter: int):
-        """One restart's Lloyd run from the seed ``rows`` (certificate 2).
-
-        Returns the labels of each step that changed them, the step count,
-        whether the labels converged, and the Gram inertia of the last labels.
-        """
+    def lloyd(self, rows: np.ndarray, step):
+        """``_PointSpace.lloyd`` from the Gram (certificate 2); the inertia
+        it returns is that of the Gram distances."""
         points = self.points
         n, k = points.shape[0], rows.size
         every = np.arange(n)
@@ -384,87 +412,59 @@ class _GramSpace:
         members[rows, np.arange(k)] = 1.0
         counts = np.ones(k)
         labels = np.full(n, -1)
-        history = []
         converged = False
-        for it in range(1, max_iter + 1):
-            iterations = it
+        for iterations in range(1, _MAX_ITER + 1):
             dist = self.distances(members, counts)
             new_labels = np.argmin(dist, axis=1)
             if k > 1:
                 two = np.partition(dist, 1, axis=1)
                 unsure = np.flatnonzero(~(two[:, 1] - two[:, 0] > 2.0 * self.bound))
                 if unsure.size:
-                    centers = points[rows] if it == 1 else self.means(labels, k)
+                    centers = points[rows]
+                    if iterations > 1:  # the points path's centers at this step
+                        _update_centers(points, labels, centers, self.work)
                     _direct_labels(points, unsure, centers, new_labels)
             new_labels = _repair_empty(points, new_labels, k)
             if np.array_equal(new_labels, labels):
                 converged = True
                 break
             labels = new_labels
-            history.append(labels)
+            step(labels)
             members.fill(0.0)
             members[every, labels] = 1.0
             counts = np.bincount(labels, minlength=k)
         else:
             dist = self.distances(members, counts)
-        return history, iterations, converged, float(dist[every, labels].sum())
+        return labels, iterations, converged, float(dist[every, labels].sum())
 
-    def run(self, k: int, rng: np.random.Generator, max_iter: int,
-            n_init: int) -> KMeansResult:
-        """The restarts and their pick (certificates 3 and 4)."""
-        runs = [self.lloyd(self.seed(k, rng), max_iter) for _ in range(n_init)]
-        finals = [run[0][-1] for run in runs]
+    def slack(self, inertia: np.ndarray) -> np.ndarray:
+        """How far each Gram inertia may lie from ``_inertia``'s (certificate 3)."""
         n, d = self.points.shape
-        approx = np.array([run[3] for run in runs])
-        slack = n * self.bound + 4 * (n * d + n + 2) * _EPS * (np.abs(approx) + n * self.bound)
-        low = int(np.argmin(approx))
-        near = np.flatnonzero(~(approx - slack > approx[low] + slack[low]))
-        # restarts that end on one partition, however numbered, have the same
-        # centers and ``_inertia`` bits, and the first of them stands for all
-        firsts: dict[bytes, int] = {}
-        for r in near.tolist():
-            firsts.setdefault(_partition_key(finals[r]), r)
-        picks = list(firsts.values())
-        winner = picks[0]
-        if len(picks) > 1:
-            exact = [_inertia(self.points, self.means(finals[r], k), finals[r], self.work)
-                     for r in picks]
-            winner = picks[int(np.argmin(exact))]
-        history, iterations, converged, _ = runs[winner]
-        trace = []
-        for labels in history:
-            centers = self.means(labels, k)
-            trace.append(_inertia(self.points, centers, labels, self.work))
-        if converged:
-            trace.append(trace[-1])
-        return KMeansResult(labels=history[-1], centers=centers, inertia=trace[-1],
-                            iterations=iterations, converged=converged,
-                            inertia_trace=tuple(trace))
+        return n * self.bound + 4 * (n * d + n + 2) * _EPS * (np.abs(inertia) + n * self.bound)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int,
-           max_iter: int = 300, n_init: int = 10) -> KMeansResult:
-    """Cluster the rows of ``points`` into k groups.
+def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
+    """Cluster the rows of ``points`` into k groups: the best of 10
+    k-means++ restarts of at most 300 Lloyd steps each.
 
     k-means works on one C-ordered float64 copy of ``points`` (none is made
     when they already are one), so its results depend only on the values.
 
-    With n >= d points every distance is computed from the points. With
-    n < d (and squared norms far from underflow and overflow) the restarts
-    run on the n x n Gram of the points instead, and four kinds of decision
-    are certified against proven rounding bounds: each k-means++ draw, each
-    label, the pick of the winning restart, and the winner's centers,
-    inertia and trace, which are recomputed from its labels. A decision
-    that cannot be certified is made from the points, so both paths return
-    the same result bit for bit.
+    One driver serves both paths. It draws every restart's seed rows first,
+    sharing one table of ``min(n, 10 k)`` distance vectors, runs each
+    restart keeping only its final labels and inertia, picks the winner
+    (``_pick``), and runs it again from its seed rows to rebuild its
+    centers, inertia and trace. With n < d (and squared norms far from
+    underflow and overflow) the restarts run on the n x n Gram of the
+    points, each decision certified or else made from the points; with
+    n >= d every distance comes from the points. Both paths return the same
+    result bit for bit.
 
     Parameters
     ----------
     points : (n, d) array
     k : number of clusters, 1 <= k <= n
     seed : seeds one generator shared by all restarts, >= 0
-    max_iter : Lloyd iteration cap per restart
-    n_init : independent seedings; the lowest-inertia run wins
 
     Returns
     -------
@@ -483,8 +483,6 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     n, d = points.shape
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} out of range for {n} points")
-    if n_init < 1 or max_iter < 1:
-        raise ParameterError("n_init and max_iter must be >= 1")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     sq_norms = np.einsum("ij,ij->i", points, points)
@@ -492,20 +490,33 @@ def kmeans(points: np.ndarray, k: int, seed: int,
         raise ValidationError("points must be finite, with squared norms below "
                               "the float64 maximum")
     rng = np.random.default_rng(seed)
-    seeds = _SeedDistances(points, min(n, k * n_init))
+    seeds = _SeedDistances(points, min(n, k * _N_INIT))
     work = np.empty_like(points)
     scale = sq_norms.max()
     if n < d and 2.0 ** -900 < scale < np.finfo(np.float64).max / (4 * n * n):
-        return _GramSpace(points, seeds, work).run(k, rng, max_iter, n_init)
-    best = None
-    for _ in range(n_init):
-        run = _lloyd_once(points, sq_norms, k, rng, max_iter, seeds, work)
-        if best is None or run[2] < best[2]:
-            best = run
-    labels, centers, inertia, iterations, converged, trace = best
-    return KMeansResult(labels=labels, centers=centers, inertia=inertia,
+        space = _GramSpace(points, seeds, work)
+    else:
+        space = _PointSpace(points, sq_norms, seeds, work)
+    # Lloyd draws nothing, so seeding every restart first consumes the
+    # generator in the order that seeding each before its run would
+    starts = [space.seed(k, rng) for _ in range(_N_INIT)]
+    runs = [space.lloyd(rows, lambda labels: None) for rows in starts]
+    centers = np.empty((k, d))
+
+    def exact(labels):  # the points path's inertia, and means in ``centers``
+        _update_centers(points, labels, centers, work)
+        return _inertia(points, centers, labels, work)
+
+    inertia = np.array([run[3] for run in runs])
+    winner = _pick([run[0] for run in runs], inertia, space.slack(inertia), exact)
+    trace = []
+    labels, iterations, converged, _ = space.lloyd(
+        starts[winner], lambda labels: trace.append(exact(labels)))
+    if converged:
+        trace.append(trace[-1])
+    return KMeansResult(labels=labels, centers=centers, inertia=trace[-1],
                         iterations=iterations, converged=converged,
-                        inertia_trace=trace)
+                        inertia_trace=tuple(trace))
 
 
 def principal_axes(points: np.ndarray):

@@ -537,6 +537,32 @@ def test_ascii_locale_writes_the_same_bytes(tmp_path):
     assert "\u00e9s0000".encode() in trees[0]["labels.csv"]
 
 
+def test_leading_byte_order_marks_are_read_and_never_written(archive_path, tmp_path,
+                                                             capsys):
+    # a config file, vector table and labels file that begin with U+FEFF,
+    # as a spreadsheet's "CSV UTF-8" export or Notepad saves them
+    vecs = tmp_path / "features.csv"
+    assert run("preprocess", "--input", archive_path, "--output", vecs,
+               "--f", 12, "--t", 12) == 0
+    trees, reports = [], []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        table, cfg, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.cfg", tmp_path / name
+        table.write_bytes(bom + vecs.read_bytes())
+        cfg.write_bytes(bom + f"input = {table}\nmethod = cs_sc\nk = 3\n".encode())
+        assert run("pipeline", "--config", cfg, "--output_dir", out) == 0
+        trees.append(tree_bytes(out))
+        labels = tmp_path / f"{name}_labels.csv"
+        labels.write_bytes(bom + (out / "labels.csv").read_bytes())
+        report = tmp_path / f"{name}_report.txt"
+        assert run("evaluate", "--labels", labels, "--input", table, "--method", "cs_sc",
+                   "--output", report) == 0
+        reports.append(report.read_bytes())
+    capsys.readouterr()
+    assert trees[0] == trees[1]
+    assert reports[0] == reports[1] == trees[0]["metrics.txt"]
+    assert not any(data.startswith(b"\xef\xbb\xbf") for data in trees[1].values())
+
+
 @pytest.mark.parametrize("argv, needle", [
     (("preprocess", "--input", "a.ssca", "--output", "a.ssca"),
      "--output 'a.ssca' names the --input path 'a.ssca'"),

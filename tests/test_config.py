@@ -179,6 +179,15 @@ class TestConfigFile:
             assert cli.main(["pipeline", "--config", str(p)]) == 2
             assert error in capsys.readouterr().err
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        # a file saved as UTF-8 by Notepad begins with U+FEFF
+        body = "method = omp_ssc\nk = 10,20\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text("\ufeff" + body, encoding="utf-8")
+        assert read_config_file(marked) == read_config_file(plain) == {
+            "method": "omp_ssc", "k": (10, 20)}
+
 
 # a non-default value for every PipelineConfig field, as flag/file text;
 # True marks a bare flag (written "true" in a file)

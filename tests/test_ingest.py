@@ -21,6 +21,12 @@ from usvclust.ingest import (SegmentArchive, SpectroSegment, _csv_blocks,
 from usvclust.outlier_split import Partition
 
 
+def prepend_bom(path):
+    """Begin ``path`` with a UTF-8 byte-order mark, as a spreadsheet's
+    "CSV UTF-8" export or Notepad writes it."""
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
 def seg(i, energy):
     return SpectroSegment(f"seg{i}", np.array(energy, dtype=float))
 
@@ -181,6 +187,17 @@ class TestArchiveRoundTrip:
         with pytest.raises(FormatError, match=rf"manifest\.csv: {message}$"):
             read_archive(d)
 
+    def test_csv_leading_byte_order_marks_are_skipped(self, tmp_path):
+        d = tmp_path / "d"
+        write_archive(SegmentArchive((seg(0, [[1, 2], [3, 4]]), seg(1, [[5, 6], [7, 8]]))), d)
+        plain = read_archive(d)
+        for name in ("manifest.csv", "seg_00000.csv"):
+            prepend_bom(d / name)
+        back = read_archive(d)
+        assert [s.id for s in back.segments] == [s.id for s in plain.segments]
+        for a, b in zip(back.segments, plain.segments):
+            assert a.energy.tobytes() == b.energy.tobytes()
+
     def test_csv_ragged_matrix(self, tmp_path):
         d = tmp_path / "d"
         write_archive(SegmentArchive((seg(0, [[1, 2], [3, 4]]),)), d)
@@ -242,6 +259,15 @@ class TestLabels:
         path = tmp_path / "labels.csv"
         write_label_rows(["a", "b"], [0, 1], [False, True], path)
         assert path.read_text() == "id,label,is_outlier\na,0,0\nb,1,1\n"
+        ids, labels, flags = read_labels(path)
+        assert ids == ["a", "b"]
+        assert labels.tolist() == [0, 1]
+        assert flags.tolist() == [False, True]
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        write_label_rows(["a", "b"], [0, 1], [False, True], path)
+        prepend_bom(path)
         ids, labels, flags = read_labels(path)
         assert ids == ["a", "b"]
         assert labels.tolist() == [0, 1]
@@ -389,6 +415,15 @@ class TestVectors:
         ids, back = read_vectors(path)
         assert ids == [f"s{i}" for i in range(5)]
         np.testing.assert_array_equal(back, coords)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        coords = np.random.default_rng(2).standard_normal((3, 2))
+        path = tmp_path / "v.csv"
+        write_vectors(["a", "b", "c"], coords, path)
+        prepend_bom(path)
+        ids, back = read_vectors(path)
+        assert ids == ["a", "b", "c"]
+        assert back.tobytes() == coords.tobytes()
 
     def test_header_shape(self, tmp_path):
         path = tmp_path / "v.csv"

@@ -66,8 +66,8 @@ class TestKMeans:
     def test_more_restarts_never_worse(self):
         rng = np.random.default_rng(4)
         pts = np.vstack([rng.normal(c, 0.3, (15, 2)) for c in (0.0, 5.0, 10.0)])
-        bad = min(kmeans(pts, 3, seed=s, n_init=1).inertia for s in range(5))
-        good = kmeans(pts, 3, seed=0, n_init=10).inertia
+        bad = min(_kmeans(pts, 3, seed=s, n_init=1).inertia for s in range(5))
+        good = kmeans(pts, 3, seed=0).inertia
         assert good <= bad + 1e-9
 
     def test_labels_in_range(self):
@@ -80,13 +80,22 @@ class TestKMeans:
         with pytest.raises(ParameterError):
             kmeans(np.zeros((3, 2)), 4, seed=0)
 
-    def test_bad_n_init(self):
-        with pytest.raises(ParameterError):
-            kmeans(np.zeros((3, 2)), 2, seed=0, n_init=0)
+    @pytest.mark.parametrize("name", ["n_init", "max_iter"])
+    def test_restart_count_and_step_cap_are_fixed(self, name):
+        with pytest.raises(TypeError):
+            kmeans(np.zeros((3, 2)), 2, seed=0, **{name: 1})
 
     def test_negative_seed(self):
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             kmeans(np.zeros((3, 2)), 2, seed=-1)
+
+
+def _kmeans(points, k, seed, n_init=10, max_iter=300):
+    """``kmeans`` with its restart count and step cap set to other values."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(km, "_N_INIT", n_init)
+        patch.setattr(km, "_MAX_ITER", max_iter)
+        return kmeans(points, k, seed=seed)
 
 
 def _sq_norms(points):
@@ -270,7 +279,7 @@ class TestSeedingMemo:
         counts = []
         for _ in range(2):
             pairs.clear()
-            kmeans(points, 8, seed=1, n_init=10)
+            kmeans(points, 8, seed=1)
             # 80 draws from 60 distinct rows; a pair whose rows were both
             # drawn is computed for the first of them only
             assert len(pairs) == len(set(pairs)) <= 60 * 61 // 2
@@ -370,7 +379,7 @@ class TestGramPath:
         # each: when the seeds are copies, rounding alone decides the labels
         mirror, centers = _assign_case("mirror", 1, 60, 2, 4096)
         points = np.vstack([mirror, np.repeat(centers, 40, axis=0)])
-        _assert_same_run(kmeans(points, 2, seed=seed, n_init=2),
+        _assert_same_run(_kmeans(points, 2, seed=seed, n_init=2),
                          _ref_run(points, 2, seed=seed, n_init=2))
 
     @pytest.mark.parametrize("nudge", [-1, 0, 1])
@@ -384,24 +393,26 @@ class TestGramPath:
         for u in km._cdf(d2 / d2.sum())[:-1]:
             rng = _ScriptedGenerator(first=0, uniform=np.nextafter(u, nudge * np.inf)
                                      if nudge else u)
-            np.testing.assert_array_equal(points[space.seed(2, rng)],
-                                          km._plus_plus_init(points, 2, rng, seeds))
+            np.testing.assert_array_equal(space.seed(2, rng),
+                                          km._plus_plus_init(2, rng, seeds))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 30),
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(-11, 30),
            st.sampled_from(["random", "identical", "two_rows"]))
     def test_small_integer_inputs_match(self, seed, n, extra, case):
         # few distinct values make duplicate rows, exact ties and empty
-        # clusters; n < d puts every run on the Gram path
+        # clusters, and restarts that end on different partitions with the
+        # same inertia, so the shared pick must keep the first of them;
+        # extra > 0 puts the run on the Gram path, extra <= 0 on the points path
         rng = np.random.default_rng(seed)
-        d = n + extra
+        d = max(1, n + extra)
         points = rng.integers(0, 3, size=(n, d)) * 0.5 + 0.25
         if case == "identical":
             points[:] = points[0]
         elif case == "two_rows":
             points = points[rng.integers(min(2, n), size=n)]
         k = int(rng.integers(1, n + 1))
-        _assert_same_run(kmeans(points, k, seed=seed, n_init=3),
+        _assert_same_run(_kmeans(points, k, seed=seed, n_init=3),
                          _ref_run(points, k, seed=seed, n_init=3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
@@ -425,7 +436,7 @@ class TestLloydMatchesOracles:
     ])
     def test_whole_run_matches(self, case, k, order):
         points = _seeding_case(case, order)
-        _assert_same_run(kmeans(points, k, seed=5, n_init=3),
+        _assert_same_run(_kmeans(points, k, seed=5, n_init=3),
                           kmeans_lloyd_ref(np.ascontiguousarray(points), k, seed=5,
                                            n_init=3))
 
@@ -438,7 +449,7 @@ class TestLloydMatchesOracles:
         rng = np.random.default_rng(seed)
         points = _lay_out(rng.integers(0, 3, size=(n, d)) * 0.5 + 0.25, order)
         k = int(rng.integers(1, n + 1))
-        _assert_same_run(kmeans(points, k, seed=seed, n_init=2),
+        _assert_same_run(_kmeans(points, k, seed=seed, n_init=2),
                           kmeans_lloyd_ref(np.ascontiguousarray(points), k,
                                            seed=seed, n_init=2))
 
@@ -455,7 +466,7 @@ class TestLloydMatchesOracles:
             return out
 
         monkeypatch.setattr(km, "_repair_empty", recording)
-        res = kmeans(points, 6, seed=1, n_init=1)
+        res = _kmeans(points, 6, seed=1, n_init=1)
         # the step that repeats the labels needed a repair to get there
         assert res.converged and repaired[-1]
         _assert_same_run(res, kmeans_lloyd_ref(np.ascontiguousarray(points), 6,
@@ -471,7 +482,7 @@ class TestLayoutIndependence:
         # alone decides the nearest center, plus 40 copies of each center
         mirror, centers = _assign_case("mirror", 1, 60, 2, 4096)
         points = np.vstack([mirror, np.repeat(centers, 40, axis=0)])
-        runs = [kmeans(_lay_out(points, order), 2, seed=seed, n_init=1, max_iter=1)
+        runs = [_kmeans(_lay_out(points, order), 2, seed=seed, n_init=1, max_iter=1)
                 for order in ("C", "F", "view")]
         for res in runs[1:]:
             np.testing.assert_array_equal(res.labels, runs[0].labels)
@@ -506,11 +517,27 @@ def test_peak_memory_stays_near_input_size(n_init):
     points = np.random.default_rng(12).standard_normal((200, 4096))
     tracemalloc.start()
     try:
-        kmeans(points, 30, seed=0, n_init=n_init)
+        _kmeans(points, 30, seed=0, n_init=n_init)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * points.nbytes
+
+
+def test_points_path_restarts_keep_only_final_labels():
+    # n >= d: the points path. Its seeding table is min(n, 10 k) rows of n;
+    # beyond it a call needs about 9 n x d buffers here, mostly the n x k
+    # distances of a step. A restart that kept the labels of each of its
+    # ~30 steps would add about 5 more.
+    points = np.random.default_rng(12).standard_normal((3000, 8))
+    tracemalloc.start()
+    try:
+        kmeans(points, 30, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = min(3000, 10 * 30) * 3000 * 8
+    assert peak < table + 12 * points.nbytes
 
 
 def pca_project(points, k):
