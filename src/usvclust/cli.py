@@ -164,6 +164,9 @@ def _cmd_metrics(args) -> int:
     cents = ingest.read_centroid_dir(path) if path.is_dir() else ingest.read_vectors(path)[1]
     if len(cents) < 2:
         raise ValidationError(f"{path}: metrics need at least 2 centroids, got {len(cents)}")
+    for rank, centroid in enumerate(cents):
+        if not centroid.any():
+            raise ValidationError(f"{path}: centroid {rank} is all zero")
     hmean, std = metrics.distance_stats(cents)
     print("d_cos_hmean=%.17g" % hmean)
     print("d_cos_std=%.17g" % std)

@@ -378,7 +378,8 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
     """Read one comma-separated matrix; blank lines are skipped.
 
     The numbers are parsed by numpy's C text reader, which reads the same
-    doubles as ``float`` but refuses underscores such as ``1_0``.
+    doubles as ``float`` but refuses underscores such as ``1_0``. A number
+    that is not finite is refused with the line that holds it.
     """
     with _open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -387,23 +388,31 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
         else:
             raise FormatError(f"{path}: empty matrix")
         width = line.count(",") + 1
+        row_lines = []  # the file line of each row
 
         def lines():
             # loadtxt pulls one line at a time as it parses, so ``lineno``
             # and ``line`` belong to the row it was reading when it fails
             nonlocal lineno, line
+            row_lines.append(lineno)
             yield line
             for lineno, line in enumerate(fh, start=lineno + 1):
                 if line.strip():
+                    row_lines.append(lineno)
                     yield line
 
         try:
-            return np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
+            matrix = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
         except UnicodeDecodeError:  # a ValueError too; _open_input names it
             raise
         except ValueError as exc:
             what = "ragged row" if line.count(",") + 1 != width else "bad number"
             raise FormatError(f"{path}: {what} at line {lineno}") from exc
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}: a number that is not finite at line "
+                          f"{row_lines[int(np.argmin(finite))]}")
+    return matrix
 
 
 # ---------------------------------------------------------------------------

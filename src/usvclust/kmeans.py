@@ -12,8 +12,9 @@ the n x n Gram G = X X^T, no larger than the points, is formed once and
 every restart works on it (``_GramSpace``): a squared distance to the mean
 of a set of rows is a sum of Gram entries. Each decision the Gram path
 makes from approximate values is certified against a proven rounding bound
-or made by the kernels of the points path, so both paths return the same
-result bit for bit.
+or made by the kernels of the points path, and the winner's centers and
+inertia come from its final labels by those kernels, so both paths return
+the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ _MAX_ITER = 300
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Labels, centers and the inertia trace of the winning restart."""
+    """The winning restart: its labels, their means and inertia, its Lloyd
+    step count and whether its labels converged."""
 
     labels: np.ndarray
     centers: np.ndarray
     inertia: float
     iterations: int
     converged: bool
-    inertia_trace: tuple[float, ...]
 
 
 class _SeedDistances:
@@ -56,44 +57,35 @@ class _SeedDistances:
     the restarts share it: ``table`` holds one vector per drawn row, at most
     ``min(n, 10 k)`` of them, and ``slot`` maps a row to its vector.
 
-    The rows are computed in blocks of C rows, like those of that temporary,
-    in one reused buffer, so numpy sums each row in the same order. The
-    entry of a row that was drawn before is copied from that row's own vector:
-    ``(a - b) ** 2`` and ``(b - a) ** 2`` are the same bits and each row is
-    summed in the same order, so every unordered pair of rows is computed at
-    most once.
+    A vector is computed in blocks of consecutive C rows, like those of that
+    temporary, in one reused buffer, so numpy sums each row in the same order.
     """
 
     def __init__(self, points: np.ndarray, capacity: int):
-        n, self.d = points.shape
+        n, d = points.shape
         self.points = points
         self.table = np.empty((capacity, n))
         self.slot = np.full(n, -1)
         self.count = 0
-        self.block_rows = max(1, _SEED_BLOCK_BYTES // (8 * max(self.d, 1)))
-        self.buf = np.empty(self.block_rows * self.d)
+        self.block_rows = max(1, _SEED_BLOCK_BYTES // (8 * max(d, 1)))
+        self.buf = np.empty(self.block_rows * d)
 
     def __call__(self, row: int) -> np.ndarray:
         if self.slot[row] < 0:
-            out = self.table[self.count]
-            drawn = self.slot >= 0
-            out[drawn] = self.table[self.slot[drawn], row]
-            self._fill(row, np.flatnonzero(~drawn), out)
+            self._fill(row, self.table[self.count])
             self.slot[row] = self.count
             self.count += 1
         return self.table[self.slot[row]]
 
-    def _fill(self, row: int, todo: np.ndarray, out: np.ndarray) -> None:
-        """Write the squared distances of the rows ``todo`` to row ``row`` into ``out``."""
+    def _fill(self, row: int, out: np.ndarray) -> None:
+        """Write the squared distances of every row to row ``row`` into ``out``."""
         center = self.points[row]
-        for lo in range(0, todo.size, self.block_rows):
-            idx = todo[lo:lo + self.block_rows]
-            block = self.buf[:idx.size * self.d].reshape(idx.size, self.d)
-            # the indices are valid; "clip" skips the copy "raise" makes
-            np.take(self.points, idx, axis=0, out=block, mode="clip")
-            block -= center
+        for lo in range(0, out.size, self.block_rows):
+            rows = self.points[lo:lo + self.block_rows]
+            block = self.buf[:rows.size].reshape(rows.shape)
+            np.subtract(rows, center, out=block)
             np.square(block, out=block)
-            out[idx] = block.sum(axis=1)
+            block.sum(axis=1, out=out[lo:lo + len(rows)])
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -244,10 +236,9 @@ class _PointSpace:
     def seed(self, k: int, rng: np.random.Generator) -> np.ndarray:
         return _plus_plus_init(k, rng, self.seeds)
 
-    def lloyd(self, rows: np.ndarray, step):
-        """One restart's Lloyd steps from the seed ``rows``, calling ``step``
-        with each step's labels when they change. Returns the last labels,
-        the step count, whether they converged, and their inertia."""
+    def lloyd(self, rows: np.ndarray):
+        """One restart's Lloyd steps from the seed ``rows``. Returns the last
+        labels, the step count, whether they converged, and their inertia."""
         points = self.points
         centers = points[rows]
         labels = np.full(points.shape[0], -1)
@@ -261,7 +252,6 @@ class _PointSpace:
                 converged = True
                 break
             labels = new_labels
-            step(labels)
             _update_centers(points, labels, centers, self.work)
         return labels, iterations, converged, _inertia(points, centers, labels, self.work)
 
@@ -344,8 +334,9 @@ class _GramSpace:
        at most n E + 4 (n d + n + 2) u (|I| + n E), the slack ``_pick``
        certifies the first minimum with.
 
-    The winner's centers, inertia and trace are never read from G: ``kmeans``
-    runs it again and computes them from its exact labels at each step.
+    The winner's centers and inertia are never read from G: ``kmeans``
+    computes them from its final labels, which are exact, with the points
+    path's kernels.
     """
 
     def __init__(self, points: np.ndarray, seeds: _SeedDistances, work: np.ndarray):
@@ -402,7 +393,7 @@ class _GramSpace:
             np.minimum(d2, self._row_distances(rows[i]), out=d2)
         return rows
 
-    def lloyd(self, rows: np.ndarray, step):
+    def lloyd(self, rows: np.ndarray):
         """``_PointSpace.lloyd`` from the Gram (certificate 2); the inertia
         it returns is that of the Gram distances."""
         points = self.points
@@ -429,7 +420,6 @@ class _GramSpace:
                 converged = True
                 break
             labels = new_labels
-            step(labels)
             members.fill(0.0)
             members[every, labels] = 1.0
             counts = np.bincount(labels, minlength=k)
@@ -450,11 +440,11 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     k-means works on one C-ordered float64 copy of ``points`` (none is made
     when they already are one), so its results depend only on the values.
 
-    One driver serves both paths. It draws every restart's seed rows first,
-    sharing one table of ``min(n, 10 k)`` distance vectors, runs each
-    restart keeping only its final labels and inertia, picks the winner
-    (``_pick``), and runs it again from its seed rows to rebuild its
-    centers, inertia and trace. With n < d (and squared norms far from
+    One driver serves both paths. It seeds and runs each restart in turn,
+    the seedings sharing one table of ``min(n, 10 k)`` distance vectors,
+    keeps only each restart's final labels and inertia, picks the winner
+    (``_pick``), and computes the winner's centers and inertia from its
+    final labels. With n < d (and squared norms far from
     underflow and overflow) the restarts run on the n x n Gram of the
     points, each decision certified or else made from the points; with
     n >= d every distance comes from the points. Both paths return the same
@@ -469,8 +459,6 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     Returns
     -------
     KMeansResult
-        ``inertia_trace`` is the per-iteration inertia of the winning
-        restart and never increases.
 
     Raises
     ------
@@ -497,10 +485,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         space = _GramSpace(points, seeds, work)
     else:
         space = _PointSpace(points, sq_norms, seeds, work)
-    # Lloyd draws nothing, so seeding every restart first consumes the
-    # generator in the order that seeding each before its run would
-    starts = [space.seed(k, rng) for _ in range(_N_INIT)]
-    runs = [space.lloyd(rows, lambda labels: None) for rows in starts]
+    runs = [space.lloyd(space.seed(k, rng)) for _ in range(_N_INIT)]
     centers = np.empty((k, d))
 
     def exact(labels):  # the points path's inertia, and means in ``centers``
@@ -509,14 +494,9 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
 
     inertia = np.array([run[3] for run in runs])
     winner = _pick([run[0] for run in runs], inertia, space.slack(inertia), exact)
-    trace = []
-    labels, iterations, converged, _ = space.lloyd(
-        starts[winner], lambda labels: trace.append(exact(labels)))
-    if converged:
-        trace.append(trace[-1])
-    return KMeansResult(labels=labels, centers=centers, inertia=trace[-1],
-                        iterations=iterations, converged=converged,
-                        inertia_trace=tuple(trace))
+    labels, iterations, converged, _ = runs[winner]
+    return KMeansResult(labels=labels, centers=centers, inertia=exact(labels),
+                        iterations=iterations, converged=converged)
 
 
 def principal_axes(points: np.ndarray):

@@ -451,6 +451,33 @@ class TestPreprocessAndMetrics:
         assert run("metrics", "--centroids", table) == 3
         assert_refused(capsys, f"{table}: metrics need at least 2 centroids, got 1")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_centroid_grid_exits_3(self, tmp_path, capsys, cell):
+        cdir = tmp_path / "c"
+        cdir.mkdir()
+        (cdir / "centroid_00.csv").write_text("1,0\n0,1\n")
+        # the blank line counts: the bad number is on the file's line 3
+        (cdir / "centroid_01.csv").write_text(f"1,2\n\n3,{cell}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("metrics", "--centroids", cdir) == 3
+        assert_refused(capsys, f"{cdir / 'centroid_01.csv'}: a number that is not finite "
+                               "at line 3\n")
+
+    @pytest.mark.parametrize("layout", ["table", "grids"])
+    def test_all_zero_centroid_exits_3(self, tmp_path, capsys, layout):
+        cents = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, -0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+        if layout == "table":
+            path = tmp_path / "c.csv"
+            ingest.write_vectors([f"centroid_{r:02d}" for r in range(3)], cents, path)
+        else:
+            path = tmp_path / "c"
+            path.mkdir()
+            for r, cent in enumerate(cents):
+                np.savetxt(path / f"centroid_{r:02d}.csv", cent.reshape(2, 2), delimiter=",")
+        assert run("metrics", "--centroids", path) == 3
+        assert_refused(capsys, f"{path}: centroid 1 is all zero\n")
+
     def test_header_field_over_the_csv_limit_exits_3(self, tmp_path, capsys):
         table = tmp_path / "h.csv"
         table.write_text("id," + "d" * 140000 + "\na,1\n")

@@ -212,6 +212,9 @@ class TestArchiveRoundTrip:
         ("1,2\n3,\n", "bad number at line 2"),
         ("1_0,2\n3,4\n", "bad number at line 1"),  # underscores are refused
         ("\n  \n", "empty matrix"),
+        ("1,2\n\n3,nan\n", "a number that is not finite at line 3"),
+        ("\n1,-inf\n3,4\n", "a number that is not finite at line 2"),
+        ("1,2\n3,1e999\n", "a number that is not finite at line 2"),  # too large
     ])
     def test_csv_matrix_errors(self, tmp_path, body, message):
         d = tmp_path / "d"

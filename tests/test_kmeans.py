@@ -48,14 +48,34 @@ class TestKMeans:
         assert r1.inertia == r2.inertia
 
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
-    def test_inertia_trace_never_increases(self, seed, k):
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 5), st.sampled_from([3, 40]))
+    def test_centers_and_inertia_are_those_of_the_labels(self, seed, k, d):
+        # d = 3 takes the points path, d = 40 the Gram path
         rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((30, 3))
+        pts = rng.standard_normal((30, d))
         res = kmeans(pts, k, seed=seed)
-        trace = np.array(res.inertia_trace)
-        assert np.all(np.diff(trace) <= 1e-9)
-        assert res.inertia == trace[-1]
+        for c in range(k):
+            assert res.centers[c].tobytes() == pts[res.labels == c].mean(axis=0).tobytes()
+        assert res.inertia.hex() == float(((pts - res.centers[res.labels]) ** 2).sum()).hex()
+
+    @pytest.mark.parametrize("d", [3, 40])
+    def test_each_restart_runs_once(self, monkeypatch, d):
+        # d = 3 takes the points path, d = 40 the Gram path; the winner's
+        # result comes from its one run, not from running it again
+        space = km._PointSpace if d == 3 else km._GramSpace
+        runs = []
+        lloyd = space.lloyd
+
+        def counting(*args):
+            runs.append(args)
+            return lloyd(*args)
+
+        monkeypatch.setattr(space, "lloyd", counting)
+        pts = np.random.default_rng(3).standard_normal((30, d))
+        for seed in range(3):
+            runs.clear()
+            kmeans(pts, 4, seed=seed)
+            assert len(runs) == 10
 
     def test_every_cluster_nonempty_with_duplicates(self):
         # duplicated points invite empty clusters during Lloyd iterations
@@ -214,11 +234,10 @@ def segment_features():
 
 def _assert_same_run(res, ref):
     """A ``kmeans`` result equals a ``kmeans_lloyd_ref`` tuple bit for bit."""
-    labels, centers, inertia, iterations, converged, trace = ref
+    labels, centers, inertia, iterations, converged, _ = ref
     np.testing.assert_array_equal(res.labels, labels)
     assert res.centers.tobytes() == centers.tobytes()
     assert res.inertia.hex() == inertia.hex()
-    assert [v.hex() for v in res.inertia_trace] == [v.hex() for v in trace]
     assert res.iterations == iterations
     assert res.converged == converged
 
@@ -266,24 +285,24 @@ class TestSeedingMemo:
         points = _lay_out(segment_features, order)
         _assert_same_run(kmeans(points, 20, seed=0), _ref_run(points, 20, seed=0))
 
-    def test_each_pair_computed_at_most_once_per_call(self, monkeypatch):
-        pairs = []
+    def test_each_drawn_rows_vector_computed_once_per_call(self, monkeypatch):
+        filled = []
         fill = km._SeedDistances._fill
 
-        def counting(seeds, row, rows, out):
-            pairs.extend(frozenset((int(row), int(r))) for r in rows)
-            return fill(seeds, row, rows, out)
+        def counting(seeds, row, out):
+            filled.append(int(row))
+            return fill(seeds, row, out)
 
         monkeypatch.setattr(km._SeedDistances, "_fill", counting)
         points = _seeding_case("tall", "C")  # n >= d, so the points path
         counts = []
         for _ in range(2):
-            pairs.clear()
+            filled.clear()
             kmeans(points, 8, seed=1)
-            # 80 draws from 60 distinct rows; a pair whose rows were both
-            # drawn is computed for the first of them only
-            assert len(pairs) == len(set(pairs)) <= 60 * 61 // 2
-            counts.append(len(pairs))
+            # 80 draws from 60 distinct rows: a row drawn again is not
+            # computed again
+            assert len(filled) == len(set(filled)) <= 60
+            counts.append(len(filled))
         # the memo lives for one call: the second call computes its own
         assert counts[0] == counts[1] > 0
 
@@ -368,10 +387,11 @@ class TestGramPath:
 
     def test_shipped_bound_certifies_every_decision(self, monkeypatch, segment_features):
         calls = self._count(monkeypatch)
-        res = kmeans(segment_features, 20, seed=0)
+        kmeans(segment_features, 20, seed=0)
         assert calls["fill"] == 0 and calls["direct"] == 0
-        # one restart is certified the winner, and only its steps are replayed
-        assert calls["inertia"] == res.iterations - res.converged
+        # one restart is certified the winner, and only its final labels'
+        # inertia is computed from the points
+        assert calls["inertia"] == 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rounding_ties_match_the_points_path(self, seed):
@@ -488,7 +508,6 @@ class TestLayoutIndependence:
             np.testing.assert_array_equal(res.labels, runs[0].labels)
             assert res.centers.tobytes() == runs[0].centers.tobytes()
             assert res.inertia.hex() == runs[0].inertia.hex()
-            assert res.inertia_trace == runs[0].inertia_trace
             assert res.iterations == runs[0].iterations
             assert res.converged == runs[0].converged
 

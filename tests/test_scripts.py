@@ -1,12 +1,16 @@
-"""Smoke test of scripts/sweep.py, run as a subprocess on a tiny archive."""
+"""Smoke tests of scripts/sweep.py and scripts/compare_outputs.py, run as
+subprocesses on tiny archives."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "sweep.py"
+ROOT = Path(__file__).resolve().parent.parent
+SWEEP = ROOT / "scripts" / "sweep.py"
+COMPARE = ROOT / "scripts" / "compare_outputs.py"
 
 
 def sweep_rows(*argv) -> list[list[str]]:
@@ -32,3 +36,32 @@ def test_one_row_per_value(argv, first):
         assert " ".join(rows[1][1:]) == "k=8 exceeds the 6 inliers at tau=0.99"
     else:
         assert len(rows[1]) == 9
+
+
+def compare(change: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(COMPARE), "--base", str(ROOT), "--change", str(change),
+         "--workload", "lasso_k5", "--segments", "20", "--seeds", "1..1"],
+        capture_output=True, text=True, timeout=120)
+
+
+def test_compare_outputs_finds_a_tree_identical_to_itself():
+    proc = compare(ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("seed 1: ") and lines[0].endswith(" identical")
+
+
+def test_compare_outputs_names_the_file_whose_bytes_differ(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    metrics = tmp_path / "src" / "usvclust" / "metrics.py"
+    text = metrics.read_text()
+    writer = "for line in rep.to_lines():"
+    assert text.count(writer) == 1
+    metrics.write_text(text.replace(writer, 'for line in [*rep.to_lines(), "altered"]:'))
+    proc = compare(tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].endswith(" 1 differences")
+    assert lines[1:] == ["  bytes differ: metrics.txt"]
