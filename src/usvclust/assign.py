@@ -20,7 +20,6 @@ class ClusterModel:
     """Full clustering outcome over all samples.
 
     labels has one entry per sample (inliers and outliers alike);
-    inlier_labels is the inlier-only labeling in inlier order;
     centroids holds the k inlier-mean rows used for outlier assignment.
     feature_shape is the (F, T) grid features were flattened from, when known.
     """
@@ -29,10 +28,17 @@ class ClusterModel:
     labels: np.ndarray
     centroids: np.ndarray
     partition: Partition
-    k: int
     method: str
-    inlier_labels: np.ndarray
     feature_shape: tuple[int, int] | None = None
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
+
+    @property
+    def inlier_labels(self) -> np.ndarray:
+        """The inlier-only labeling, in inlier order."""
+        return self.labels[self.partition.inlier_idx]
 
 
 def centroids(features: FeatureMatrix, labels: np.ndarray, k: int) -> np.ndarray:
@@ -66,6 +72,8 @@ def assign_outliers(features: FeatureMatrix, partition: Partition,
     ``inliers`` is ``features.select(partition.inlier_idx)`` where the
     caller already holds it; it is selected here otherwise.
     """
+    if partition.is_outlier.shape != (features.n,):
+        raise ValidationError("one outlier flag per sample required")
     inlier_labels = np.asarray(inlier_labels, dtype=int)
     if inlier_labels.shape != (len(partition.inlier_idx),):
         raise ValidationError("one label per inlier required")
@@ -85,6 +93,5 @@ def assign_outliers(features: FeatureMatrix, partition: Partition,
         labels[partition.outlier_idx] = sims.argmax(axis=0)
     return ClusterModel(
         ids=features.ids, labels=labels, centroids=cents, partition=partition,
-        k=k, method=method, inlier_labels=inlier_labels,
-        feature_shape=feature_shape,
+        method=method, feature_shape=feature_shape,
     )

@@ -106,8 +106,7 @@ def _default_labels_path(output: str) -> str:
 def _cmd_synth(args) -> int:
     if args.synth_kind == "subspaces":
         spec = SubspaceSpec(
-            ambient_dim=args.ambient, n_subspaces=args.n,
-            dims=(args.dim,) * args.n, points_per=args.points,
+            ambient_dim=args.ambient, dims=(args.dim,) * args.n, points_per=args.points,
             noise_sigma=args.noise, outlier_count=args.outliers, seed=args.seed,
         )
     else:
@@ -160,13 +159,12 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_metrics(args) -> int:
     from . import ingest, metrics
+    from .spectral import checked_norms
     path = Path(args.centroids)
     cents = ingest.read_centroid_dir(path) if path.is_dir() else ingest.read_vectors(path)[1]
     if len(cents) < 2:
         raise ValidationError(f"{path}: metrics need at least 2 centroids, got {len(cents)}")
-    for rank, centroid in enumerate(cents):
-        if not centroid.any():
-            raise ValidationError(f"{path}: centroid {rank} is all zero")
+    checked_norms(cents, 1, f"{path}: centroid {{}}".format)
     hmean, std = metrics.distance_stats(cents)
     print("d_cos_hmean=%.17g" % hmean)
     print("d_cos_std=%.17g" % std)

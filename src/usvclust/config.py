@@ -134,7 +134,6 @@ class SubspaceSpec:
     """Layout of a union-of-subspaces dataset."""
 
     ambient_dim: int
-    n_subspaces: int
     dims: tuple[int, ...]
     points_per: int
     noise_sigma: float = 0.0
@@ -143,11 +142,7 @@ class SubspaceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.n_subspaces != len(self.dims):
-            raise ParameterError(
-                f"n_subspaces={self.n_subspaces} but {len(self.dims)} dims given"
-            )
-        if self.n_subspaces < 1:
+        if not self.dims:
             raise ParameterError("need at least one subspace")
         for d in self.dims:
             if not 1 <= d < self.ambient_dim:

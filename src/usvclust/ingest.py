@@ -433,9 +433,7 @@ def write_label_rows(ids, labels, is_outlier, path) -> None:
 
 def write_labels(model, path) -> None:
     """Write a ClusterModel's per-sample labels in sample order."""
-    outlier_set = set(int(i) for i in model.partition.outlier_idx)
-    flags = [i in outlier_set for i in range(len(model.ids))]
-    write_label_rows(model.ids, model.labels, flags, path)
+    write_label_rows(model.ids, model.labels, model.partition.is_outlier, path)
 
 
 def read_labels(path):

@@ -17,14 +17,20 @@ from .spectral import cosine_gram
 
 @dataclass(frozen=True)
 class Partition:
-    """Index sets of inliers and outliers, each ascending."""
+    """One outlier flag per sample; the index sets are derived, ascending."""
 
-    inlier_idx: np.ndarray
-    outlier_idx: np.ndarray
+    is_outlier: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "inlier_idx", np.asarray(self.inlier_idx, dtype=int))
-        object.__setattr__(self, "outlier_idx", np.asarray(self.outlier_idx, dtype=int))
+        object.__setattr__(self, "is_outlier", np.asarray(self.is_outlier, dtype=bool))
+
+    @property
+    def inlier_idx(self) -> np.ndarray:
+        return np.flatnonzero(~self.is_outlier)
+
+    @property
+    def outlier_idx(self) -> np.ndarray:
+        return np.flatnonzero(self.is_outlier)
 
 
 def split(features: FeatureMatrix, tau: float, gram: np.ndarray | None = None) -> Partition:
@@ -51,6 +57,4 @@ def split(features: FeatureMatrix, tau: float, gram: np.ndarray | None = None) -
     others = ~np.eye(features.n, dtype=bool)
     best = np.asarray(gram, dtype=np.float64).max(axis=1, where=others,
                                                   initial=-np.inf)
-    outlier_mask = best < tau
-    idx = np.arange(features.n)
-    return Partition(inlier_idx=idx[~outlier_mask], outlier_idx=idx[outlier_mask])
+    return Partition(best < tau)

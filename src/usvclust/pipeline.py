@@ -94,9 +94,9 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
         isolated = ~affinity.any(axis=1)
         if isolated.any():
             keep = np.flatnonzero(~isolated)
-            part = Partition(
-                inlier_idx=part.inlier_idx[keep],
-                outlier_idx=np.union1d(part.outlier_idx, part.inlier_idx[isolated]))
+            is_outlier = part.is_outlier.copy()
+            is_outlier[part.inlier_idx[isolated]] = True
+            part = Partition(is_outlier)
             _check_k(cfg, part, f" after {int(isolated.sum())} zero-degree inliers "
                                 "became outliers")
             inliers = features.select(part.inlier_idx)
@@ -198,8 +198,7 @@ def evaluate(labels_path, input_path, f: int = PreprocessConfig.f,
             f"labels file ids do not match input ids "
             f"({len(ids)} vs {features.n} samples)"
         )
-    idx = np.arange(features.n)
-    part = Partition(inlier_idx=idx[~flags], outlier_idx=idx[flags])
+    part = Partition(flags)
     if len(part.inlier_idx) == 0:
         raise ValidationError("labels file marks every sample as an outlier")
     inlier_labels = labels[part.inlier_idx]
@@ -217,6 +216,6 @@ def evaluate(labels_path, input_path, f: int = PreprocessConfig.f,
     cents = centroids(features.select(part.inlier_idx), inlier_labels, k)
     model = ClusterModel(
         ids=features.ids, labels=labels, centroids=cents, partition=part,
-        k=k, method=method, inlier_labels=inlier_labels, feature_shape=None,
+        method=method, feature_shape=None,
     )
     return metrics.report(features, model)

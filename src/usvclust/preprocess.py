@@ -15,6 +15,7 @@ import numpy as np
 from .config import PreprocessConfig  # also imported from here: perfbench does
 from .errors import ParameterError, ValidationError
 from .ingest import SegmentArchive, SpectroSegment
+from .spectral import checked_norms
 
 KEYS_A = -0.5
 
@@ -137,11 +138,6 @@ def normalize_columns(data: np.ndarray, ids) -> FeatureMatrix:
     one whose square overflows), is refused.
     """
     data = np.asarray(data, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(data, axis=0)
-    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
-    if bad.size:
-        col = int(bad[0])
-        what = "is all zero" if norms[col] == 0.0 else f"has norm {float(norms[col])}"
-        raise ValidationError(f"column {col} ({list(ids)[col]!r}) {what}")
-    return FeatureMatrix(data / norms, tuple(ids))
+    ids = tuple(ids)
+    norms = checked_norms(data, 0, lambda col: f"column {col} ({ids[col]!r})")
+    return FeatureMatrix(data / norms, ids)

@@ -17,6 +17,23 @@ from .errors import NumericalError, ParameterError, ValidationError
 _COS_SNAP = 1e-12
 
 
+def checked_norms(data: np.ndarray, axis: int, name) -> np.ndarray:
+    """L2 norms of ``data`` along ``axis``, each nonzero and finite.
+
+    The first norm that is zero, or not finite (a non-finite value, or one
+    whose square overflows), is refused as ``f"{name(i)} is all zero"`` or
+    ``f"{name(i)} has norm {norm}"``, with no numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(data, axis=axis)
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        i = int(bad[0])
+        what = "is all zero" if norms[i] == 0.0 else f"has norm {float(norms[i])}"
+        raise ValidationError(f"{name(i)} {what}")
+    return norms
+
+
 def cosine_gram(data: np.ndarray) -> np.ndarray:
     """All-pairs cosine similarity of the columns of ``data``.
 
@@ -27,15 +44,12 @@ def cosine_gram(data: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     data : (d, n) array
-        Column vectors; zero columns are rejected.
+        Column vectors; one whose norm is zero or not finite is rejected.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValidationError("data must be 2-D")
-    norms = np.linalg.norm(data, axis=0)
-    if np.any(norms == 0.0):
-        raise ValidationError(f"column {int(np.argmin(norms))} is all zero")
-    unit = data / norms
+    unit = data / checked_norms(data, 0, "column {}".format)
     # exactly symmetric with no averaging pass: numpy computes a product of
     # a matrix with its own transpose by BLAS syrk and mirrors the triangle,
     # and its loop without BLAS sums the same pairs in the same order

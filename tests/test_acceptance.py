@@ -119,7 +119,7 @@ def test_subspace_clustering_end_to_end(scoreboard, tmp_path):
                     "clean and with outliers"):
         start = time.perf_counter()
 
-        clean = SubspaceSpec(ambient_dim=64, n_subspaces=3, dims=(3, 3, 3),
+        clean = SubspaceSpec(ambient_dim=64, dims=(3, 3, 3),
                              points_per=50, noise_sigma=0.01, seed=4)
         features, truth = generate_subspaces(clean)
         coeffs = self_express(features.data,
@@ -128,7 +128,7 @@ def test_subspace_clustering_end_to_end(scoreboard, tmp_path):
                         seed=0).labels
         assert clustering_error(labels, truth) <= 0.05
 
-        dirty = SubspaceSpec(ambient_dim=64, n_subspaces=3, dims=(3, 3, 3),
+        dirty = SubspaceSpec(ambient_dim=64, dims=(3, 3, 3),
                              points_per=50, noise_sigma=0.01,
                              outlier_count=20, seed=4)
         features, truth = generate_subspaces(dirty)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import assign_outliers_loop, cosine_similarity
-from usvclust.assign import assign_outliers, centroids
+from usvclust.assign import ClusterModel, assign_outliers, centroids
 from usvclust.errors import ValidationError
 from usvclust.outlier_split import Partition
 from usvclust.preprocess import FeatureMatrix
@@ -50,23 +50,23 @@ class TestCentroids:
 
 
 class TestAssignOutliers:
-    def _assign(self, raw, inlier_idx, outlier_idx, inlier_labels, k):
+    def _assign(self, raw, outlier_idx, inlier_labels, k):
         fm = unit_features(raw)
-        part = Partition(np.array(inlier_idx), np.array(outlier_idx))
+        part = Partition(np.isin(np.arange(fm.n), outlier_idx))
         return assign_outliers(fm, part, np.array(inlier_labels), k, "kmeans")
 
     def test_outlier_identical_to_centroid(self):
         # clusters are singleton axis vectors; the outlier duplicates
         # centroid 2 and must land there
         raw = np.concatenate([np.eye(3), np.eye(3)[:, [2]]], axis=1)
-        model = self._assign(raw, [0, 1, 2], [3], [0, 1, 2], 3)
+        model = self._assign(raw, [3], [0, 1, 2], 3)
         assert model.labels[3] == 2
 
     def test_equal_cosine_tie_goes_low(self):
         # outlier at (c, c) has bitwise-equal cosine to both axis centroids
         raw = np.array([[1.0, 0.0, 1.0],
                         [0.0, 1.0, 1.0]])
-        model = self._assign(raw, [0, 1], [2], [0, 1], 2)
+        model = self._assign(raw, [2], [0, 1], 2)
         assert model.labels[2] == 0
 
     def test_matches_pairwise_cosine_table(self):
@@ -75,7 +75,7 @@ class TestAssignOutliers:
         inlier_idx = list(range(9))
         outlier_idx = list(range(9, 14))
         inlier_labels = [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        model = self._assign(raw, inlier_idx, outlier_idx, inlier_labels, 3)
+        model = self._assign(raw, outlier_idx, inlier_labels, 3)
         fm = unit_features(raw)
         cents = centroids(fm.select(inlier_idx), np.array(inlier_labels), 3)
         for o in outlier_idx:
@@ -87,7 +87,7 @@ class TestAssignOutliers:
         rng = np.random.default_rng(seed)
         fm = unit_features(rng.standard_normal((16, 90)))
         inlier_idx = np.arange(0, 90, 3)
-        part = Partition(inlier_idx, np.setdiff1d(np.arange(90), inlier_idx))
+        part = Partition(np.isin(np.arange(90), inlier_idx, invert=True))
         model = assign_outliers(fm, part, np.arange(30) % 5, 5, "kmeans")
         ref = assign_outliers_loop(fm.data, part.outlier_idx, model.centroids)
         assert {int(i): int(model.labels[i]) for i in part.outlier_idx} == ref
@@ -98,7 +98,7 @@ class TestAssignOutliers:
         raw = np.array([[0.0, 1.0, 0.0, 1.0, 0.1],
                         [0.0, 0.0, 1.0, 1.0, 0.0],
                         [1.0, 0.0, 0.0, 0.0, 1.0]])
-        model = self._assign(raw, [0, 1, 2], [3, 4], [0, 1, 2], 3)
+        model = self._assign(raw, [3, 4], [0, 1, 2], 3)
         assert model.labels[3:].tolist() == [1, 0]
         fm = unit_features(raw)
         assert assign_outliers_loop(fm.data, [3, 4], model.centroids) == {3: 1, 4: 0}
@@ -107,7 +107,7 @@ class TestAssignOutliers:
         rng = np.random.default_rng(1)
         raw = rng.standard_normal((5, 10))
         labels = [1, 0, 1, 0, 1, 0]
-        model = self._assign(raw, list(range(6)), [6, 7, 8, 9], labels, 2)
+        model = self._assign(raw, [6, 7, 8, 9], labels, 2)
         assert model.labels[:6].tolist() == labels
         assert model.inlier_labels.tolist() == labels
 
@@ -116,30 +116,50 @@ class TestAssignOutliers:
         # scaled copy in via a raw matrix with one stretched column
         rng = np.random.default_rng(2)
         raw = rng.standard_normal((4, 7))
-        base = self._assign(raw, list(range(5)), [5, 6], [0, 0, 1, 1, 1], 2)
+        base = self._assign(raw, [5, 6], [0, 0, 1, 1, 1], 2)
         raw2 = raw.copy()
         raw2[:, 5] *= 37.0
-        scaled = self._assign(raw2, list(range(5)), [5, 6], [0, 0, 1, 1, 1], 2)
+        scaled = self._assign(raw2, [5, 6], [0, 0, 1, 1, 1], 2)
         assert base.labels.tolist() == scaled.labels.tolist()
 
     def test_no_outliers(self):
         raw = np.eye(3)
-        model = self._assign(raw, [0, 1, 2], [], [0, 1, 2], 3)
+        model = self._assign(raw, [], [0, 1, 2], 3)
         assert model.labels.tolist() == [0, 1, 2]
         assert model.k == 3
 
+    @pytest.mark.parametrize("stored", ["k", "inlier_labels"])
+    def test_derived_values_are_not_arguments(self, stored):
+        # k is len(centroids) and inlier_labels is labels[inlier_idx]
+        model = self._assign(np.eye(3), [2], [0, 1], 2)
+        fields = dict(ids=model.ids, labels=model.labels, centroids=model.centroids,
+                      partition=model.partition, method=model.method)
+        with pytest.raises(TypeError, match=stored):
+            ClusterModel(**fields, **{stored: getattr(model, stored)})
+        rebuilt = ClusterModel(**fields)
+        assert rebuilt.k == 2
+        assert rebuilt.inlier_labels.tolist() == [0, 1]
+
     def test_label_count_mismatch(self):
         fm = unit_features(np.eye(3))
-        part = Partition(np.array([0, 1]), np.array([2]))
+        part = Partition(np.array([False, False, True]))
         with pytest.raises(ValidationError):
             assign_outliers(fm, part, np.array([0]), 1, "kmeans")
+
+    @pytest.mark.parametrize("n_flags", [4, 7])
+    def test_one_flag_per_sample(self, n_flags):
+        # a shorter mask would leave the last samples' labels unset
+        fm = unit_features(np.eye(6) + 0.1)
+        part = Partition(np.arange(n_flags) == 3)
+        with pytest.raises(ValidationError, match="one outlier flag per sample"):
+            assign_outliers(fm, part, np.array([0, 1, 1]), 2, "kmeans")
 
     def test_supplied_inliers_give_the_same_model(self):
         # run_pipeline passes the inlier matrix it already holds
         rng = np.random.default_rng(3)
         fm = unit_features(rng.standard_normal((40, 30)))
         inlier_idx = np.array([i for i in range(30) if i % 4])
-        part = Partition(inlier_idx, np.arange(0, 30, 4))
+        part = Partition(np.arange(30) % 4 == 0)
         labels = np.arange(len(inlier_idx)) % 3
         selected = assign_outliers(fm, part, labels, 3, "kmeans")
         supplied = assign_outliers(fm, part, labels, 3, "kmeans",

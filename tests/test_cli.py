@@ -478,6 +478,22 @@ class TestPreprocessAndMetrics:
         assert run("metrics", "--centroids", path) == 3
         assert_refused(capsys, f"{path}: centroid 1 is all zero\n")
 
+    @pytest.mark.parametrize("layout", ["table", "grids"])
+    def test_centroid_whose_norm_overflows_exits_3(self, tmp_path, capsys, layout):
+        # each value is finite, but the squared norm of centroid 1 is not
+        if layout == "table":
+            path = tmp_path / "c.csv"
+            path.write_text("id,dim0,dim1\na,1,0\nb,1e308,1e308\n")
+        else:
+            path = tmp_path / "c"
+            path.mkdir()
+            (path / "centroid_00.csv").write_text("1,0\n0,1\n")
+            (path / "centroid_01.csv").write_text("1e308,1e308\n1,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("metrics", "--centroids", path) == 3
+        assert_refused(capsys, f"{path}: centroid 1 has norm inf\n")
+
     def test_header_field_over_the_csv_limit_exits_3(self, tmp_path, capsys):
         table = tmp_path / "h.csv"
         table.write_text("id," + "d" * 140000 + "\na,1\n")

@@ -289,10 +289,10 @@ class TestLabels:
         assert labels.tolist() == [2, 0, 1]
 
     def test_model_write(self, tmp_path):
-        part = Partition(np.array([0]), np.array([1]))
+        part = Partition(np.array([False, True]))
         model = ClusterModel(
             ids=("a", "b"), labels=np.array([0, 1]), centroids=np.eye(2),
-            partition=part, k=2, method="kmeans", inlier_labels=np.array([0]))
+            partition=part, method="kmeans")
         path = tmp_path / "labels.csv"
         write_labels(model, path)
         assert path.read_text() == "id,label,is_outlier\na,0,0\nb,1,1\n"
@@ -323,19 +323,18 @@ class TestLabels:
 
 
 class TestCentroids:
-    def _model(self, inlier_labels, centroids, k, shape):
+    def _model(self, inlier_labels, centroids, shape):
         n = len(inlier_labels)
-        part = Partition(np.arange(n), np.array([], dtype=int))
         return ClusterModel(
             ids=tuple(f"s{i}" for i in range(n)), labels=np.array(inlier_labels),
-            centroids=centroids, partition=part, k=k, method="kmeans",
-            inlier_labels=np.array(inlier_labels), feature_shape=shape)
+            centroids=centroids, partition=Partition(np.zeros(n, dtype=bool)),
+            method="kmeans", feature_shape=shape)
 
     def test_descending_size_order(self, tmp_path):
         # cluster 0 has 5 members, cluster 1 has 9: file 00 is cluster 1
         labels = [0] * 5 + [1] * 9
         cents = np.vstack([np.full(6, 1.0), np.full(6, 2.0)])
-        model = self._model(labels, cents, 2, (2, 3))
+        model = self._model(labels, cents, (2, 3))
         write_centroids(model, tmp_path / "c")
         files = sorted((tmp_path / "c").glob("centroid_*.csv"))
         assert [f.name for f in files] == ["centroid_00.csv", "centroid_01.csv"]
@@ -344,19 +343,19 @@ class TestCentroids:
         np.testing.assert_array_equal(first, np.full((2, 3), 2.0))
 
     def test_zero_centroid_writes_zeros(self, tmp_path):
-        model = self._model([0], np.zeros((1, 4)), 1, (2, 2))
+        model = self._model([0], np.zeros((1, 4)), (2, 2))
         write_centroids(model, tmp_path / "c")
         out = (tmp_path / "c" / "centroid_00.csv").read_text()
         assert out == "0,0\n0,0\n"
 
     def test_single_cluster_single_file(self, tmp_path):
-        model = self._model([0, 0], np.ones((1, 4)), 1, (2, 2))
+        model = self._model([0, 0], np.ones((1, 4)), (2, 2))
         write_centroids(model, tmp_path / "c")
         assert len(list((tmp_path / "c").glob("centroid_*.csv"))) == 1
 
     def test_column_major_reshape_round_trip(self, tmp_path):
         vec = np.arange(6.0)
-        model = self._model([0], vec[None, :], 1, (2, 3))
+        model = self._model([0], vec[None, :], (2, 3))
         write_centroids(model, tmp_path / "c")
         back = read_centroid_dir(tmp_path / "c")
         np.testing.assert_array_equal(back[0], vec)
@@ -366,19 +365,19 @@ class TestCentroids:
         k = 101
         labels = np.repeat(np.arange(k), np.arange(k) % 7 + 1)
         cents = np.arange(k * 4.0).reshape(k, 4)
-        model = self._model(labels, cents, k, (2, 2))
+        model = self._model(labels, cents, (2, 2))
         write_centroids(model, tmp_path / "c")
         order = np.argsort(-np.bincount(labels, minlength=k), kind="stable")
         np.testing.assert_array_equal(read_centroid_dir(tmp_path / "c"), cents[order])
 
     def test_file_without_rank_rejected(self, tmp_path):
-        write_centroids(self._model([0, 1], np.ones((2, 4)), 2, (2, 2)), tmp_path / "c")
+        write_centroids(self._model([0, 1], np.ones((2, 4)), (2, 2)), tmp_path / "c")
         (tmp_path / "c" / "centroid_old.csv").write_text("1,1\n1,1\n")
         with pytest.raises(FormatError, match="centroid_old"):
             read_centroid_dir(tmp_path / "c")
 
     def test_repeated_rank_rejected(self, tmp_path):
-        write_centroids(self._model([0, 1], np.ones((2, 4)), 2, (2, 2)), tmp_path / "c")
+        write_centroids(self._model([0, 1], np.ones((2, 4)), (2, 2)), tmp_path / "c")
         (tmp_path / "c" / "centroid_01.csv").rename(tmp_path / "c" / "centroid_0.csv")
         with pytest.raises(FormatError, match="centroid_0.csv and centroid_00.csv both hold rank 0"):
             read_centroid_dir(tmp_path / "c")
@@ -399,7 +398,7 @@ class TestCentroids:
         # sizes 2, 3, 3: the two tied clusters keep their index order
         labels = [2, 0, 1, 2, 0, 1, 1, 2]
         cents = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0]])
-        model = self._model(labels, cents, 3, None)
+        model = self._model(labels, cents, None)
         write_centroids(model, tmp_path / "c")
         assert [p.name for p in (tmp_path / "c").iterdir()] == ["centroids.csv"]
         ids, back = read_vectors(tmp_path / "c" / "centroids.csv")
@@ -556,11 +555,10 @@ class TestWriterBytes:
 
     def test_centroids(self, tmp_path):
         cents = np.vstack([AWKWARD, AWKWARD[::-1]])
-        part = Partition(np.arange(3), np.array([], dtype=int))
+        part = Partition(np.zeros(3, dtype=bool))
         model = ClusterModel(
             ids=("a", "b", "c"), labels=np.array([1, 0, 1]), centroids=cents,
-            partition=part, k=2, method="kmeans",
-            inlier_labels=np.array([1, 0, 1]), feature_shape=(2, 7))
+            partition=part, method="kmeans", feature_shape=(2, 7))
         write_centroids(model, tmp_path / "c")
         for rank, cluster in enumerate((1, 0)):
             mat = cents[cluster].reshape((2, 7), order="F")
@@ -595,8 +593,8 @@ class TestWriterBytes:
         n = len(labels)
         model = ClusterModel(
             ids=tuple(f"s{i}" for i in range(n)), labels=labels, centroids=cents,
-            partition=Partition(np.arange(n), np.array([], dtype=int)), k=k,
-            method="kmeans", inlier_labels=labels, feature_shape=(64, 64))
+            partition=Partition(np.zeros(n, dtype=bool)), method="kmeans",
+            feature_shape=(64, 64))
         write_centroids(model, tmp_path / "c")
         for rank in range(k):  # rank 00 is the largest cluster, k - 1
             mat = cents[k - 1 - rank].reshape((64, 64), order="F")
@@ -744,8 +742,8 @@ class TestFloatFormatter:
         cents = rng.standard_normal((k, 64 * 64))
         model = ClusterModel(
             ids=tuple(f"s{i}" for i in range(k)), labels=np.arange(k),
-            centroids=cents, partition=Partition(np.arange(k), np.array([], dtype=int)),
-            k=k, method="kmeans", inlier_labels=np.arange(k), feature_shape=(64, 64))
+            centroids=cents, partition=Partition(np.zeros(k, dtype=bool)),
+            method="kmeans", feature_shape=(64, 64))
         tracemalloc.start()
         try:
             write_centroids(model, tmp_path / "c")

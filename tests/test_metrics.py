@@ -100,17 +100,16 @@ class TestStd:
 
 
 class TestReport:
-    def _model(self, raw, inlier_idx, outlier_idx, inlier_labels, k):
+    def _model(self, raw, outlier_idx, inlier_labels, k):
         fm = unit_features(raw)
-        part = Partition(np.array(inlier_idx, dtype=int),
-                         np.array(outlier_idx, dtype=int))
+        part = Partition(np.isin(np.arange(fm.n), outlier_idx))
         model = assign_outliers(fm, part, np.array(inlier_labels), k, "kmeans")
         return fm, model
 
     def test_no_outliers_full_equals_inlier(self):
         rng = np.random.default_rng(2)
         raw = rng.standard_normal((5, 9))
-        fm, model = self._model(raw, list(range(9)), [], [0, 1, 2] * 3, 3)
+        fm, model = self._model(raw, [], [0, 1, 2] * 3, 3)
         rep = report(fm, model)
         assert rep.d_cos_hmean == rep.d_cos_hmean_full
         assert rep.d_cos_std == rep.d_cos_std_full
@@ -121,7 +120,7 @@ class TestReport:
         # centroid exactly, so folding it into the mean is a no-op
         raw = np.array([[1.0, 1.0, 0.0, 0.0, 1.0],
                         [0.0, 0.0, 1.0, 1.0, 0.0]])
-        fm, model = self._model(raw, [0, 1, 2, 3], [4], [0, 0, 1, 1], 2)
+        fm, model = self._model(raw, [4], [0, 0, 1, 1], 2)
         rep = report(fm, model)
         assert model.labels[4] == 0
         assert rep.d_cos_hmean_full == rep.d_cos_hmean
@@ -135,7 +134,7 @@ class TestReport:
         inlier_idx = list(range(24))
         outlier_idx = list(range(24, 30))
         labels = [i % 3 for i in range(24)]
-        fm, model = self._model(raw, inlier_idx, outlier_idx, labels, 3)
+        fm, model = self._model(raw, outlier_idx, labels, 3)
         rep = report(fm, model)
         outlier_mask = np.zeros(30, dtype=bool)
         outlier_mask[24:] = True
@@ -149,11 +148,11 @@ class TestReport:
         rng = np.random.default_rng(4)
         raw = rng.standard_normal((6, 12))
         labels = [0, 0, 0, 0, 0, 1, 1, 1, 2, 2]
-        fm, model = self._model(raw, list(range(10)), [10, 11], labels, 3)
+        fm, model = self._model(raw, [10, 11], labels, 3)
         rep = report(fm, model)
         perm = {0: 2, 1: 0, 2: 1}
         plabels = [perm[v] for v in labels]
-        fm2, model2 = self._model(raw, list(range(10)), [10, 11], plabels, 3)
+        fm2, model2 = self._model(raw, [10, 11], plabels, 3)
         rep2 = report(fm2, model2)
         assert abs(rep.d_cos_hmean - rep2.d_cos_hmean) < 1e-12
         assert abs(rep.d_cos_std - rep2.d_cos_std) < 1e-12
@@ -172,7 +171,7 @@ class TestReport:
     def _outlier_model(self):
         rng = np.random.default_rng(6)
         raw = rng.standard_normal((8, 30))
-        return self._model(raw, list(range(24)), list(range(24, 30)),
+        return self._model(raw, list(range(24, 30)),
                            [i % 4 for i in range(24)], 4)
 
     def test_one_distance_pass_per_centroid_set(self, monkeypatch):
@@ -193,7 +192,7 @@ class TestReport:
         # inliers 0..2 make clusters 0..2; ``labels`` overrides the outliers'
         n = data.shape[1]
         fm = FeatureMatrix(data, tuple(f"s{i}" for i in range(n)))
-        part = Partition(np.arange(3), np.arange(3, n))
+        part = Partition(np.arange(n) >= 3)
         model = assign_outliers(fm, part, np.arange(3), 3, "kmeans")
         model = dataclasses.replace(model, labels=np.array(labels))
         with warnings.catch_warnings(record=True) as caught:
@@ -223,14 +222,14 @@ class TestReport:
 
     def test_k1_rejected(self):
         raw = np.eye(2)
-        fm, model = self._model(raw, [0, 1], [], [0, 0], 1)
+        fm, model = self._model(raw, [], [0, 0], 1)
         with pytest.raises(ParameterError):
             report(fm, model)
 
     def test_report_lines_and_csv(self):
         rng = np.random.default_rng(5)
         raw = rng.standard_normal((4, 8))
-        fm, model = self._model(raw, list(range(8)), [], [i % 2 for i in range(8)], 2)
+        fm, model = self._model(raw, [], [i % 2 for i in range(8)], 2)
         rep = report(fm, model)
         lines = rep.to_lines()
         assert lines[0] == "method=kmeans"

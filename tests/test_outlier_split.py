@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_split, cosine_similarity
 from usvclust.errors import ParameterError, ValidationError
-from usvclust.outlier_split import split
+from usvclust.outlier_split import Partition, split
 from usvclust.preprocess import FeatureMatrix
 
 
@@ -127,6 +127,25 @@ class TestSplit:
         both = np.concatenate([part.inlier_idx, part.outlier_idx])
         assert sorted(both.tolist()) == list(range(20))
         assert len(part.inlier_idx) + len(part.outlier_idx) == 20
+
+    def test_index_sets_are_not_arguments(self):
+        # the mask is the one stored fact; both index sets derive from it
+        with pytest.raises(TypeError, match="inlier_idx"):
+            Partition(inlier_idx=np.array([0]), outlier_idx=np.array([1]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_index_sets_of_a_mask(self, seed):
+        rng = np.random.default_rng(seed)
+        masks = [rng.random(n) < 0.4 for n in (1, 2, 17, 60)]
+        masks += [np.ones(9, dtype=bool), np.zeros(9, dtype=bool)]
+        for mask in masks:
+            part = Partition(mask)
+            for idx in (part.inlier_idx, part.outlier_idx):
+                assert np.all(np.diff(idx) > 0)
+            assert np.intersect1d(part.inlier_idx, part.outlier_idx).size == 0
+            both = np.sort(np.concatenate([part.inlier_idx, part.outlier_idx]))
+            np.testing.assert_array_equal(both, np.arange(len(mask)))
+            np.testing.assert_array_equal(part.outlier_idx, np.flatnonzero(mask))
 
     def test_tau_out_of_range(self):
         fm = random_unit_features(3, 3, seed=5)

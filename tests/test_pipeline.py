@@ -47,7 +47,7 @@ class TestLoadFeatures:
         assert fm.n == 4
 
     def test_vector_csv(self, tmp_path):
-        spec = SubspaceSpec(ambient_dim=6, n_subspaces=1, dims=(2,), points_per=5)
+        spec = SubspaceSpec(ambient_dim=6, dims=(2,), points_per=5)
         fm0, _ = generate_subspaces(spec)
         path = tmp_path / "vecs.csv"
         ingest.write_vectors(fm0.ids, fm0.data.T, path)
@@ -74,7 +74,7 @@ class TestRunPipeline:
         assert sum(res.report.cluster_sizes_full) == 18
 
     def test_all_outliers_rejected(self, tmp_path):
-        spec = SubspaceSpec(ambient_dim=16, n_subspaces=1, dims=(1,),
+        spec = SubspaceSpec(ambient_dim=16, dims=(1,),
                             points_per=2, outlier_count=6, seed=5)
         fm, _ = generate_subspaces(spec)
         path = tmp_path / "vecs.csv"
@@ -157,8 +157,8 @@ class TestRunPipeline:
 
     def test_kmeans_embedding_has_at_most_d_columns(self, tmp_path):
         # 3-d vectors have 3 principal components, whatever K asks for
-        features, _ = generate_subspaces(SubspaceSpec(ambient_dim=3, n_subspaces=3,
-                                                      dims=(2, 2, 2), points_per=50))
+        features, _ = generate_subspaces(SubspaceSpec(ambient_dim=3, dims=(2, 2, 2),
+                                                      points_per=50))
         vectors = tmp_path / "v.csv"
         ingest.write_vectors(features.ids, features.data.T, vectors)
         cfg = PipelineConfig(input=str(vectors), output_dir=str(tmp_path / "out"),

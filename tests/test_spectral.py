@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestCosineGram:
     def test_zero_column_rejected(self):
         with pytest.raises(ValidationError):
             cosine_gram(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("value, norm", [
+        (1e308, "inf"),  # finite, but its square overflows
+        (np.inf, "inf"),
+        (np.nan, "nan"),
+    ])
+    def test_non_finite_norm_rejected(self, value, norm):
+        data = np.array([[1.0, value, 0.0], [0.0, value, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^column 1 has norm {norm}$"):
+                cosine_gram(data)
 
     @pytest.mark.parametrize("d, n", [(5, 1), (5, 2), (9, 65), (300, 130)])
     def test_bits_match_reference(self, d, n):

@@ -8,28 +8,29 @@ from usvclust.synth import SubspaceSpec, generate_segments, generate_subspaces
 class TestSubspaceSpec:
     def test_dim_must_fit_ambient(self):
         with pytest.raises(ParameterError):
-            SubspaceSpec(ambient_dim=4, n_subspaces=1, dims=(4,), points_per=10)
+            SubspaceSpec(ambient_dim=4, dims=(4,), points_per=10)
 
     def test_points_per_floor(self):
         with pytest.raises(ParameterError):
-            SubspaceSpec(ambient_dim=10, n_subspaces=1, dims=(3,), points_per=3)
+            SubspaceSpec(ambient_dim=10, dims=(3,), points_per=3)
 
-    def test_counts_must_agree(self):
-        with pytest.raises(ParameterError):
-            SubspaceSpec(ambient_dim=10, n_subspaces=2, dims=(3,), points_per=5)
+    def test_subspace_count_is_not_an_argument(self):
+        # the count is len(dims); it is not stored a second time
+        with pytest.raises(TypeError, match="n_subspaces"):
+            SubspaceSpec(ambient_dim=10, n_subspaces=1, dims=(3,), points_per=5)
 
     @pytest.mark.parametrize("field, value", [
         ("seed", -2), ("noise_sigma", -0.1),
         ("noise_sigma", float("nan")), ("noise_sigma", float("inf"))])
     def test_seed_and_noise_ranges(self, field, value):
         with pytest.raises(ParameterError, match=field):
-            SubspaceSpec(ambient_dim=10, n_subspaces=1, dims=(3,), points_per=5,
+            SubspaceSpec(ambient_dim=10, dims=(3,), points_per=5,
                          **{field: value})
 
 
 class TestGenerateSubspaces:
     def test_noise_free_line_collapses(self):
-        spec = SubspaceSpec(ambient_dim=8, n_subspaces=1, dims=(1,),
+        spec = SubspaceSpec(ambient_dim=8, dims=(1,),
                             points_per=6, noise_sigma=0.0, seed=0)
         fm, labels = generate_subspaces(spec)
         # every column is the same unit vector up to sign
@@ -42,7 +43,7 @@ class TestGenerateSubspaces:
     def test_orthogonal_1d_subspaces_nearly_uncorrelated(self):
         # random 1-D subspaces in high dimension are near-orthogonal; check
         # the cross-subspace structure is as labeled rather than mixed
-        spec = SubspaceSpec(ambient_dim=50, n_subspaces=2, dims=(1, 1),
+        spec = SubspaceSpec(ambient_dim=50, dims=(1, 1),
                             points_per=5, noise_sigma=0.0, seed=1)
         fm, labels = generate_subspaces(spec)
         within = abs(fm.data[:, 0] @ fm.data[:, 1])
@@ -51,7 +52,7 @@ class TestGenerateSubspaces:
         assert across < 0.5
 
     def test_deterministic(self):
-        spec = SubspaceSpec(ambient_dim=12, n_subspaces=2, dims=(2, 3),
+        spec = SubspaceSpec(ambient_dim=12, dims=(2, 3),
                             points_per=7, noise_sigma=0.05, outlier_count=4,
                             seed=123)
         fm1, l1 = generate_subspaces(spec)
@@ -60,7 +61,7 @@ class TestGenerateSubspaces:
         np.testing.assert_array_equal(l1, l2)
 
     def test_noise_free_points_lie_in_their_subspace(self):
-        spec = SubspaceSpec(ambient_dim=20, n_subspaces=3, dims=(3, 2, 4),
+        spec = SubspaceSpec(ambient_dim=20, dims=(3, 2, 4),
                             points_per=8, noise_sigma=0.0, seed=2)
         fm, labels = generate_subspaces(spec)
         for c, dim in enumerate(spec.dims):
@@ -72,7 +73,7 @@ class TestGenerateSubspaces:
             assert np.abs(residual).max() < 1e-10
 
     def test_outliers_spread_over_the_sphere(self):
-        spec = SubspaceSpec(ambient_dim=40, n_subspaces=1, dims=(4,),
+        spec = SubspaceSpec(ambient_dim=40, dims=(4,),
                             points_per=5, noise_sigma=0.0, outlier_count=200,
                             seed=3)
         fm, labels = generate_subspaces(spec)
@@ -85,7 +86,7 @@ class TestGenerateSubspaces:
         assert abs(proj.mean() - 4 / 40) < 0.05
 
     def test_unit_columns_and_id_scheme(self):
-        spec = SubspaceSpec(ambient_dim=10, n_subspaces=2, dims=(2, 2),
+        spec = SubspaceSpec(ambient_dim=10, dims=(2, 2),
                             points_per=4, outlier_count=2, seed=4)
         fm, labels = generate_subspaces(spec)
         np.testing.assert_allclose(np.linalg.norm(fm.data, axis=0), 1.0,
