@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ParameterError, ValidationError
 from .outlier_split import Partition
 from .preprocess import FeatureMatrix
+from .spectral import checked_norms
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,11 @@ def assign_outliers(features: FeatureMatrix, partition: Partition,
     cents = centroids(inliers, inlier_labels, k)
     labels = np.empty(features.n, dtype=int)
     labels[partition.inlier_idx] = inlier_labels
-    if len(partition.outlier_idx):
-        cent_norms = np.linalg.norm(cents, axis=1)
-        if np.any(cent_norms == 0.0):
-            raise ValidationError(f"centroid {int(np.argmin(cent_norms))} is all zero")
-        unit_cents = cents / cent_norms[:, None]
-        outliers = features.data[:, partition.outlier_idx]
-        sims = unit_cents @ (outliers / np.linalg.norm(outliers, axis=0))
-        # argmax takes the first maximum: ties go to the lowest index
-        labels[partition.outlier_idx] = sims.argmax(axis=0)
+    unit_cents = cents / checked_norms(cents, 1, "centroid {}".format)[:, None]
+    outliers = features.data[:, partition.outlier_idx]
+    sims = unit_cents @ (outliers / checked_norms(outliers, 0, "outlier {}".format))
+    # argmax takes the first maximum: ties go to the lowest index
+    labels[partition.outlier_idx] = sims.argmax(axis=0)
     return ClusterModel(
         ids=features.ids, labels=labels, centroids=cents, partition=partition,
         method=method, feature_shape=feature_shape,

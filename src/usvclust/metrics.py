@@ -76,7 +76,7 @@ def pairwise_cosine_distances(cents: np.ndarray) -> np.ndarray:
     cents = np.asarray(cents, dtype=np.float64)
     if cents.ndim != 2 or cents.shape[0] < 2:
         raise ParameterError("need a K x d matrix with K >= 2")
-    g = cosine_gram(cents.T)
+    g = cosine_gram(cents.T, "centroid {}".format)
     iu = np.triu_indices(cents.shape[0], k=1)
     return np.sort(1.0 - g[iu])
 

@@ -77,15 +77,17 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
         raise ValidationError("need at least 2 samples")
     gram = cosine_gram(features.data)
     part = split(features, cfg.tau, gram=gram)
+    # the N x N Gram is not kept past its last reader, the cs_sc affinity
+    affinity = (affinity_from_cosine(gram[np.ix_(part.inlier_idx, part.inlier_idx)])
+                if cfg.method == "cs_sc" else None)
+    del gram
     if len(part.inlier_idx) == 0:
         raise ValidationError(f"every sample is an outlier at tau={cfg.tau}")
     _check_k(cfg, part)
     inliers = features.select(part.inlier_idx)
     embedding = coeffs = None
     if cfg.method != "kmeans":
-        if cfg.method == "cs_sc":
-            affinity = affinity_from_cosine(gram[np.ix_(part.inlier_idx, part.inlier_idx)])
-        else:
+        if cfg.method != "cs_sc":
             coeffs = compute_coefficients(inliers, cfg).y
             affinity = affinity_from_coefficients(coeffs)
         # an inlier with zero affinity degree has no edge in the graph: as

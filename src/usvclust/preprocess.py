@@ -111,13 +111,15 @@ def resize_bicubic(energy: np.ndarray, f: int, t: int) -> np.ndarray:
 
 def vectorize_segment(segment: SpectroSegment, config: PreprocessConfig) -> np.ndarray:
     """clip -> resize -> column-major flatten -> unit norm, for one segment."""
-    resized = resize_bicubic(clip_below_mean(segment.energy), config.f, config.t)
-    vec = resized.flatten(order="F")
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ValidationError(
-            f"segment {segment.id!r} is all zero after clipping; cannot normalize"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        resized = resize_bicubic(clip_below_mean(segment.energy), config.f, config.t)
+        vec = resized.flatten(order="F")
+        norm = np.linalg.norm(vec)
+    # a scalar guard keeps checked_norms off the hot path; it refuses the
+    # raw energy, or else this vector, whose norm it computes as here
+    if not 0.0 < norm < np.inf:
+        checked_norms(segment.energy, None, f"segment {segment.id!r}".format)
+        checked_norms(vec, None, f"segment {segment.id!r} after clipping and resizing".format)
     return vec / norm
 
 

@@ -17,24 +17,27 @@ from .errors import NumericalError, ParameterError, ValidationError
 _COS_SNAP = 1e-12
 
 
-def checked_norms(data: np.ndarray, axis: int, name) -> np.ndarray:
-    """L2 norms of ``data`` along ``axis``, each nonzero and finite.
+def checked_norms(data: np.ndarray, axis: int | None, name) -> np.ndarray:
+    """L2 norms of ``data`` along ``axis`` (the whole array for None), each
+    nonzero and finite.
 
     The first norm that is zero, or not finite (a non-finite value, or one
-    whose square overflows), is refused as ``f"{name(i)} is all zero"`` or
-    ``f"{name(i)} has norm {norm}"``, with no numpy warning.
+    whose square overflows), is refused as ``f"{name(i)} is all zero"`` when
+    its vector is, and as ``f"{name(i)} has norm {norm}"`` otherwise (0.0
+    when the squared norm underflows), with no numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(data, axis=axis)
     bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
     if bad.size:
         i = int(bad[0])
-        what = "is all zero" if norms[i] == 0.0 else f"has norm {float(norms[i])}"
+        zero = not np.any(data, axis=axis).flat[i]
+        what = "is all zero" if zero else f"has norm {float(norms.flat[i])}"
         raise ValidationError(f"{name(i)} {what}")
     return norms
 
 
-def cosine_gram(data: np.ndarray) -> np.ndarray:
+def cosine_gram(data: np.ndarray, name="column {}".format) -> np.ndarray:
     """All-pairs cosine similarity of the columns of ``data``.
 
     The result is exactly symmetric, clipped to [-1, 1], and values within
@@ -45,11 +48,13 @@ def cosine_gram(data: np.ndarray) -> np.ndarray:
     ----------
     data : (d, n) array
         Column vectors; one whose norm is zero or not finite is rejected.
+    name : callable
+        Maps a column index to its name in that refusal.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValidationError("data must be 2-D")
-    unit = data / checked_norms(data, 0, "column {}".format)
+    unit = data / checked_norms(data, 0, name)
     # exactly symmetric with no averaging pass: numpy computes a product of
     # a matrix with its own transpose by BLAS syrk and mirrors the triangle,
     # and its loop without BLAS sums the same pairs in the same order

@@ -13,7 +13,7 @@ import numpy as np
 from .config import FAMILIES, SubspaceSpec, check_segment_params
 from .errors import ParameterError
 from .ingest import SegmentArchive, SpectroSegment
-from .preprocess import FeatureMatrix
+from .preprocess import normalize_columns
 
 
 def generate_subspaces(spec: SubspaceSpec):
@@ -42,8 +42,7 @@ def generate_subspaces(spec: SubspaceSpec):
         ids.extend(f"out_{j}" for j in range(spec.outlier_count))
         labels.extend([-1] * spec.outlier_count)
     data = np.concatenate(cols, axis=1)
-    data = data / np.linalg.norm(data, axis=0)
-    return FeatureMatrix(data, tuple(ids)), np.array(labels, dtype=int)
+    return normalize_columns(data, ids), np.array(labels, dtype=int)
 
 
 def _contour(family: str, x: np.ndarray, jitter: float) -> np.ndarray:

@@ -128,6 +128,27 @@ class TestAssignOutliers:
         assert model.labels.tolist() == [0, 1, 2]
         assert model.k == 3
 
+    def test_no_outliers_gives_the_inlier_model(self):
+        rng = np.random.default_rng(5)
+        fm = unit_features(rng.standard_normal((6, 12)))
+        part = Partition(np.zeros(12, dtype=bool))
+        labels = np.arange(12) % 4
+        model = assign_outliers(fm, part, labels, 4, "lasso_ssc", feature_shape=(2, 3))
+        assert model.labels.dtype == labels.dtype
+        assert model.labels.tobytes() == labels.tobytes()
+        assert model.centroids.tobytes() == centroids(fm, labels, 4).tobytes()
+        assert model.partition is part
+        assert (model.ids, model.method, model.feature_shape) == (fm.ids, "lasso_ssc", (2, 3))
+
+    def test_zero_centroid_refused(self):
+        # members 0 and 1 cancel; refused whether or not a sample is an outlier
+        fm = unit_features(np.array([[1.0, -1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]))
+        for outliers in ([], [3]):
+            part = Partition(np.isin(np.arange(4), outliers))
+            labels = np.array([0, 0, 1, 1])[part.inlier_idx]
+            with pytest.raises(ValidationError, match=r"^centroid 0 is all zero$"):
+                assign_outliers(fm, part, labels, 2, "kmeans")
+
     @pytest.mark.parametrize("stored", ["k", "inlier_labels"])
     def test_derived_values_are_not_arguments(self, stored):
         # k is len(centroids) and inlier_labels is labels[inlier_idx]

@@ -677,3 +677,63 @@ def test_parsing_and_refusing_leave_numpy_unloaded(tmp_path, argv, code, message
         [message] if message else [])
     assert "usvclust.config" in imported
     assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
+def refused_without_warning(capsys, argv, message):
+    """The command exits 3 with exactly ``message`` and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usvclust: {message}\n"
+
+
+class TestNormRefusals:
+    """Each vector a command cannot divide by its norm is refused in one
+    wording: "is all zero" only for a zero vector, its norm otherwise."""
+
+    @pytest.mark.parametrize("command", ["preprocess", "pipeline"])
+    @pytest.mark.parametrize("value", [1e200, 1e308])
+    def test_segment_whose_norm_overflows(self, tmp_path, capsys, command, value):
+        # 1e200 overflows once squared; 1e308 already in the clipping mean
+        archive = tmp_path / "arch"
+        segs = (SpectroSegment("a", np.full((2, 2), value)), SpectroSegment("b", np.eye(2) + 1))
+        ingest.write_archive(SegmentArchive(segs), archive)
+        out = ["--output", tmp_path / "f.csv"] if command == "preprocess" else [
+            "--output_dir", tmp_path / "o", "--method", "lasso_ssc", "--k", 2]
+        refused_without_warning(capsys, [command, "--input", archive, *out, "--f", 4, "--t", 4],
+                                "segment 'a' has norm inf")
+
+    # e has no self-expression, so it is set aside as a zero-degree inlier
+    @pytest.mark.parametrize("set_aside", ["", "e,0,0,1\n"],
+                             ids=["none set aside", "e set aside"])
+    def test_pipeline_cluster_whose_members_cancel(self, tmp_path, capsys, set_aside):
+        table = tmp_path / "v.csv"
+        table.write_text("id,dim0,dim1,dim2\na,1,0,0\nb,-1,0,0\nc,0,1,0\nd,0,1,0\n"
+                         + set_aside)
+        refused_without_warning(capsys, [
+            "pipeline", "--input", table, "--output_dir", tmp_path / "o",
+            "--method", "lasso_ssc", "--k", 2, "--tau", -0.9], "centroid 1 is all zero")
+
+    def test_evaluate_cluster_whose_members_cancel(self, tmp_path, capsys):
+        table = tmp_path / "v.csv"
+        table.write_text("id,dim0,dim1\na,1,0\nb,-1,0\nc,0,1\nd,0,1\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label,is_outlier\na,0,0\nb,0,0\nc,1,0\nd,1,0\n")
+        refused_without_warning(capsys, ["evaluate", "--labels", labels, "--input", table],
+                                "centroid 0 is all zero")
+
+    def test_subspace_noise_whose_norm_overflows(self, tmp_path, capsys):
+        refused_without_warning(capsys, ["synth", "subspaces", "--noise", 1e200,
+                                         "--output", tmp_path / "v.csv"],
+                                "column 0 ('s0_p0') has norm inf")
+
+    def test_vector_whose_squared_norm_underflows(self, tmp_path, capsys):
+        table = tmp_path / "v.csv"
+        table.write_text("id,dim0,dim1\na,1e-170,2e-170\nb,0,1\nc,1,1\n")
+        refused_without_warning(capsys, ["pipeline", "--input", table, "--output_dir",
+                                         tmp_path / "o", "--method", "kmeans", "--k", 2],
+                                "column 0 ('a') has norm 0.0")
+        refused_without_warning(capsys, ["metrics", "--centroids", table],
+                                f"{table}: centroid 0 has norm 0.0")

@@ -1,9 +1,10 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
-from usvclust import ingest, metrics
+from usvclust import ingest, metrics, pipeline
 from usvclust.config import PipelineConfig
 from usvclust.errors import FormatError, ParameterError, ValidationError
 from usvclust.kmeans import kmeans, principal_axes
@@ -107,6 +108,31 @@ class TestRunPipeline:
         assert res.coefficients.shape == (n_inl, n_inl)
         assert np.all(np.diag(res.coefficients) == 0.0)
 
+    @pytest.mark.parametrize("method", ["cs_sc", "lasso_ssc", "omp_ssc", "kmeans"])
+    def test_gram_released_before_clustering(self, segment_archive, tmp_path,
+                                             monkeypatch, method):
+        # only the split and the cs_sc inlier block read the N x N Gram
+        grams = []
+        entered = []
+
+        def keeping(*args, **kw):
+            gram = cosine_gram(*args, **kw)
+            grams.append(weakref.ref(gram))
+            return gram
+
+        def gram_dead(name, fn):
+            def wrapped(*args, **kw):
+                entered.append(name)
+                assert len(grams) == 1 and grams[0]() is None, name
+                return fn(*args, **kw)
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "cosine_gram", keeping)
+        for name in ("self_express", "embed", "kmeans"):
+            monkeypatch.setattr(pipeline, name, gram_dead(name, getattr(pipeline, name)))
+        run_pipeline(make_cfg(segment_archive, tmp_path / "out", method=method,
+                              k="2,3", sparsity_k=3))
+        assert "kmeans" in entered
 
     def test_one_eigensolve_per_sweep(self, segment_archive, tmp_path,
                                       monkeypatch):

@@ -164,6 +164,24 @@ class TestVectorize:
         with pytest.raises(ValidationError, match="dead"):
             vectorize(arc, PreprocessConfig(2, 2))
 
+    @pytest.mark.parametrize("energy, what", [
+        (np.zeros((3, 3)), "is all zero"),
+        (np.full((2, 2), 1e200), "has norm inf"),  # overflows once squared
+        (np.full((2, 2), 1e308), "has norm inf"),  # overflows in the mean
+        (np.full((2, 2), 1e-170), "has norm 0.0"),  # underflows once squared
+        # finite for 4 cells, overflowing once resized to 16
+        (np.full((2, 2), 6e153), "after clipping and resizing has norm inf"),
+        # a lone corner spike that bicubic downsampling maps only onto a
+        # negative lobe, which is clamped to zero
+        (np.eye(16, 4, -15), "after clipping and resizing is all zero"),
+    ])
+    def test_refusal_names_the_segment_without_warning(self, energy, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                vectorize_segment(SpectroSegment("a", energy), PreprocessConfig(4, 4))
+        assert str(err.value) == f"segment 'a' {what}"
+
 
 class TestFeatureMatrix:
     def test_unit_norm_enforced(self):

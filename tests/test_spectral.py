@@ -11,7 +11,7 @@ from oracles import (affinity_from_cosine_ref, cosine_gram_ref,
 from usvclust.errors import NumericalError, ParameterError, ValidationError
 from usvclust.kmeans import kmeans
 from usvclust.spectral import (affinity_from_coefficients, affinity_from_cosine,
-                               cosine_gram, embed)
+                               checked_norms, cosine_gram, embed)
 
 
 def block_affinity(sizes, weight=1.0):
@@ -23,6 +23,43 @@ def block_affinity(sizes, weight=1.0):
         start += size
     np.fill_diagonal(a, 0.0)
     return a
+
+
+class TestCheckedNorms:
+    @pytest.mark.parametrize("shape, axis", [((7,), None), ((5, 6), None),
+                                             ((5, 6), 0), ((5, 6), 1)])
+    def test_norms_are_numpys_bit_for_bit(self, shape, axis):
+        data = np.random.default_rng(4).standard_normal(shape)
+        got = checked_norms(data, axis, "vector {}".format)
+        want = np.linalg.norm(data, axis=axis)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("values, what", [
+        ([0.0, -0.0], "is all zero"),
+        ([1e-170, 2e-170], "has norm 0.0"),  # the squared norm underflows
+        ([1e200, 1.0], "has norm inf"),  # the squared norm overflows
+        ([np.nan, 1.0], "has norm nan"),
+    ])
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_refusal_says_all_zero_only_for_a_zero_vector(self, values, what, axis):
+        if axis is None:
+            data, name = np.array(values), "v".format
+        else:
+            bad = np.array([[1.0, 2.0], values])
+            data, name = (bad.T if axis == 0 else bad), "vector {}".format
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                checked_norms(data, axis, name)
+        assert str(err.value) == ("v " if axis is None else "vector 1 ") + what
+
+    def test_whole_matrix_with_axis_none(self):
+        data = np.array([[0.0, 1e200], [3.0, 0.0]])
+        with pytest.raises(ValidationError, match=r"^m has norm inf$"):
+            checked_norms(data, None, "m".format)
+        with pytest.raises(ValidationError, match=r"^m is all zero$"):
+            checked_norms(np.zeros((2, 3)), None, "m".format)
 
 
 class TestCosineGram:
