@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .config import (SETTINGS, PipelineConfig, PreprocessConfig, SubspaceSpec,
@@ -186,11 +187,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # a warning shows as one line; a filter that makes it an error still raises it
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"usvclust: warning: {message}\n"
     try:
         return _DISPATCH[args.command](args)
     except UsvClustError as exc:
         print(f"usvclust: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

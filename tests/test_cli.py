@@ -580,6 +580,28 @@ def test_ascii_locale_writes_the_same_bytes(tmp_path):
     assert "\u00e9s0000".encode() in trees[0]["labels.csv"]
 
 
+def test_a_warning_is_one_line_on_stderr(tmp_path):
+    # three distinct rows clustered at K=4 give two parallel centroids
+    table = tmp_path / "t.csv"
+    rows = ("1,0,0", "0,1,0", "0,0,1")
+    table.write_text("id,dim0,dim1,dim2\n" + "".join(f"s{i},{rows[i % 3]}\n" for i in range(12)))
+    argv = ["pipeline", "--input", str(table), "--method", "kmeans", "--k", "4", "--output_dir"]
+    src = str(Path(ingest.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "usvclust", *argv, str(tmp_path / "o")],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("usvclust: warning: two centroids are parallel (cosine distance 0); "
+                           "harmonic mean collapses to 0\n")
+    assert proc.stdout.startswith("k=4: d_cos_hmean=0, ")
+    assert (tmp_path / "o" / "labels.csv").is_file()
+    # in-process, the test run's error::RuntimeWarning filter still raises it
+    formatwarning = warnings.formatwarning
+    with pytest.raises(RuntimeWarning, match="parallel"):
+        main([*argv, str(tmp_path / "o2")])
+    assert warnings.formatwarning is formatwarning
+
+
 def test_leading_byte_order_marks_are_read_and_never_written(archive_path, tmp_path,
                                                              capsys):
     # a config file, vector table and labels file that begin with U+FEFF,

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import reference_bicubic
+from usvclust import synth
 from usvclust.config import PreprocessConfig
 from usvclust.errors import ParameterError, ValidationError
 from usvclust.ingest import SegmentArchive, SpectroSegment
@@ -183,11 +185,46 @@ class TestVectorize:
         assert str(err.value) == f"segment 'a' {what}"
 
 
-class TestFeatureMatrix:
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValidationError, match=r"column 0 \('a'\) has norm 2\.0$"):
-            FeatureMatrix(np.array([[2.0], [0.0]]), ("a",))
+@pytest.fixture(scope="module")
+def mixed_archive():
+    """200 segments of 72 distinct shapes."""
+    return synth.generate_segments(200, 5, 1, outlier_frac=0.1)[0]
 
+
+def traced_peak(fn):
+    """fn's result and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFeatureMatrixBuild:
+    """vectorize fills one D x N array, and select copies only the columns."""
+
+    def test_vectorize_holds_one_matrix(self, mixed_archive):
+        fm, peak = traced_peak(lambda: vectorize(mixed_archive, PreprocessConfig()))
+        assert fm.d == 64 * 64
+        assert peak < 1.25 * fm.data.nbytes
+
+    def test_select_holds_one_matrix(self, mixed_archive):
+        fm = vectorize(mixed_archive, PreprocessConfig())
+        idx = np.arange(fm.n)[20:][::-1]  # 180 columns, reordered
+        sub, peak = traced_peak(lambda: fm.select(idx))
+        assert sub.n == len(idx)
+        assert peak < 1.25 * sub.data.nbytes
+
+    def test_vectorize_equals_stacked_segments(self, mixed_archive):
+        config = PreprocessConfig(12, 10)
+        fm = vectorize(mixed_archive, config)
+        stacked = np.column_stack([vectorize_segment(seg, config)
+                                   for seg in mixed_archive.segments])
+        assert fm.data.flags.c_contiguous
+        np.testing.assert_array_equal(fm.data.view(np.int64), stacked.view(np.int64))
+
+
+class TestFeatureMatrix:
     def test_id_count_enforced(self):
         with pytest.raises(ValidationError):
             FeatureMatrix(np.eye(2), ("a",))
@@ -201,6 +238,11 @@ class TestFeatureMatrix:
     def test_normalize_columns(self):
         fm = normalize_columns(np.array([[3.0, 0.0], [4.0, 2.0]]), ("a", "b"))
         np.testing.assert_allclose(np.linalg.norm(fm.data, axis=0), 1.0)
+
+    def test_normalize_checks_id_count_before_norms(self):
+        # the zero third column has no id to name in a norm refusal
+        with pytest.raises(ValidationError, match="^3 columns but 2 ids$"):
+            normalize_columns(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), ("a", "b"))
 
     def test_normalize_rejects_zero_column(self):
         with pytest.raises(ValidationError, match="'b'"):
