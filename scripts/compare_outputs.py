@@ -8,6 +8,8 @@
     python3 scripts/compare_outputs.py --base ../parent --change . \\
         --workload omp_sweep --method cs_sc --seeds 100..105
     python3 scripts/compare_outputs.py --base ../parent --change . \\
+        --workload lasso_k5 --seeds 100..101 --tau 0.2 --lambda 0.35
+    python3 scripts/compare_outputs.py --base ../parent --change . \\
         --workload writers --seeds 1..3
 
 For each archive seed in the inclusive range, the perfbench archive of the
@@ -16,7 +18,10 @@ read-only from this checkout) and ``python -m usvclust pipeline`` runs on
 it with the benchmark's flags, once with ``DIR/src`` of each tree on
 PYTHONPATH. ``--segments N`` builds archives of N segments instead of the
 workload's own size. ``--method M`` runs clustering method M instead of the
-workload's own, for a method such as cs_sc that no workload runs. The
+workload's own, for a method such as cs_sc that no workload runs.
+``--tau`` and ``--lambda`` replace the benchmark's split threshold and the
+workload's L1 weight, for runs such as one that demotes zero-degree
+inliers. The
 ``writers`` mode instead runs the commands that write the other CSV tables:
 ``synth segments`` to a CSV archive directory, ``preprocess`` of one common
 archive to a vector table, ``synth subspaces`` to a vector table, and a
@@ -65,12 +70,12 @@ def run_cli(tree: Path, args: list, log: Path) -> int:
                               cwd=tree, env=env, stdout=fh, stderr=subprocess.STDOUT).returncode
 
 
-def pipeline_commands(bench, wl, seed: int, work: Path):
+def pipeline_commands(bench, wl, seed: int, work: Path, tau: float):
     """The pipeline run on the workload's archive, writing into ``out``."""
     inputs = bench.make_inputs(wl, seed, work / "input")
     return lambda out: [[
         "pipeline", "--input", str(inputs.path), "--output_dir", str(out),
-        "--tau", str(bench.TAU), "--f", str(bench.GRID), "--t", str(bench.GRID),
+        "--tau", str(tau), "--f", str(bench.GRID), "--t", str(bench.GRID),
         "--seed", "0", *wl.cli_flags()]]
 
 
@@ -131,11 +136,16 @@ def main(argv=None) -> int:
                         help="segments per archive, instead of the workload's own count")
     parser.add_argument("--method", choices=METHODS,
                         help="clustering method, instead of the workload's own")
+    parser.add_argument("--tau", type=float,
+                        help="split threshold, instead of the benchmark's own")
+    parser.add_argument("--lambda", dest="lam", type=float,
+                        help="L1 weight, instead of the workload's own")
     args = parser.parse_args(argv)
     if args.segments is not None and (args.workload == "writers" or args.segments < 2):
         parser.error("--segments takes a count of at least 2 and a pipeline workload")
-    if args.method is not None and args.workload == "writers":
-        parser.error("--method takes a pipeline workload")
+    for flag, value in (("--method", args.method), ("--tau", args.tau), ("--lambda", args.lam)):
+        if value is not None and args.workload == "writers":
+            parser.error(f"{flag} takes a pipeline workload")
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     status = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
@@ -148,9 +158,11 @@ def main(argv=None) -> int:
                 wl = bench.WORKLOADS[args.workload]
                 if args.segments is not None:
                     wl = dataclasses.replace(wl, segments=args.segments)
-                if args.method is not None:
-                    wl = dataclasses.replace(wl, config={**wl.config, "method": args.method})
-                commands = pipeline_commands(bench, wl, seed, work)
+                for key, value in (("method", args.method), ("lam", args.lam)):
+                    if value is not None:
+                        wl = dataclasses.replace(wl, config={**wl.config, key: value})
+                tau = bench.TAU if args.tau is None else args.tau
+                commands = pipeline_commands(bench, wl, seed, work, tau)
             for side, tree in trees.items():
                 out = work / side
                 out.mkdir()

@@ -43,18 +43,17 @@ class ClusterModel:
 
 
 def centroids(features: FeatureMatrix, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-cluster means of the feature columns, as a k x d matrix.
-
-    The means are plain averages; they are *not* re-normalized, so a
-    centroid of unit vectors generally has norm below 1.
+    """Per-cluster means of the feature columns, as a k x d matrix; columns
+    labelled -1 (outliers) are in no cluster. The means are plain averages,
+    *not* re-normalized, so a centroid of unit vectors generally has norm below 1.
     """
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (features.n,):
         raise ValidationError("one label per feature column required")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValidationError(f"labels must lie in [0, {k}), got {labels.min()}..{labels.max()}")
+    if labels.size and (labels.min() < -1 or labels.max() >= k):
+        raise ValidationError(f"labels must lie in [-1, {k}), got {labels.min()}..{labels.max()}")
     out = np.empty((k, features.d))
     for c in range(k):
         members = np.flatnonzero(labels == c)
@@ -66,23 +65,19 @@ def centroids(features: FeatureMatrix, labels: np.ndarray, k: int) -> np.ndarray
 
 def assign_outliers(features: FeatureMatrix, partition: Partition,
                     inlier_labels: np.ndarray, k: int, method: str,
-                    feature_shape: tuple[int, int] | None = None,
-                    inliers: FeatureMatrix | None = None) -> ClusterModel:
-    """Attach every outlier to its most cosine-similar inlier centroid.
-
-    ``inliers`` is ``features.select(partition.inlier_idx)`` where the
-    caller already holds it; it is selected here otherwise.
-    """
+                    feature_shape: tuple[int, int] | None = None) -> ClusterModel:
+    """Attach every outlier to its most cosine-similar inlier centroid."""
     if partition.is_outlier.shape != (features.n,):
         raise ValidationError("one outlier flag per sample required")
     inlier_labels = np.asarray(inlier_labels, dtype=int)
     if inlier_labels.shape != (len(partition.inlier_idx),):
         raise ValidationError("one label per inlier required")
-    if inliers is None:
-        inliers = features.select(partition.inlier_idx)
-    cents = centroids(inliers, inlier_labels, k)
-    labels = np.empty(features.n, dtype=int)
+    if np.any(inlier_labels < 0):
+        raise ValidationError("inlier labels must be >= 0")
+    labels = np.full(features.n, -1)
     labels[partition.inlier_idx] = inlier_labels
+    # the centroids read the inlier columns in place: no inlier copy is made
+    cents = centroids(features, labels, k)
     unit_cents = cents / checked_norms(cents, 1, "centroid {}".format)[:, None]
     outliers = features.data[:, partition.outlier_idx]
     sims = unit_cents @ (outliers / checked_norms(outliers, 0, "outlier {}".format))

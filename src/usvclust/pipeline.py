@@ -84,12 +84,20 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
     if len(part.inlier_idx) == 0:
         raise ValidationError(f"every sample is an outlier at tau={cfg.tau}")
     _check_k(cfg, part)
-    inliers = features.select(part.inlier_idx)
     embedding = coeffs = None
-    if cfg.method != "kmeans":
+    if cfg.method == "kmeans":
+        points = features.select(part.inlier_idx).data.T
+        if cfg.export_embedding:
+            # one SVD per run. Each K makes its own projection, as a slice
+            # of a wider product may differ in the last bits
+            centered, axes = principal_axes(points)
+    else:
         if cfg.method != "cs_sc":
-            coeffs = compute_coefficients(inliers, cfg).y
+            # the inlier copy lives only while self-expression reads it, the
+            # coefficients past the affinity only when they are dumped
+            coeffs = compute_coefficients(features.select(part.inlier_idx), cfg).y
             affinity = affinity_from_coefficients(coeffs)
+            coeffs = coeffs if cfg.dump_coefficients else None
         # an inlier with zero affinity degree has no edge in the graph: as
         # in the paper it becomes an outlier, assigned at the end. Its
         # affinity row and column are zero, so the rest is unchanged
@@ -101,32 +109,26 @@ def run_pipeline(cfg: PipelineConfig) -> list[KResult]:
             part = Partition(is_outlier)
             _check_k(cfg, part, f" after {int(isolated.sum())} zero-degree inliers "
                                 "became outliers")
-            inliers = features.select(part.inlier_idx)
             affinity = affinity[np.ix_(keep, keep)]
             if coeffs is not None:
                 coeffs = coeffs[np.ix_(keep, keep)]
         # one eigensolve per run; each K clusters the leading K columns
         embedding = embed(affinity, max(cfg.k)).coords
-    elif cfg.export_embedding:
-        # raw kmeans: one SVD per run. Each K makes its own projection, as a
-        # slice of a wider product may differ in the last bits
-        centered, axes = principal_axes(inliers.data.T)
+        del affinity
+    ids = tuple(features.ids[i] for i in part.inlier_idx) if cfg.export_embedding else None
     results = []
     for k in cfg.k:
         if cfg.method == "kmeans":
-            labels = kmeans(inliers.data.T, k, seed=cfg.seed).labels
+            labels = kmeans(points, k, seed=cfg.seed).labels
             coords = centered @ axes[:k].T if cfg.export_embedding else None
         else:
             coords = embedding[:, :k]
             labels = kmeans(coords, k, seed=cfg.seed).labels
-        model = assign_outliers(features, part, labels, k, cfg.method,
-                                feature_shape=shape, inliers=inliers)
-        rep = metrics.report(features, model)
+        model = assign_outliers(features, part, labels, k, cfg.method, feature_shape=shape)
         results.append(KResult(
-            k=k, model=model, report=rep,
-            embedding_ids=inliers.ids if cfg.export_embedding else None,
-            embedding=coords if cfg.export_embedding else None,
-            coefficients=coeffs if cfg.dump_coefficients else None,
+            k=k, model=model, report=metrics.report(features, model),
+            embedding_ids=ids, embedding=coords if cfg.export_embedding else None,
+            coefficients=coeffs,
         ))
     return results
 
@@ -215,7 +217,7 @@ def evaluate(labels_path, input_path, f: int = PreprocessConfig.f,
     bad = labels[(labels < 0) | (labels >= k)]
     if bad.size:
         raise ValidationError(f"{labels_path}: outlier label {bad[0]} is not an inlier cluster")
-    cents = centroids(features.select(part.inlier_idx), inlier_labels, k)
+    cents = centroids(features, np.where(part.is_outlier, -1, labels), k)
     model = ClusterModel(
         ids=features.ids, labels=labels, centroids=cents, partition=part,
         method=method, feature_shape=None,

@@ -111,8 +111,9 @@ def embed(affinity: np.ndarray, k: int) -> SpectralEmbedding:
         )
     s = 1.0 / np.sqrt(deg)
     # s[i]*a[ij]*s[j] is exactly symmetric because each product commutes.
-    m = a * np.outer(s, s)
-    lsym = np.eye(a.shape[0]) - m
+    # I - that product is written over it: no second n x n array outlives it
+    lsym = a * np.outer(s, s)
+    np.subtract(np.eye(a.shape[0]), lsym, out=lsym)
     try:
         w, u = np.linalg.eigh(lsym)
     except np.linalg.LinAlgError as exc:

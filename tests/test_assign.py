@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import assign_outliers_loop, cosine_similarity
+from usvclust import ingest
 from usvclust.assign import ClusterModel, assign_outliers, centroids
 from usvclust.errors import ValidationError
-from usvclust.outlier_split import Partition
-from usvclust.preprocess import FeatureMatrix
+from usvclust.outlier_split import Partition, split
+from usvclust.preprocess import FeatureMatrix, PreprocessConfig, normalize_columns, vectorize
+from usvclust.synth import generate_segments
 
 
 def unit_features(raw):
@@ -45,8 +49,17 @@ class TestCentroids:
 
     def test_label_range_checked(self):
         fm = unit_features(np.eye(2))
-        with pytest.raises(ValidationError):
-            centroids(fm, np.array([0, 5]), 2)
+        for labels in ([0, 5], [0, -2]):
+            with pytest.raises(ValidationError, match=r"labels must lie in \[-1, 2\)"):
+                centroids(fm, np.array(labels), 2)
+
+    def test_minus_one_is_in_no_cluster(self):
+        rng = np.random.default_rng(4)
+        fm = unit_features(rng.standard_normal((5, 8)))
+        labels = np.array([1, -1, 0, 0, -1, 1, 1, -1])
+        kept = np.flatnonzero(labels >= 0)
+        cents = centroids(fm, labels, 2)
+        assert cents.tobytes() == centroids(fm.select(kept), labels[kept], 2).tobytes()
 
 
 class TestAssignOutliers:
@@ -175,15 +188,50 @@ class TestAssignOutliers:
         with pytest.raises(ValidationError, match="one outlier flag per sample"):
             assign_outliers(fm, part, np.array([0, 1, 1]), 2, "kmeans")
 
-    def test_supplied_inliers_give_the_same_model(self):
-        # run_pipeline passes the inlier matrix it already holds
-        rng = np.random.default_rng(3)
-        fm = unit_features(rng.standard_normal((40, 30)))
-        inlier_idx = np.array([i for i in range(30) if i % 4])
-        part = Partition(np.arange(30) % 4 == 0)
-        labels = np.arange(len(inlier_idx)) % 3
-        selected = assign_outliers(fm, part, labels, 3, "kmeans")
-        supplied = assign_outliers(fm, part, labels, 3, "kmeans",
-                                   inliers=fm.select(inlier_idx))
-        assert supplied.centroids.tobytes() == selected.centroids.tobytes()
-        assert supplied.labels.tolist() == selected.labels.tolist()
+    def test_inlier_label_minus_one_refused(self):
+        # -1 marks an outlier for centroids; an inlier must name its cluster
+        fm = unit_features(np.eye(3) + 0.1)
+        part = Partition(np.array([False, False, True]))
+        with pytest.raises(ValidationError, match="inlier labels must be >= 0"):
+            assign_outliers(fm, part, np.array([0, -1]), 1, "kmeans")
+
+
+def segment_features(tmp_path, layout):
+    """Unit features of a synthetic archive: C-ordered as ``vectorize``
+    builds them, or F-ordered as ``normalize_columns`` of a vector table."""
+    archive, _ = generate_segments(60, 4, 2, outlier_frac=0.1)
+    fm = vectorize(archive, PreprocessConfig(f=16, t=16))
+    if layout == "F":
+        ingest.write_vectors(fm.ids, fm.data.T, tmp_path / "v.csv")
+        fm = normalize_columns(ingest.read_vectors(tmp_path / "v.csv")[1].T, fm.ids)
+    assert fm.data.flags[f"{layout}_CONTIGUOUS"]
+    return fm
+
+
+class TestAssignInPlace:
+    """assign_outliers reads the inlier columns of ``features`` in place."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_same_bits_as_the_inlier_copy(self, tmp_path, layout):
+        fm = segment_features(tmp_path, layout)
+        part = split(fm, 0.8)
+        assert part.outlier_idx.size
+        labels = np.arange(len(part.inlier_idx)) % 4
+        model = assign_outliers(fm, part, labels, 4, "kmeans")
+        expected = centroids(fm.select(part.inlier_idx), labels, 4)
+        assert model.centroids.tobytes() == expected.tobytes()
+        ref = assign_outliers_loop(fm.data, part.outlier_idx, expected)
+        assert {int(i): int(model.labels[i]) for i in part.outlier_idx} == ref
+
+    def test_peak_well_under_one_inlier_copy(self):
+        rng = np.random.default_rng(6)
+        fm = unit_features(rng.standard_normal((2000, 200)))
+        part = Partition(np.arange(200) % 20 == 0)
+        labels = np.arange(len(part.inlier_idx)) % 5
+        tracemalloc.start()
+        try:
+            assign_outliers(fm, part, labels, 5, "kmeans")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * fm.d * len(part.inlier_idx) * 8

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from usvclust.metrics import MetricsReport
 from usvclust.outlier_split import split
 from usvclust.pipeline import (KResult, evaluate, load_features, run_pipeline,
                                write_outputs)
+from usvclust.preprocess import FeatureMatrix
 from usvclust.sparse_coding import self_express
 from usvclust.spectral import (affinity_from_coefficients, affinity_from_cosine,
                                cosine_gram, embed)
@@ -133,6 +135,85 @@ class TestRunPipeline:
         run_pipeline(make_cfg(segment_archive, tmp_path / "out", method=method,
                               k="2,3", sparsity_k=3))
         assert "kmeans" in entered
+
+    @pytest.mark.parametrize("method, dump", [
+        ("lasso_ssc", False), ("omp_ssc", False), ("lasso_ssc", True), ("zero_degree", False)])
+    def test_inliers_and_coefficients_released_before_embed(self, segment_archive, tmp_path,
+                                                            monkeypatch, method, dump):
+        # the inlier copy lives only through self-expression, and the
+        # coefficient matrix past the affinity only when it is dumped
+        copies, coeffs, entered = [], [], []
+        select, compute = FeatureMatrix.select, pipeline.compute_coefficients
+
+        def keeping_copy(self, idx):
+            sub = select(self, idx)
+            copies.append(weakref.ref(sub.data))
+            return sub
+
+        def keeping_coeffs(*args):
+            cm = compute(*args)
+            coeffs.append(weakref.ref(cm.y))
+            return cm
+
+        def checking_embed(affinity, k):
+            entered.append(k)
+            assert copies and all(ref() is None for ref in copies)
+            assert len(coeffs) == 1 and (coeffs[0]() is not None) == dump
+            return embed(affinity, k)
+
+        monkeypatch.setattr(FeatureMatrix, "select", keeping_copy)
+        monkeypatch.setattr(pipeline, "compute_coefficients", keeping_coeffs)
+        monkeypatch.setattr(pipeline, "embed", checking_embed)
+        if method == "zero_degree":  # lasso_ssc, demoting sample 4 at K=2
+            cfg = TestZeroDegreeInliers().cfg(tmp_path, dump_coefficients=dump)
+        else:
+            cfg = make_cfg(segment_archive, tmp_path / "out", method=method, k="2,3",
+                           sparsity_k=3, dump_coefficients=dump)
+        results = run_pipeline(cfg)
+        assert entered == [max(cfg.k)]
+        assert all((res.coefficients is not None) == dump for res in results)
+        if method == "zero_degree":
+            assert results[0].model.partition.outlier_idx.tolist() == [4]
+
+    def test_cs_sc_copies_no_inliers(self, segment_archive, tmp_path, monkeypatch):
+        def refused(self, idx):
+            raise AssertionError("FeatureMatrix.select called")
+
+        monkeypatch.setattr(FeatureMatrix, "select", refused)
+        results = run_pipeline(make_cfg(segment_archive, tmp_path / "out", k="2,3",
+                                        export_embedding=True))
+        assert results[1].embedding_ids == tuple(
+            results[1].model.ids[i] for i in results[1].model.partition.inlier_idx)
+
+    @pytest.mark.parametrize("method", ["lasso_ssc", "cs_sc"])
+    def test_peak_memory_after_loading(self, tmp_path, monkeypatch, method):
+        # past loading a run holds about three M x M arrays at once (in
+        # embed: the affinity, L_sym and the eigenvectors), where it also
+        # held the inlier copy, the coefficients and a separate product.
+        # Archive, grid and K are small, so M x M arrays outweigh the
+        # D x N features.
+        archive, _ = generate_segments(300, 5, 1, outlier_frac=0.1)
+        ingest.write_archive(archive, tmp_path / "segs.ssca")
+        del archive
+        load, after_load = pipeline.load_features, {}
+
+        def loading(*args):
+            out = load(*args)
+            after_load["bytes"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(pipeline, "load_features", loading)
+        cfg = make_cfg(tmp_path / "segs.ssca", tmp_path / "out", method=method, f=8, t=8)
+        tracemalloc.start()
+        try:
+            results = run_pipeline(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - after_load["bytes"]
+        finally:
+            tracemalloc.stop()
+        m = len(results[0].model.partition.inlier_idx)
+        assert m > 250
+        assert peak < 4 * m * m * 8
 
     def test_one_eigensolve_per_sweep(self, segment_archive, tmp_path,
                                       monkeypatch):

@@ -65,3 +65,19 @@ def test_compare_outputs_names_the_file_whose_bytes_differ(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0].endswith(" 1 differences")
     assert lines[1:] == ["  bytes differ: metrics.txt"]
+
+
+@pytest.mark.parametrize("flag, value, refusal", [
+    ("--tau", "1.5", "tau must lie in (-1, 1], got 1.5"),
+    ("--lambda", "-1", "lambda must be positive and finite, got -1.0")],
+    ids=["tau", "lambda"])
+def test_compare_outputs_forwards_tau_and_lambda(flag, value, refusal):
+    # the CLI sees the value, and refuses it; writers takes neither flag
+    run = [sys.executable, str(COMPARE), "--base", str(ROOT), "--change", str(ROOT),
+           "--seeds", "1..1", flag, value]
+    proc = subprocess.run([*run, "--workload", "lasso_k5", "--segments", "20"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and refusal in proc.stderr, proc.stderr
+    proc = subprocess.run([*run, "--workload", "writers"], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2 and f"{flag} takes a pipeline workload" in proc.stderr
