@@ -11,6 +11,7 @@ need no input, so parsing a command and refusing it never load numpy.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import warnings
 from pathlib import Path
@@ -199,5 +200,18 @@ def main(argv=None) -> int:
         warnings.formatwarning = formatwarning
 
 
+def entry() -> int:
+    """``main`` as a process: the entry point of ``python -m usvclust`` and
+    of the console script.
+
+    The process ends once it returns, so ``gc.freeze()`` first moves every
+    object left to the permanent generation, which the collection at exit
+    does not visit. In-process callers call ``main`` and keep collecting.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

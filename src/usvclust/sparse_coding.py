@@ -19,6 +19,7 @@ KKT_TOL = 1e-9  # largest KKT violation a certified LASSO column may have
 _PARALLEL = 1e-12  # correlations closing on the level slower than this never meet it
 _RANK_TOL = 1e-10  # an OMP atom this close (squared, relative) to the active span is dependent
 _OMP_BLOCK_BYTES = 1 << 22  # gram[active] gathered for one block of OMP targets
+_LASSO_CHUNK_ROWS = 256  # length-n rows one chunk of LASSO paths holds
 
 
 @dataclass(frozen=True)
@@ -48,81 +49,169 @@ def _kkt_gram(grad: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
                     np.maximum(np.abs(grad) - lam, 0.0))
 
 
-def _homotopy(gram: np.ndarray, corr: np.ndarray, lam: float,
-              max_steps: int, barred: int | None = None):
-    """LASSO by the homotopy (LARS-lasso) path on the Gram form.
+def _lasso_gram(gram: np.ndarray, corr: np.ndarray, lam: float, max_steps: int,
+                barred: np.ndarray):
+    """LASSO by the homotopy (LARS-lasso) path on the Gram form, many targets.
 
-    Minimizes 0.5*||t - A y||^2 + lam*||y||_1 given gram = A^T A and
-    corr = A^T t; the data matrix itself is never touched. The path starts
-    at lambda_max with one active atom, and each step lowers the level to
-    the next point where an inactive atom's correlation reaches the level
-    (it enters) or an active coefficient reaches zero (it leaves). Atom
-    ``barred`` never enters. Once the target lam is within reach the
+    Minimizes 0.5*||t_i - A y||^2 + lam*||y||_1 for each target t_i given
+    gram = A^T A and the rows corr[i] = A^T t_i; the data matrix itself is
+    never touched. A path starts at lambda_max with one active atom, and
+    each step lowers the level to the next point where an inactive atom's
+    correlation reaches the level (it enters) or an active coefficient
+    reaches zero (it leaves). Target i's atom ``barred[i]`` never enters; a
+    negative entry bars none. Once the target lam is within reach the
     support and signs are fixed and solved exactly, then every atom is
-    checked against the KKT conditions. Returns (y, certified); y is the
-    path point reached so far if the step cap runs out first.
+    checked against the KKT conditions. A path whose active block is
+    exactly singular, or that is still short of lam after ``max_steps``
+    steps, stops uncertified at the point it reached.
+
+    Every live path moves one step per stacked numpy call. The paths are
+    grouped by active-set size, since a dropped atom breaks lockstep, and
+    each group is stepped in chunks that hold at most ``_LASSO_CHUNK_ROWS``
+    rows of length n: their gram[active] gather and work arrays. Each stack
+    entry makes the calls its path makes alone, so the coefficients are
+    those of a path run target by target, bit for bit.
+
+    Returns (codes, certified). codes lists blocks (cols, active, coef):
+    the (n, c) matrix whose column i codes target i is zero but at
+    y[active, cols[:, None]] = coef. The caller builds it, so that it need
+    not hold y and the Gram at once.
     """
-    n = corr.shape[0]
-    y = np.zeros(n)
-    free = np.ones(n, dtype=bool)  # inactive atoms that may enter
-    if barred is not None:
-        free[barred] = False
-    score = np.where(free, np.abs(corr), 0.0)
-    if score.max(initial=0.0) <= lam:
-        return y, True
-    first = int(np.argmax(score))
-    level = float(score[first])
-    active, signs = [first], [float(np.sign(corr[first]))]
-    free[first] = False
-    dropped = -1
+    c, n = corr.shape
+    certified = np.zeros(c, dtype=bool)
+    first = np.empty(c, dtype=np.intp)
+    level = np.empty(c)
+    for lo in range(0, c, _LASSO_CHUNK_ROWS):
+        part = slice(lo, lo + _LASSO_CHUNK_ROWS)
+        score = np.abs(corr[part])
+        i = np.arange(score.shape[0])
+        bar = barred[part]
+        score[i[bar >= 0], bar[bar >= 0]] = 0.0
+        first[part] = np.argmax(score, axis=1)
+        level[part] = score[i, first[part]]
+    certified[level <= lam] = True
+    cols = np.flatnonzero(level > lam)
+    # a group: the paths at one active-set size, as (cols, active, signs,
+    # coef, level, dropped); active atoms in the order they entered
+    groups = {1: (cols, first[cols, None], np.sign(corr[cols, first[cols]])[:, None],
+                  np.zeros((cols.size, 1)), level[cols], np.full(cols.size, -1))}
+    stopped = []  # (cols, active, coef) of the paths that stopped
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_steps):
-            idx = np.array(active)
-            s = np.array(signs)
-            rows = gram[idx]
-            g_aa = rows[:, idx]
-            try:
-                d = np.linalg.solve(g_aa, s)  # dy_A / d(-level)
-            except np.linalg.LinAlgError:
-                return y, False
-            gap = level - lam
-            # inactive correlations move as r - step*a while the level
-            # moves as level - step; entry is where |r_j| meets the level
-            r = corr - y[idx] @ rows
-            a = d @ rows
-            up = np.where(1.0 - a > _PARALLEL,
-                          np.maximum(level - r, 0.0) / (1.0 - a), np.inf)
-            down = np.where(1.0 + a > _PARALLEL,
-                            np.maximum(level + r, 0.0) / (1.0 + a), np.inf)
-            step_in = np.where(free, np.minimum(up, down), np.inf)
-            if dropped >= 0:
-                # it sits on the boundary by construction; letting it back
-                # in at once re-fits it with the wrong sign
-                step_in[dropped] = np.inf
-            enter = int(np.argmin(step_in))
-            ya = y[idx]
-            step_out = np.where(ya * d < 0.0, -ya / d, np.inf)
-            leave = int(np.argmin(step_out))
-            if gap <= step_in[enter] and gap <= step_out[leave]:
-                y[idx] = np.linalg.solve(g_aa, corr[idx] - lam * s)
-                viol = _kkt_gram(y[idx] @ rows - corr, y, lam)
-                if barred is not None:
-                    viol[barred] = 0.0
-                return y, bool(viol.max() <= KKT_TOL)
-            step = min(step_in[enter], step_out[leave])
-            y[idx] += step * d
-            level -= step
-            if step_out[leave] < step_in[enter]:
-                dropped = active.pop(leave)
-                signs.pop(leave)
-                y[dropped] = 0.0
-                free[dropped] = True
-            else:
-                dropped = -1
-                active.append(enter)
-                signs.append(1.0 if up[enter] <= down[enter] else -1.0)
-                free[enter] = False
-    return y, False
+            moved = {}
+            for s, group in groups.items():
+                # gram[active] and about four work arrays per path
+                per = max(1, _LASSO_CHUNK_ROWS // (s + 4))
+                for lo in range(0, group[0].size, per):
+                    chunk = [a[lo:lo + per] for a in group]
+                    for size, part in _lasso_step(gram, corr, lam, barred, chunk,
+                                                  stopped, certified):
+                        moved.setdefault(size, []).append(part)
+            groups = {s: [np.concatenate(a) for a in zip(*parts)] for s, parts in moved.items()}
+            if not groups:
+                break
+    stopped += [(cols, active, coef) for cols, active, _, coef, _, _ in groups.values()]
+    return stopped, certified
+
+
+def _lasso_step(gram, corr, lam, barred, group, stopped, certified):
+    """One step of ``_lasso_gram`` for a chunk of paths at one active-set size.
+
+    A path that stops appends (cols, active, coef) to ``stopped`` and sets
+    its ``certified`` entry; the others are returned as (size, group) pairs.
+    """
+    cols, active, signs, coef, level, dropped = group
+    rows = gram[active]
+    g_aa = gram[active[:, :, None], active[:, None, :]]
+    try:
+        # numpy 2 reads a 2-D b as a stack of matrices, hence b[..., None]
+        d = np.linalg.solve(g_aa, signs[..., None])[..., 0]  # dy_A / d(-level)
+    except np.linalg.LinAlgError:
+        # an exactly singular block stops its own path, not the chunk's
+        ok = np.array([_solvable(g) for g in g_aa])
+        stopped.append((cols[~ok], active[~ok], coef[~ok]))
+        if not ok.any():
+            return []
+        return _lasso_step(gram, corr, lam, barred, [a[ok] for a in group], stopped, certified)
+    gap = level - lam
+    # inactive correlations move as r - step*a while the level moves as
+    # level - step; entry is where |r_j| meets the level
+    lev = level[:, None]
+    r = corr[cols]
+    r -= (coef[:, None] @ rows)[:, 0]
+    a = (d[:, None] @ rows)[:, 0]
+    up = _entry_steps(lev - r, 1.0 - a)
+    down = _entry_steps(np.add(lev, r, out=r), np.add(1.0, a, out=a))
+    step_in = np.minimum(up, down, out=a)
+    b = np.arange(cols.size)
+    step_in[b[:, None], active] = np.inf
+    # the dropped atom sits on the boundary by construction; letting it back
+    # in at once re-fits it with the wrong sign
+    for bar in (barred[cols], dropped):
+        step_in[b[bar >= 0], bar[bar >= 0]] = np.inf
+    enter = np.argmin(step_in, axis=1)
+    s_in = step_in[b, enter]
+    sign_in = np.where(up[b, enter] <= down[b, enter], 1.0, -1.0)
+    del up, down, step_in, r, a
+    step_out = np.where(coef * d < 0.0, -coef / d, np.inf)
+    leave = np.argmin(step_out, axis=1)
+    s_out = step_out[b, leave]
+    done = (gap <= s_in) & (gap <= s_out)
+    if done.any():
+        f = np.flatnonzero(done)
+        act, cor = active[f], corr[cols[f]]
+        y_a = np.linalg.solve(g_aa[f], (np.take_along_axis(cor, act, axis=1)
+                                         - lam * signs[f])[..., None])[..., 0]
+        grad = (y_a[:, None] @ rows[f])[:, 0]
+        grad -= cor
+        bf = np.arange(f.size)
+        kkt_a = _kkt_gram(np.take_along_axis(grad, act, axis=1), y_a, lam)
+        viol = np.abs(grad, out=grad)
+        viol -= lam
+        np.maximum(viol, 0.0, out=viol)
+        viol[bf[:, None], act] = kkt_a
+        bar = barred[cols[f]]
+        viol[bf[bar >= 0], bar[bar >= 0]] = 0.0
+        certified[cols[f]] = viol.max(axis=1) <= KKT_TOL
+        stopped.append((cols[f], act, y_a))
+    go = ~done
+    cols, active, signs, coef, level, d, enter, sign_in, leave, s_in, s_out = (
+        x[go] for x in (cols, active, signs, coef, level, d, enter, sign_in, leave,
+                        s_in, s_out))
+    step = np.minimum(s_in, s_out)
+    coef = coef + step[:, None] * d
+    level = level - step
+    drop = s_out < s_in
+    n_drop, s = int(drop.sum()), active.shape[1]
+    keep = (np.arange(s) != leave[drop, None]).ravel()
+    shrunk = (cols[drop], *(x[drop].ravel()[keep].reshape(n_drop, s - 1)
+                            for x in (active, signs, coef)),
+              level[drop], active[drop, leave[drop]])
+    add = ~drop
+    grown = (cols[add], np.column_stack([active[add], enter[add]]),
+             np.column_stack([signs[add], sign_in[add]]),
+             np.column_stack([coef[add], np.zeros(cols.size - n_drop)]),
+             level[add], np.full(cols.size - n_drop, -1))
+    return [(size, part) for size, part in ((s - 1, shrunk), (s + 1, grown)) if part[0].size]
+
+
+def _entry_steps(room: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """np.where(rate > _PARALLEL, np.maximum(room, 0.0) / rate, np.inf),
+    computed in room's buffer."""
+    np.maximum(room, 0.0, out=room)
+    np.divide(room, rate, out=room)
+    room[~(rate > _PARALLEL)] = np.inf
+    return room
+
+
+def _solvable(g_aa: np.ndarray) -> bool:
+    """Whether ``np.linalg.solve`` takes this block: it refuses an exactly
+    singular one, whatever the right-hand side."""
+    try:
+        np.linalg.solve(g_aa, g_aa[0])
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def kkt_violation(dictionary: np.ndarray, target: np.ndarray,
@@ -253,12 +342,12 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
     # exactly symmetric (see cosine_gram): row j is sample j's correlations
     gram = x.T @ x
     if config.method == "lasso":
+        codes, certified = _lasso_gram(gram, gram, config.lam, config.max_iter, np.arange(n))
+        del gram  # y is only made once the Gram is gone
         y = np.zeros((n, n))
-        for j in range(n):
-            y[:, j], ok = _homotopy(gram, gram[j], config.lam,
-                                    config.max_iter, barred=j)
-            if not ok:
-                n_nonconverged += 1
+        for cols, active, coef in codes:
+            y[active, cols[:, None]] = coef
+        n_nonconverged = int(n - certified.sum())
         if n_nonconverged:
             warnings.warn(
                 f"{n_nonconverged} of {n} columns are uncertified: they hit "
@@ -269,6 +358,6 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
     else:
         y, n_dependent = _omp_gram(gram, gram, np.diagonal(gram), config.sparsity_k,
                                    config.tol, barred=np.arange(n))
-    del gram
+        del gram
     y[np.abs(y) < config.denoise_eps] = 0.0
     return CoefficientMatrix(y, n_nonconverged, n_dependent)

@@ -6,9 +6,10 @@ the homotopy path, exhaustive search instead of greedy selection, plain
 loops instead of matrix tricks, least squares on the data instead of the
 Gram form) so agreement is meaningful evidence. The rest are the
 package's earlier code kept verbatim, so a faster rewrite can be held to
-the same bits. Two are not references at all: ``lasso_column`` and
-``omp_column`` run the package's own solvers on a single target, the entry
-points the solver tests call them through.
+the same bits. ``lasso_column`` runs one of these, the one-column homotopy
+``homotopy_column_ref``, on a single target. ``omp_column`` is not a
+reference at all: it runs the package's own Batch-OMP on a single target,
+the entry point the solver tests call it through.
 """
 
 from __future__ import annotations
@@ -22,14 +23,97 @@ import scipy.optimize
 
 from usvclust.config import SparseCodingConfig
 from usvclust.errors import ParameterError, ValidationError
-from usvclust.sparse_coding import _RANK_TOL, _homotopy, _omp_gram
+from usvclust.sparse_coding import _PARALLEL, _RANK_TOL, KKT_TOL, _kkt_gram, _omp_gram
 
 
 def lasso_column(dictionary, target, lam, max_iter=SparseCodingConfig.max_iter):
-    """The package's LASSO homotopy path on one target; returns (y, certified)."""
+    """``homotopy_column_ref`` on one target; returns (y, certified)."""
     a = np.asarray(dictionary, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
-    return _homotopy(a.T @ a, a.T @ t, lam, max_iter)
+    return homotopy_column_ref(a.T @ a, a.T @ t, lam, max_iter)
+
+
+def homotopy_column_ref(gram: np.ndarray, corr: np.ndarray, lam: float,
+                        max_steps: int, barred: int | None = None):
+    """LASSO by the homotopy (LARS-lasso) path on the Gram form.
+
+    The package's homotopy before it moved every target in lockstep, kept
+    verbatim: one target per call. It makes the same numpy calls the
+    batched path makes for each stack entry, so the two agree bit for bit
+    rather than to a tolerance.
+
+    Minimizes 0.5*||t - A y||^2 + lam*||y||_1 given gram = A^T A and
+    corr = A^T t; the data matrix itself is never touched. The path starts
+    at lambda_max with one active atom, and each step lowers the level to
+    the next point where an inactive atom's correlation reaches the level
+    (it enters) or an active coefficient reaches zero (it leaves). Atom
+    ``barred`` never enters. Once the target lam is within reach the
+    support and signs are fixed and solved exactly, then every atom is
+    checked against the KKT conditions. Returns (y, certified); y is the
+    path point reached so far if the step cap runs out first, or if the
+    active block turns exactly singular.
+    """
+    n = corr.shape[0]
+    y = np.zeros(n)
+    free = np.ones(n, dtype=bool)  # inactive atoms that may enter
+    if barred is not None:
+        free[barred] = False
+    score = np.where(free, np.abs(corr), 0.0)
+    if score.max(initial=0.0) <= lam:
+        return y, True
+    first = int(np.argmax(score))
+    level = float(score[first])
+    active, signs = [first], [float(np.sign(corr[first]))]
+    free[first] = False
+    dropped = -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_steps):
+            idx = np.array(active)
+            s = np.array(signs)
+            rows = gram[idx]
+            g_aa = rows[:, idx]
+            try:
+                d = np.linalg.solve(g_aa, s)  # dy_A / d(-level)
+            except np.linalg.LinAlgError:
+                return y, False
+            gap = level - lam
+            # inactive correlations move as r - step*a while the level
+            # moves as level - step; entry is where |r_j| meets the level
+            r = corr - y[idx] @ rows
+            a = d @ rows
+            up = np.where(1.0 - a > _PARALLEL,
+                          np.maximum(level - r, 0.0) / (1.0 - a), np.inf)
+            down = np.where(1.0 + a > _PARALLEL,
+                            np.maximum(level + r, 0.0) / (1.0 + a), np.inf)
+            step_in = np.where(free, np.minimum(up, down), np.inf)
+            if dropped >= 0:
+                # it sits on the boundary by construction; letting it back
+                # in at once re-fits it with the wrong sign
+                step_in[dropped] = np.inf
+            enter = int(np.argmin(step_in))
+            ya = y[idx]
+            step_out = np.where(ya * d < 0.0, -ya / d, np.inf)
+            leave = int(np.argmin(step_out))
+            if gap <= step_in[enter] and gap <= step_out[leave]:
+                y[idx] = np.linalg.solve(g_aa, corr[idx] - lam * s)
+                viol = _kkt_gram(y[idx] @ rows - corr, y, lam)
+                if barred is not None:
+                    viol[barred] = 0.0
+                return y, bool(viol.max() <= KKT_TOL)
+            step = min(step_in[enter], step_out[leave])
+            y[idx] += step * d
+            level -= step
+            if step_out[leave] < step_in[enter]:
+                dropped = active.pop(leave)
+                signs.pop(leave)
+                y[dropped] = 0.0
+                free[dropped] = True
+            else:
+                dropped = -1
+                active.append(enter)
+                signs.append(1.0 if up[enter] <= down[enter] else -1.0)
+                free[enter] = False
+    return y, False
 
 
 def omp_column(dictionary, target, sparsity_k, tol=SparseCodingConfig.tol):

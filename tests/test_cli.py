@@ -1,4 +1,5 @@
 import filecmp
+import gc
 import os
 import re
 import shutil
@@ -578,6 +579,31 @@ def test_ascii_locale_writes_the_same_bytes(tmp_path):
         trees.append(tree_bytes(tmp_path / name))
     assert trees[0] == trees[1]
     assert "\u00e9s0000".encode() in trees[0]["labels.csv"]
+
+
+@pytest.mark.parametrize("args, code", [
+    ([], 0), (["--k", "1"], 2), (["--input", "missing.ssca"], 3),
+], ids=["written", "usage", "data"])
+def test_process_entry_point_changes_no_outcome(archive_path, tmp_path, capsys, args, code):
+    # python -m usvclust runs cli.entry: main, then gc.freeze() so that the
+    # exit skips collecting; the process exits, prints and writes as main
+    # does in-process, and main freezes nothing
+    src = str(Path(ingest.__file__).resolve().parents[1])
+
+    def argv(name):
+        return ["pipeline", "--input", str(archive_path), "--method", "lasso_ssc", "--k", "2",
+                "--f", "12", "--t", "12", "--output_dir", str(tmp_path / name),
+                *(str(tmp_path / a) if a.endswith(".ssca") else a for a in args)]
+
+    proc = subprocess.run([sys.executable, "-m", "usvclust", *argv("process")],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert main(argv("in_process")) == proc.returncode == code
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    assert tree_bytes(tmp_path / "process") == tree_bytes(tmp_path / "in_process")
+    assert (tmp_path / "process").is_dir() == (code == 0)
+    assert gc.get_freeze_count() == 0
 
 
 def test_a_warning_is_one_line_on_stderr(tmp_path):

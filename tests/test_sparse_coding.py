@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (lambda_max, lasso_column, lasso_objective_ref, lasso_prox_grad,
-                     omp_best_subset, omp_column, omp_column_lstsq, omp_gram_column_ref)
+from oracles import (homotopy_column_ref, lambda_max, lasso_column, lasso_objective_ref,
+                     lasso_prox_grad, omp_best_subset, omp_column, omp_column_lstsq,
+                     omp_gram_column_ref)
 from usvclust import sparse_coding
 from usvclust.config import PreprocessConfig, SparseCodingConfig
 from usvclust.errors import ParameterError, ValidationError
 from usvclust.outlier_split import split
 from usvclust.preprocess import vectorize
-from usvclust.sparse_coding import _omp_gram, kkt_violation, self_express
+from usvclust.sparse_coding import _lasso_gram, _omp_gram, kkt_violation, self_express
 from usvclust.synth import generate_segments
 
 
@@ -438,6 +439,116 @@ class TestBatchedPursuit:
         denoised = self_express(data, SparseCodingConfig(method="omp", sparsity_k=2,
                                                          denoise_eps=0.5))
         assert denoised.n_dependent == 1
+
+
+def lasso_codes(gram, corr, lam, max_steps, barred):
+    """``_lasso_gram``'s codes as the columns of one (n, c) array, and its
+    certificates."""
+    codes, certified = _lasso_gram(gram, corr, lam, max_steps, barred)
+    y = np.zeros((gram.shape[0], corr.shape[0]))
+    for cols, active, coef in codes:
+        y[active, cols[:, None]] = coef
+    return y, certified
+
+
+def homotopy_oracle(gram, corr, lam, max_steps, barred):
+    """The per-target oracle run on each row, as the columns of one array."""
+    runs = [homotopy_column_ref(gram, corr[i], lam, max_steps,
+                                None if barred[i] < 0 else barred[i])
+            for i in range(corr.shape[0])]
+    return np.column_stack([y for y, _ in runs]), np.array([ok for _, ok in runs])
+
+
+def assert_same_paths(gram, corr, lam, max_steps, barred):
+    y, certified = lasso_codes(gram, corr, lam, max_steps, barred)
+    ref, ref_certified = homotopy_oracle(gram, corr, lam, max_steps, barred)
+    assert np.array_equal(y.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(certified, ref_certified)
+    return y, certified
+
+
+# atoms e0, e0 again and e1: their Gram has the exactly singular block
+# [[1, 1], [1, 1]], which a path reaches when its correlations with the two
+# copies of e0 differ, as no target's can
+SINGULAR_GRAM = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+class TestBatchedHomotopy:
+    """The lockstep homotopy against the per-target oracle, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.3, 0.1, 0.05, 0.01]),
+           st.sampled_from([1, 2, 3, 1000]))
+    def test_matches_per_target_oracle(self, seed, lam, max_steps):
+        # atoms cluster around a few directions, as samples of one class do,
+        # so low lam drops atoms on the way; some targets are atoms, some
+        # atoms are duplicated, and max_steps 1-3 stops paths at the cap
+        rng = np.random.default_rng(seed)
+        d, n, c = int(rng.integers(4, 16)), int(rng.integers(2, 24)), int(rng.integers(1, 16))
+        basis = rng.standard_normal((d, int(rng.integers(1, 4))))
+        a = basis[:, rng.integers(0, basis.shape[1], n)] + 0.1 * rng.standard_normal((d, n))
+        a /= np.linalg.norm(a, axis=0)
+        if rng.integers(2):
+            a = np.column_stack([a, a[:, :int(rng.integers(1, n + 1))]])
+        targets = basis @ rng.standard_normal((basis.shape[1], c)) + 0.1 * rng.standard_normal((d, c))
+        for i in rng.choice(c, size=int(rng.integers(0, c + 1)), replace=False):
+            targets[:, i] = a[:, rng.integers(a.shape[1])]
+        gram, corr = a.T @ a, targets.T @ a
+        if rng.integers(4) == 0:
+            # twin atoms with correlations no target has: a path that takes
+            # both meets an exactly singular block
+            gram = np.kron(np.eye(2), SINGULAR_GRAM)[:5, :5]
+            corr = rng.uniform(-1.0, 1.0, (c, 5))
+        barred = rng.integers(-1, gram.shape[0], size=c)
+        assert_same_paths(gram, corr, lam, max_steps, barred)
+
+    def test_singular_block_stops_its_own_path(self):
+        # target 0 takes e0 and then its twin: the next solve is singular.
+        # Targets 1 and 2 share its stacks and finish; target 2 moves at
+        # active-set size 2 alongside it
+        corr = np.array([[0.9, -0.5, 0.3], [0.05, 0.05, 0.8], [0.5, 0.5, 0.2]])
+        y, certified = assert_same_paths(SINGULAR_GRAM, corr, 0.1, 1000, np.full(3, -1))
+        assert certified.tolist() == [False, True, True]
+        # the path point reached: e0 after a step of (0.9 - 0.5) / 2, where
+        # its twin entered at zero
+        np.testing.assert_array_equal(y[:, 0], [0.2, 0.0, 0.0])
+        assert np.count_nonzero(y[:, 2]) == 2
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(SINGULAR_GRAM[:2, :2], np.ones(2))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_step_cap_counts_and_warning(self, max_iter):
+        x = segment_features(3)
+        gram = x.T @ x
+        n = gram.shape[0]
+        ref, ref_certified = homotopy_oracle(gram, gram, 0.3, max_iter, np.arange(n))
+        uncertified = int(n - ref_certified.sum())
+        assert 0 < uncertified < n
+        cfg = SparseCodingConfig(lam=0.3, max_iter=max_iter, denoise_eps=0.0)
+        with pytest.warns(RuntimeWarning) as record:
+            coeffs = self_express(x, cfg)
+        assert [str(w.message) for w in record] == [
+            f"{uncertified} of {n} columns are uncertified: they hit the step limit "
+            f"({max_iter} homotopy steps) or broke the KKT conditions by more than 1e-09"]
+        assert coeffs.n_nonconverged == uncertified
+        assert np.array_equal(coeffs.y.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("lam", [0.3, 0.05])
+    def test_segment_archive(self, lam):
+        # a lasso_k5 archive's 90 inliers, in chunks of every size
+        archive, _ = generate_segments(100, 5, 100, outlier_frac=0.1)
+        features = vectorize(archive, PreprocessConfig(f=64, t=64))
+        x = features.select(split(features, 0.8).inlier_idx).data
+        gram = x.T @ x
+        assert_same_paths(gram, gram, lam, 1000, np.arange(gram.shape[0]))
+
+    def test_chunks_give_the_one_chunk_result(self, monkeypatch):
+        x = segment_features(2)
+        cfg = SparseCodingConfig(lam=0.05, denoise_eps=0.0)
+        whole = self_express(x, cfg)
+        monkeypatch.setattr(sparse_coding, "_LASSO_CHUNK_ROWS", 6)
+        chunked = self_express(x, cfg)
+        assert np.array_equal(chunked.y.view(np.int64), whole.y.view(np.int64))
 
 
 class TestSelfExpress:
