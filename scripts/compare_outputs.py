@@ -10,6 +10,8 @@
     python3 scripts/compare_outputs.py --base ../parent --change . \\
         --workload lasso_k5 --seeds 100..101 --tau 0.2 --lambda 0.35
     python3 scripts/compare_outputs.py --base ../parent --change . \\
+        --workload omp_sweep --seeds 100..101 --kmeans_seed 18446744073709551621
+    python3 scripts/compare_outputs.py --base ../parent --change . \\
         --workload writers --seeds 1..3
 
 For each archive seed in the inclusive range, the perfbench archive of the
@@ -21,7 +23,8 @@ workload's own size. ``--method M`` runs clustering method M instead of the
 workload's own, for a method such as cs_sc that no workload runs.
 ``--tau`` and ``--lambda`` replace the benchmark's split threshold and the
 workload's L1 weight, for runs such as one that demotes zero-degree
-inliers. The
+inliers. ``--kmeans_seed S`` seeds k-means with S in every pipeline
+command instead of 0. The
 ``writers`` mode instead runs the commands that write the other CSV tables:
 ``synth segments`` to a CSV archive directory, ``preprocess`` of one common
 archive to a vector table, ``synth subspaces`` to a vector table, and a
@@ -70,16 +73,16 @@ def run_cli(tree: Path, args: list, log: Path) -> int:
                               cwd=tree, env=env, stdout=fh, stderr=subprocess.STDOUT).returncode
 
 
-def pipeline_commands(bench, wl, seed: int, work: Path, tau: float):
+def pipeline_commands(bench, wl, seed: int, work: Path, tau: float, kmeans_seed: int):
     """The pipeline run on the workload's archive, writing into ``out``."""
     inputs = bench.make_inputs(wl, seed, work / "input")
     return lambda out: [[
         "pipeline", "--input", str(inputs.path), "--output_dir", str(out),
         "--tau", str(tau), "--f", str(bench.GRID), "--t", str(bench.GRID),
-        "--seed", "0", *wl.cli_flags()]]
+        "--seed", str(kmeans_seed), *wl.cli_flags()]]
 
 
-def writer_commands(bench, seed: int, work: Path):
+def writer_commands(bench, seed: int, work: Path, kmeans_seed: int):
     """The CSV archive, preprocess and subspace writers, then a kmeans run
     and ``evaluate --output`` of its labels, writing into ``out``.
 
@@ -101,7 +104,7 @@ def writer_commands(bench, seed: int, work: Path):
          "--outliers", "8", "--seed", str(seed), "--output", str(out / "subspaces.csv")],
         ["pipeline", "--input", str(source), "--output_dir", str(out / "run"),
          "--method", "kmeans", "--k", "5", "--tau", str(bench.TAU),
-         "--f", str(bench.GRID), "--t", str(bench.GRID), "--seed", "0"],
+         "--f", str(bench.GRID), "--t", str(bench.GRID), "--seed", str(kmeans_seed)],
         ["evaluate", "--labels", str(out / "run" / "labels.csv"), "--input", str(source),
          "--f", str(bench.GRID), "--t", str(bench.GRID), "--output", str(out / "evaluate.txt")],
     ]
@@ -140,6 +143,8 @@ def main(argv=None) -> int:
                         help="split threshold, instead of the benchmark's own")
     parser.add_argument("--lambda", dest="lam", type=float,
                         help="L1 weight, instead of the workload's own")
+    parser.add_argument("--kmeans_seed", type=int, default=0,
+                        help="k-means seed of every pipeline command (default 0)")
     args = parser.parse_args(argv)
     if args.segments is not None and (args.workload == "writers" or args.segments < 2):
         parser.error("--segments takes a count of at least 2 and a pipeline workload")
@@ -153,7 +158,7 @@ def main(argv=None) -> int:
             work = Path(tmp) / f"s{seed}"
             work.mkdir()
             if args.workload == "writers":
-                commands = writer_commands(bench, seed, work)
+                commands = writer_commands(bench, seed, work, args.kmeans_seed)
             else:
                 wl = bench.WORKLOADS[args.workload]
                 if args.segments is not None:
@@ -162,7 +167,7 @@ def main(argv=None) -> int:
                     if value is not None:
                         wl = dataclasses.replace(wl, config={**wl.config, key: value})
                 tau = bench.TAU if args.tau is None else args.tau
-                commands = pipeline_commands(bench, wl, seed, work, tau)
+                commands = pipeline_commands(bench, wl, seed, work, tau, args.kmeans_seed)
             for side, tree in trees.items():
                 out = work / side
                 out.mkdir()

@@ -204,10 +204,13 @@ def entry() -> int:
     """``main`` as a process: the entry point of ``python -m usvclust`` and
     of the console script.
 
-    The process ends once it returns, so ``gc.freeze()`` first moves every
-    object left to the permanent generation, which the collection at exit
-    does not visit. In-process callers call ``main`` and keep collecting.
+    The process ends once it returns, so it runs with the collector off:
+    a run leaves no reference cycle that holds an array, only argparse's
+    parser. ``gc.freeze()`` then moves every object left to the permanent
+    generation, which the collection at exit does not visit. In-process
+    callers call ``main`` and keep collecting.
     """
+    gc.disable()
     code = main()
     gc.freeze()
     return code

@@ -1,7 +1,8 @@
 """Lloyd's k-means with k-means++ seeding, plus principal axes for PCA.
 
-All restarts draw from one seeded generator, so a (points, k, seed) triple
-fixes the result exactly.
+All restarts draw from one seeded stream (``_PCG64``, the draws of
+``np.random.default_rng(seed)``), so a (points, k, seed) triple fixes the
+result exactly.
 
 A call takes one of two paths, chosen by the shape of its n x d points,
 and one driver in ``kmeans`` runs the restarts of either. With n >= d,
@@ -19,6 +20,7 @@ the same result bit for bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,16 +107,107 @@ def _draw(p: np.ndarray, u: float) -> int:
     return int(_cdf(p).searchsorted(u, side="right"))
 
 
-def _next_row(d2: np.ndarray, rng: np.random.Generator) -> int:
+# SeedSequence's hash constants, and PCG64's multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's ``hashmix`` of one 32-bit word, from the starting
+    constant ``const``, which each call advances by ``mult``."""
+    def hashed(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashed
+
+
+def _mix(x: int, y: int) -> int:
+    x = (_MIX_L * x - _MIX_R * y) & _M32
+    return x ^ x >> 16
+
+
+class _PCG64:
+    """The two draws k-means makes, ``random()`` and ``integers(n)`` for
+    1 <= n <= 2**32, equal bit for bit to those of
+    ``np.random.default_rng(seed)``, without importing ``numpy.random``.
+
+    The seed's 32-bit words are hashed into a pool of four as
+    ``SeedSequence(seed)`` hashes them, and the pool into the 128-bit state
+    and increment of PCG64 (O'Neill 2014): a 128-bit LCG whose XSL-RR
+    output gives 64 bits a step. ``random()`` is the top 53 bits of one
+    output. ``integers(n)`` uses Lemire's (2019) method on 32-bit halves of
+    the outputs, low half first; a high half waits for the next such draw.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)  # a numpy integer, as default_rng takes
+        words = [seed & _M32]
+        while seed > _M32:
+            seed >>= 32
+            words.append(seed & _M32)
+        hashed = _hasher(_INIT_A, _MULT_A)
+        pool = [hashed(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashed(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashed(word))
+        # SeedSequence.generate_state(4, np.uint64), and PCG64's srandom
+        hashed = _hasher(_INIT_B, _MULT_B)
+        out = [hashed(pool[i % 4]) for i in range(8)]
+        w = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+        self.inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+        self.state = ((self.inc + (w[0] << 64 | w[1])) * _PCG_MULT + self.inc) & _M128
+        self.half = None
+
+    def _next64(self) -> int:
+        self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        x = (self.state >> 64 ^ self.state) & _M64
+        rot = self.state >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self.half is not None:
+            half, self.half = self.half, None
+            return half
+        x = self._next64()
+        self.half = x >> 32
+        return x & _M32
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if n == 1 << 32:
+            return self._next32()
+        m = self._next32() * n
+        if m & _M32 < n:
+            threshold = (1 << 32) % n
+            while m & _M32 < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+
+def _next_row(d2: np.ndarray, rng: _PCG64) -> int:
     """The next k-means++ row for the distances ``d2`` to the rows drawn so
     far: drawn in proportion to them, or uniformly when all are zero."""
     total = d2.sum()
     if total > 0:
         return _draw(d2 / total, rng.random())
-    return int(rng.integers(d2.size))
+    return rng.integers(d2.size)
 
 
-def _plus_plus_init(k: int, rng: np.random.Generator,
+def _plus_plus_init(k: int, rng: _PCG64,
                     seeds: _SeedDistances) -> np.ndarray:
     """The rows k-means++ seeding draws: each next center is drawn with
     probability proportional to squared distance from the centers chosen so far."""
@@ -233,7 +326,7 @@ class _PointSpace:
     seeds: _SeedDistances
     work: np.ndarray
 
-    def seed(self, k: int, rng: np.random.Generator) -> np.ndarray:
+    def seed(self, k: int, rng: _PCG64) -> np.ndarray:
         return _plus_plus_init(k, rng, self.seeds)
 
     def lloyd(self, rows: np.ndarray):
@@ -370,7 +463,7 @@ class _GramSpace:
             d2 = np.minimum(d2, self.seeds(r))
         return d2
 
-    def seed(self, k: int, rng: np.random.Generator) -> np.ndarray:
+    def seed(self, k: int, rng: _PCG64) -> np.ndarray:
         """The rows ``_plus_plus_init`` draws from ``rng`` (certificate 1)."""
         n = self.diag.size
         rows = np.empty(k, dtype=np.intp)
@@ -477,7 +570,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     if not np.isfinite(sq_norms).all():
         raise ValidationError("points must be finite, with squared norms below "
                               "the float64 maximum")
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     seeds = _SeedDistances(points, min(n, k * _N_INIT))
     work = np.empty_like(points)
     scale = sq_norms.max()

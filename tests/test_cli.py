@@ -604,6 +604,66 @@ def test_process_entry_point_changes_no_outcome(archive_path, tmp_path, capsys, 
     assert tree_bytes(tmp_path / "process") == tree_bytes(tmp_path / "in_process")
     assert (tmp_path / "process").is_dir() == (code == 0)
     assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("method", ["kmeans", "lasso_ssc"])
+def test_pipeline_leaves_numpy_random_unloaded(archive_path, tmp_path, method):
+    # k-means draws from the package's own stream, so a run never imports
+    # numpy.random (and with it secrets, hmac and OpenSSL's _hashlib); numpy
+    # 2 loads it lazily, numpy 1.x with numpy itself, so the child compares
+    # the modules before and after the run
+    src = str(Path(ingest.__file__).resolve().parents[1])
+    child = ("import sys\nimport numpy\nfrom usvclust import cli\n"
+             "loaded = 'numpy.random' in sys.modules\n"
+             "print(cli.main(sys.argv[1:]), 'numpy.random' in sys.modules, loaded)")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "pipeline", "--input", str(archive_path),
+         "--output_dir", str(tmp_path / "o"), "--method", method, "--k", "2",
+         "--f", "12", "--t", "12", "--seed", "18446744073709551621"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, after, before = proc.stdout.splitlines()[-1].split()
+    assert (code, after) == ("0", before)
+    assert before == "False" or np.lib.NumpyVersion(np.__version__) < "2.0.0"
+
+
+def _arrays_held(objects) -> list:
+    """The arrays among ``objects`` and what they refer to, followed
+    through objects the collector does not track (a tuple of arrays, say),
+    which a collection never lists itself."""
+    seen, stack, arrays = set(), list(objects), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        else:
+            stack.extend(r for r in gc.get_referents(obj) if not gc.is_tracked(r))
+    return arrays
+
+
+@pytest.mark.parametrize("method", ["kmeans", "lasso_ssc", "omp_ssc"])
+def test_a_run_leaves_no_array_to_the_collector(archive_path, tmp_path, capsys, method):
+    # cli.entry runs main with the collector off; that holds no more memory
+    # than collecting would only if no array hangs on a reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["pipeline", "--input", str(archive_path), "--output_dir", str(tmp_path / "o"),
+                     "--method", method, "--k", "2", "--f", "12", "--t", "12",
+                     "--export_embedding", "--dump_coefficients"]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert garbage  # argparse's parser is cyclic, so the collection did find something
+    assert _arrays_held(garbage) == []
 
 
 def test_a_warning_is_one_line_on_stderr(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,58 @@ def test_draw_picks_as_generator_choice():
         ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
         assert km._draw(p, ours.random()) == theirs.choice(n, p=p)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+# 2**31 + 1, 3 * 2**30 and 2**32 - 1 reach the rejection loop of Lemire's
+# method; 1 draws nothing and 2**32 takes one plain 32-bit half
+_DRAW_SIZES = [1, 2, 3, 90, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+
+
+# a bit length drawn uniformly up to 300, so most seeds have more than the
+# pool's four words (st.integers(0, 2**300) seldom draws past 2**128)
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]),
+                   st.integers(1, 300).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SEEDS, st.lists(st.one_of(st.none(), st.sampled_from(_DRAW_SIZES)),
+                        min_size=30, max_size=40))
+def test_stream_draws_as_default_rng(seed, calls):
+    # None stands for random(), and interleaving it with integers() carries
+    # a 32-bit half across calls
+    ours, theirs = km._PCG64(seed), np.random.default_rng(seed)
+    for n in calls:
+        if n is None:
+            got, want = np.float64(ours.random()), np.float64(theirs.random())
+        else:
+            got, want = np.int64(ours.integers(n)), theirs.integers(n)
+        assert got.view(np.int64) == want.view(np.int64), (seed, calls)
+
+
+@pytest.mark.parametrize("n", [3, 2**31 + 1, 2**32 - 1])
+def test_integers_redraws_exactly_below_the_threshold(n):
+    # Lemire's method draws again while the product's low word is below
+    # 2**32 % n; random draws meet that edge about once in 2**32, so the
+    # halves are scripted: low word threshold - 1, then threshold (odd n
+    # has an inverse mod 2**32 that finds them)
+    threshold = (1 << 32) % n
+    halves = [(low * pow(n, -1, 1 << 32)) & 0xFFFFFFFF for low in (threshold - 1, threshold)]
+    stream = km._PCG64(0)
+    stream._next32 = iter(halves).__next__
+    assert stream.integers(n) == halves[1] * n >> 32
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**63 + 7)])
+def test_stream_takes_numpy_integer_seeds(seed):
+    # as default_rng does: the hash runs on Python ints, so no scalar
+    # multiply overflows (or warns, which this test's filter makes an error)
+    ours, theirs = km._PCG64(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [ours.integers(90) for _ in range(9)] == [theirs.integers(90) for _ in range(9)]
+        assert ours.random() == theirs.random()
+    with pytest.raises(TypeError):
+        km._PCG64(5.0)
 
 
 class _ScriptedGenerator:

@@ -81,3 +81,18 @@ def test_compare_outputs_forwards_tau_and_lambda(flag, value, refusal):
     proc = subprocess.run([*run, "--workload", "writers"], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 2 and f"{flag} takes a pipeline workload" in proc.stderr
+
+
+def test_compare_outputs_forwards_the_kmeans_seed():
+    # every pipeline command sees the seed, writers' kmeans run included,
+    # and the CLI refuses a negative one; a 65-bit seed runs
+    run = [sys.executable, str(COMPARE), "--base", str(ROOT), "--change", str(ROOT),
+           "--seeds", "1..1", "--kmeans_seed"]
+    for workload in (["--workload", "lasso_k5", "--segments", "20"], ["--workload", "writers"]):
+        proc = subprocess.run([*run, "-1", *workload], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2 and "seed must be >= 0, got -1" in proc.stderr, proc.stderr
+    proc = subprocess.run([*run, str(2**64 + 5), "--workload", "kmeans_vectors",
+                           "--segments", "40"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(" identical\n")
