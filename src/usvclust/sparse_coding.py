@@ -228,7 +228,7 @@ def kkt_violation(dictionary: np.ndarray, target: np.ndarray,
 
 
 def _omp_gram(gram: np.ndarray, corr: np.ndarray, tt: np.ndarray, sparsity_k: int,
-              tol: float, barred: np.ndarray | None = None):
+              tol: float, barred: np.ndarray):
     """Orthogonal matching pursuit on the Gram form (Batch-OMP), many targets.
 
     Codes each target t_i against a dictionary A given gram = A^T A, the
@@ -251,24 +251,22 @@ def _omp_gram(gram: np.ndarray, corr: np.ndarray, tt: np.ndarray, sparsity_k: in
     entry makes the calls one target alone would make, so the coefficients
     are those of a pursuit run target by target, bit for bit.
 
-    Returns (y, n_dependent): y is (n, c), column i coding target i, and
+    Returns (codes, n_dependent): codes as ``_lasso_gram`` returns them, and
     n_dependent counts the pursuits that stopped on a dependent atom.
     """
     c, n = corr.shape
-    if barred is None:
-        barred = np.full(c, -1)
-    y = np.zeros((n, c))
-    n_dependent = 0
+    codes, n_dependent = [], 0
     step = max(1, _OMP_BLOCK_BYTES // (8 * sparsity_k * n))
     for lo in range(0, c, step):
         block = slice(lo, lo + step)
         n_dependent += _omp_block(gram, corr[block], tt[block], sparsity_k, tol,
-                                  barred[block], y[:, block])
-    return y, n_dependent
+                                  barred[block], lo, codes)
+    return codes, n_dependent
 
 
-def _omp_block(gram, corr, tt, sparsity_k, tol, barred, out) -> int:
-    """One block of ``_omp_gram``: target i's code goes to ``out[:, i]``."""
+def _omp_block(gram, corr, tt, sparsity_k, tol, barred, lo, codes) -> int:
+    """One block of ``_omp_gram``, its targets numbered from ``lo``: a
+    pursuit that stops appends (cols, active, coef) to ``codes``."""
     live = np.arange(corr.shape[0])  # targets still in pursuit
     active = np.zeros((live.size, 0), dtype=np.intp)
     coef = np.zeros((live.size, 0))
@@ -290,7 +288,7 @@ def _omp_block(gram, corr, tt, sparsity_k, tol, barred, out) -> int:
         dependent = ~zero & (schur <= _RANK_TOL * g_jj)
         n_dependent += int(dependent.sum())
         stop = zero | dependent
-        out[active[stop], live[stop, None]] = coef[stop]
+        codes.append((lo + live[stop], active[stop], coef[stop]))
         go = ~stop
         live, active, chol, cor, j, w, schur = (
             a[go] for a in (live, active, chol, cor, j, w, schur))
@@ -305,7 +303,7 @@ def _omp_block(gram, corr, tt, sparsity_k, tol, barred, out) -> int:
         done = tt[live] - (cor_a[:, None] @ coef[..., None])[:, 0, 0] < tol * tol
         if m == sparsity_k - 1:
             done[:] = True
-        out[active[done], live[done, None]] = coef[done]
+        codes.append((lo + live[done], active[done], coef[done]))
         go = ~done
         live, active, coef, chol = (a[go] for a in (live, active, coef, chol))
         if not live.size:
@@ -324,8 +322,9 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
 
     Returns
     -------
-    CoefficientMatrix with a zero diagonal; entries below
-    ``config.denoise_eps`` in magnitude are zeroed.
+    CoefficientMatrix with a zero diagonal, filled from the solver's codes
+    once the Gram is freed; codes below ``config.denoise_eps`` in magnitude
+    are written as 0.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
@@ -343,10 +342,6 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
     gram = x.T @ x
     if config.method == "lasso":
         codes, certified = _lasso_gram(gram, gram, config.lam, config.max_iter, np.arange(n))
-        del gram  # y is only made once the Gram is gone
-        y = np.zeros((n, n))
-        for cols, active, coef in codes:
-            y[active, cols[:, None]] = coef
         n_nonconverged = int(n - certified.sum())
         if n_nonconverged:
             warnings.warn(
@@ -356,8 +351,10 @@ def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMat
                 RuntimeWarning,
             )
     else:
-        y, n_dependent = _omp_gram(gram, gram, np.diagonal(gram), config.sparsity_k,
-                                   config.tol, barred=np.arange(n))
-        del gram
-    y[np.abs(y) < config.denoise_eps] = 0.0
+        codes, n_dependent = _omp_gram(gram, gram, np.diagonal(gram), config.sparsity_k,
+                                       config.tol, np.arange(n))
+    del gram  # y is only made once the Gram is gone
+    y = np.zeros((n, n))
+    for cols, active, coef in codes:
+        y[active, cols[:, None]] = np.where(np.abs(coef) < config.denoise_eps, 0.0, coef)
     return CoefficientMatrix(y, n_nonconverged, n_dependent)

@@ -120,8 +120,12 @@ def omp_column(dictionary, target, sparsity_k, tol=SparseCodingConfig.tol):
     """The package's Batch-OMP on one target; returns its coefficient vector."""
     a = np.asarray(dictionary, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
-    y, _ = _omp_gram(a.T @ a, (a.T @ t)[None], np.array([t @ t]), sparsity_k, tol)
-    return y[:, 0]
+    codes, _ = _omp_gram(a.T @ a, (a.T @ t)[None], np.array([t @ t]), sparsity_k, tol,
+                         np.array([-1]))
+    y = np.zeros(a.shape[1])
+    for _, active, coef in codes:  # one target: each block codes it or is empty
+        y[active.ravel()] = coef.ravel()
+    return y
 
 
 def lasso_objective_ref(dictionary, target, y, lam):

@@ -312,6 +312,25 @@ def oracle_codes(gram, corr, tt, k, tol, barred):
         for i in range(corr.shape[0])])
 
 
+def codes_matrix(codes, n, c):
+    """A solver's (cols, active, coef) codes as the columns of one (n, c)
+    array; no target may be coded twice."""
+    y = np.zeros((n, c))
+    times = np.zeros(c, dtype=int)
+    for cols, active, coef in codes:
+        times[cols] += 1
+        y[active, cols[:, None]] = coef
+    assert times.max(initial=0) <= 1
+    return y
+
+
+def omp_codes(gram, corr, tt, k, tol, barred):
+    """``_omp_gram``'s codes as the columns of one (n, c) array, and its
+    count of dependent stops."""
+    codes, n_dependent = _omp_gram(gram, corr, tt, k, tol, barred)
+    return codes_matrix(codes, gram.shape[0], corr.shape[0]), n_dependent
+
+
 def self_express_oracle(x, k, tol=1e-7):
     gram = x.T @ x
     n = gram.shape[0]
@@ -339,7 +358,7 @@ class TestBatchedPursuit:
         barred = rng.integers(-1, n, size=c)
         gram, corr, tt = a.T @ a, targets.T @ a, np.einsum("ij,ij->j", targets, targets)
         k = int(rng.integers(1, n + 1))
-        y, _ = _omp_gram(gram, corr, tt, k, 1e-7, barred)
+        y, _ = omp_codes(gram, corr, tt, k, 1e-7, barred)
         assert np.array_equal(y, oracle_codes(gram, corr, tt, k, 1e-7, barred))
 
     def test_every_stop_reason_in_one_batch(self):
@@ -361,7 +380,7 @@ class TestBatchedPursuit:
         barred = np.array([-1, -1, 3, -1, 2, -1, 2, -1])
         gram, corr = a.T @ a, targets.T @ a
         tt = np.einsum("ij,ij->j", targets, targets)
-        y, n_dependent = _omp_gram(gram, corr, tt, 3, 1e-7, barred)
+        y, n_dependent = omp_codes(gram, corr, tt, 3, 1e-7, barred)
         assert np.array_equal(y, oracle_codes(gram, corr, tt, 3, 1e-7, barred))
         assert n_dependent == 1
         supports = [np.flatnonzero(y[:, i]).tolist() for i in range(targets.shape[1])]
@@ -445,10 +464,7 @@ def lasso_codes(gram, corr, lam, max_steps, barred):
     """``_lasso_gram``'s codes as the columns of one (n, c) array, and its
     certificates."""
     codes, certified = _lasso_gram(gram, corr, lam, max_steps, barred)
-    y = np.zeros((gram.shape[0], corr.shape[0]))
-    for cols, active, coef in codes:
-        y[active, cols[:, None]] = coef
-    return y, certified
+    return codes_matrix(codes, gram.shape[0], corr.shape[0]), certified
 
 
 def homotopy_oracle(gram, corr, lam, max_steps, barred):
@@ -620,8 +636,8 @@ class TestSelfExpress:
             self_express(data, SparseCodingConfig(method="omp", sparsity_k=3))
 
     def test_lasso_peak_memory(self):
-        # the gram is freed before small entries are zeroed in place, so the
-        # peak is y plus that pass's |y| and mask, not a copy of y as well
+        # y is made and denoised code by code once the gram is freed, so the
+        # two are never held at once and no n x n temporary is made
         n = 300
         data = unit_dictionary(30, n, seed=25)
         tracemalloc.start()
@@ -631,6 +647,22 @@ class TestSelfExpress:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * n * n * 8
+
+    @pytest.mark.parametrize("method, bound", [("omp", 2.0), ("lasso", 1.8)])
+    def test_peak_memory_on_segments(self, method, bound):
+        # both solvers hand back codes, so y (n^2 floats) is only allocated
+        # after the gram (n^2) is freed. The peak is one of the two plus the
+        # solver's work arrays, not gram, y and a whole-matrix |y| at once
+        archive, _ = generate_segments(1000, 5, 7, outlier_frac=0.1)
+        data = vectorize(archive, PreprocessConfig(f=16, t=16)).data
+        n = data.shape[1]
+        tracemalloc.start()
+        try:
+            self_express(data, SparseCodingConfig(method=method))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n * n * 8
 
 
 class TestDenoise:
