@@ -532,14 +532,12 @@ def read_centroid_dir(path) -> np.ndarray:
 def write_vectors(ids, coords: np.ndarray, path) -> None:
     """Write an ``id,dim0..dimK-1`` table; row i is the vector of sample i."""
     coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[0] != len(ids):
-        raise ValidationError("coords must be 2-D with one row per id")
+    if coords.ndim != 2 or coords.shape[0] != len(ids) or coords.shape[1] == 0:
+        # read_vectors refuses a table without a dim column
+        raise ValidationError("coords must be 2-D with one row per id and a dim column")
     with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + [f"dim{j}" for j in range(coords.shape[1])])
-        if coords.shape[1] == 0:
-            writer.writerows([sid] for sid in ids)
-            return
         per_block = max(1, _BLOCK // coords.shape[1])
         for first in range(0, len(ids), per_block):
             block = coords[first:first + per_block]

@@ -49,6 +49,38 @@ def _kkt_gram(grad: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
                     np.maximum(np.abs(grad) - lam, 0.0))
 
 
+def _step_paths(groups: dict, max_steps: int, per, step) -> list:
+    """Move many solver paths in lockstep: the loop both solvers drive.
+
+    ``groups`` maps an active-set size to the paths at that size, as a
+    tuple of arrays whose first three are (cols, active, coef); a solver
+    may carry more. Every live path moves one step per stacked numpy call:
+    each group is stepped in chunks of ``per(size)`` paths, and
+    ``step(chunk, codes)`` appends the (cols, active, coef) of the paths
+    that stop to ``codes`` and returns the others as (size, paths) pairs,
+    regrouped by size for the next step. A path still live after
+    ``max_steps`` steps stops at the point it reached. Each stack entry
+    makes the calls its path makes alone, so the codes are those of the
+    paths run target by target, bit for bit.
+
+    Returns the codes: the (n, c) matrix whose column i codes target i is
+    zero but at y[active, cols[:, None]] = coef. The caller builds it, so
+    that it need not hold y and the Gram at once.
+    """
+    codes = []
+    for _ in range(max_steps):
+        moved = {}
+        for s, group in groups.items():
+            p = per(s)
+            for lo in range(0, group[0].size, p):
+                for size, part in step([a[lo:lo + p] for a in group], codes):
+                    moved.setdefault(size, []).append(part)
+        groups = {s: [np.concatenate(a) for a in zip(*parts)] for s, parts in moved.items()}
+        if not groups:
+            break
+    return codes + [group[:3] for group in groups.values()]
+
+
 def _lasso_gram(gram: np.ndarray, corr: np.ndarray, lam: float, max_steps: int,
                 barred: np.ndarray):
     """LASSO by the homotopy (LARS-lasso) path on the Gram form, many targets.
@@ -65,17 +97,12 @@ def _lasso_gram(gram: np.ndarray, corr: np.ndarray, lam: float, max_steps: int,
     exactly singular, or that is still short of lam after ``max_steps``
     steps, stops uncertified at the point it reached.
 
-    Every live path moves one step per stacked numpy call. The paths are
-    grouped by active-set size, since a dropped atom breaks lockstep, and
-    each group is stepped in chunks that hold at most ``_LASSO_CHUNK_ROWS``
-    rows of length n: their gram[active] gather and work arrays. Each stack
-    entry makes the calls its path makes alone, so the coefficients are
-    those of a path run target by target, bit for bit.
+    The paths step through ``_step_paths``, grouped by active-set size,
+    since a dropped atom breaks lockstep. A chunk holds at most
+    ``_LASSO_CHUNK_ROWS`` rows of length n: its gram[active] gather and
+    work arrays.
 
-    Returns (codes, certified). codes lists blocks (cols, active, coef):
-    the (n, c) matrix whose column i codes target i is zero but at
-    y[active, cols[:, None]] = coef. The caller builds it, so that it need
-    not hold y and the Gram at once.
+    Returns (codes, certified), codes as ``_step_paths`` returns them.
     """
     c, n = corr.shape
     certified = np.zeros(c, dtype=bool)
@@ -91,27 +118,16 @@ def _lasso_gram(gram: np.ndarray, corr: np.ndarray, lam: float, max_steps: int,
         level[part] = score[i, first[part]]
     certified[level <= lam] = True
     cols = np.flatnonzero(level > lam)
-    # a group: the paths at one active-set size, as (cols, active, signs,
-    # coef, level, dropped); active atoms in the order they entered
-    groups = {1: (cols, first[cols, None], np.sign(corr[cols, first[cols]])[:, None],
-                  np.zeros((cols.size, 1)), level[cols], np.full(cols.size, -1))}
-    stopped = []  # (cols, active, coef) of the paths that stopped
+    # a path: (cols, active, coef, signs, level, dropped), its active atoms
+    # in the order they entered
+    start = (cols, first[cols, None], np.zeros((cols.size, 1)),
+             np.sign(corr[cols, first[cols]])[:, None], level[cols], np.full(cols.size, -1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_steps):
-            moved = {}
-            for s, group in groups.items():
-                # gram[active] and about four work arrays per path
-                per = max(1, _LASSO_CHUNK_ROWS // (s + 4))
-                for lo in range(0, group[0].size, per):
-                    chunk = [a[lo:lo + per] for a in group]
-                    for size, part in _lasso_step(gram, corr, lam, barred, chunk,
-                                                  stopped, certified):
-                        moved.setdefault(size, []).append(part)
-            groups = {s: [np.concatenate(a) for a in zip(*parts)] for s, parts in moved.items()}
-            if not groups:
-                break
-    stopped += [(cols, active, coef) for cols, active, _, coef, _, _ in groups.values()]
-    return stopped, certified
+        # gram[active] and about four work arrays per path
+        codes = _step_paths({1: start}, max_steps, lambda s: max(1, _LASSO_CHUNK_ROWS // (s + 4)),
+                            lambda chunk, codes: _lasso_step(gram, corr, lam, barred, chunk,
+                                                             codes, certified))
+    return codes, certified
 
 
 def _lasso_step(gram, corr, lam, barred, group, stopped, certified):
@@ -120,7 +136,7 @@ def _lasso_step(gram, corr, lam, barred, group, stopped, certified):
     A path that stops appends (cols, active, coef) to ``stopped`` and sets
     its ``certified`` entry; the others are returned as (size, group) pairs.
     """
-    cols, active, signs, coef, level, dropped = group
+    cols, active, coef, signs, level, dropped = group
     rows = gram[active]
     g_aa = gram[active[:, :, None], active[:, None, :]]
     try:
@@ -185,14 +201,14 @@ def _lasso_step(gram, corr, lam, barred, group, stopped, certified):
     n_drop, s = int(drop.sum()), active.shape[1]
     keep = (np.arange(s) != leave[drop, None]).ravel()
     shrunk = (cols[drop], *(x[drop].ravel()[keep].reshape(n_drop, s - 1)
-                            for x in (active, signs, coef)),
+                            for x in (active, coef, signs)),
               level[drop], active[drop, leave[drop]])
     add = ~drop
     grown = (cols[add], np.column_stack([active[add], enter[add]]),
-             np.column_stack([signs[add], sign_in[add]]),
              np.column_stack([coef[add], np.zeros(cols.size - n_drop)]),
+             np.column_stack([signs[add], sign_in[add]]),
              level[add], np.full(cols.size - n_drop, -1))
-    return [(size, part) for size, part in ((s - 1, shrunk), (s + 1, grown)) if part[0].size]
+    return [(s - 1, shrunk), (s + 1, grown)]
 
 
 def _entry_steps(room: np.ndarray, rate: np.ndarray) -> np.ndarray:
@@ -246,69 +262,63 @@ def _omp_gram(gram: np.ndarray, corr: np.ndarray, tt: np.ndarray, sparsity_k: in
     tol**2. Target i never picks atom ``barred[i]``; a negative entry bars
     none.
 
-    Every live target moves one round per stacked numpy call, in blocks of
-    targets whose gram[active] gather fits ``_OMP_BLOCK_BYTES``. Each stack
-    entry makes the calls one target alone would make, so the coefficients
-    are those of a pursuit run target by target, bit for bit.
+    The pursuits step through ``_step_paths``, one round per step, so all
+    live ones share one active-set size. A chunk holds the targets whose
+    gram[active] gather fits ``_OMP_BLOCK_BYTES``; the targets still in
+    pursuit are re-chunked each round.
 
-    Returns (codes, n_dependent): codes as ``_lasso_gram`` returns them, and
+    Returns (codes, n_dependent): codes as ``_step_paths`` returns them, and
     n_dependent counts the pursuits that stopped on a dependent atom.
     """
     c, n = corr.shape
-    codes, n_dependent = [], 0
-    step = max(1, _OMP_BLOCK_BYTES // (8 * sparsity_k * n))
-    for lo in range(0, c, step):
-        block = slice(lo, lo + step)
-        n_dependent += _omp_block(gram, corr[block], tt[block], sparsity_k, tol,
-                                  barred[block], lo, codes)
-    return codes, n_dependent
+    dependent = np.zeros(c, dtype=bool)
+    chol = np.zeros((c, sparsity_k, sparsity_k))  # each target's lower factor
+    per = max(1, _OMP_BLOCK_BYTES // (8 * sparsity_k * n))
+    start = (np.arange(c), np.zeros((c, 0), dtype=np.intp), np.zeros((c, 0)))
+    codes = _step_paths({0: start}, sparsity_k, lambda s: per,
+                        lambda chunk, codes: _omp_step(gram, corr, tt, tol, barred, chol,
+                                                       dependent, chunk, codes))
+    return codes, int(dependent.sum())
 
 
-def _omp_block(gram, corr, tt, sparsity_k, tol, barred, lo, codes) -> int:
-    """One block of ``_omp_gram``, its targets numbered from ``lo``: a
-    pursuit that stops appends (cols, active, coef) to ``codes``."""
-    live = np.arange(corr.shape[0])  # targets still in pursuit
-    active = np.zeros((live.size, 0), dtype=np.intp)
-    coef = np.zeros((live.size, 0))
-    chol = np.zeros((live.size, sparsity_k, sparsity_k))  # lower factors
-    n_dependent = 0
-    for m in range(sparsity_k):
-        rows = np.arange(live.size)
-        cor = corr[live]
-        resid_corr = cor - (coef[:, None] @ gram[active])[:, 0]
-        resid_corr[rows[:, None], active] = 0.0
-        bar = barred[live]
-        resid_corr[rows[bar >= 0], bar[bar >= 0]] = 0.0
-        j = np.argmax(np.abs(resid_corr), axis=1)
-        zero = resid_corr[rows, j] == 0.0
-        # numpy 2 reads a 2-D b as a stack of matrices, hence b[..., None]
-        w = np.linalg.solve(chol[:, :m, :m], gram[active, j[:, None]][..., None])[..., 0]
-        g_jj = gram[j, j]
-        schur = g_jj - (w[:, None] @ w[..., None])[:, 0, 0]
-        dependent = ~zero & (schur <= _RANK_TOL * g_jj)
-        n_dependent += int(dependent.sum())
-        stop = zero | dependent
-        codes.append((lo + live[stop], active[stop], coef[stop]))
-        go = ~stop
-        live, active, chol, cor, j, w, schur = (
-            a[go] for a in (live, active, chol, cor, j, w, schur))
-        chol[:, m, :m] = w
-        chol[:, m, m] = np.sqrt(schur)
-        active = np.column_stack([active, j])
-        low = chol[:, :m + 1, :m + 1]
-        cor_a = np.take_along_axis(cor, active, axis=1)
-        # swapaxes, not .mT: the matrix-transpose attribute needs numpy 2
-        upper = np.swapaxes(low, -1, -2)
-        coef = np.linalg.solve(upper, np.linalg.solve(low, cor_a[..., None]))[..., 0]
-        done = tt[live] - (cor_a[:, None] @ coef[..., None])[:, 0, 0] < tol * tol
-        if m == sparsity_k - 1:
-            done[:] = True
-        codes.append((lo + live[done], active[done], coef[done]))
-        go = ~done
-        live, active, coef, chol = (a[go] for a in (live, active, coef, chol))
-        if not live.size:
-            break
-    return n_dependent
+def _omp_step(gram, corr, tt, tol, barred, chol, dependent, group, codes):
+    """One round of ``_omp_gram`` for a chunk of pursuits at one support size.
+
+    A pursuit that stops appends (cols, active, coef) to ``codes`` and, on a
+    dependent atom, sets its ``dependent`` entry; chol[i] is target i's
+    Cholesky factor. The others are returned as one (size, group) pair.
+    """
+    cols, active, coef = group
+    m, b = active.shape[1], np.arange(cols.size)
+    cor = corr[cols]
+    resid_corr = cor - (coef[:, None] @ gram[active])[:, 0]
+    resid_corr[b[:, None], active] = 0.0
+    bar = barred[cols]
+    resid_corr[b[bar >= 0], bar[bar >= 0]] = 0.0
+    j = np.argmax(np.abs(resid_corr), axis=1)
+    zero = resid_corr[b, j] == 0.0
+    # numpy 2 reads a 2-D b as a stack of matrices, hence b[..., None]
+    w = np.linalg.solve(chol[cols, :m, :m], gram[active, j[:, None]][..., None])[..., 0]
+    g_jj = gram[j, j]
+    schur = g_jj - (w[:, None] @ w[..., None])[:, 0, 0]
+    dep = ~zero & (schur <= _RANK_TOL * g_jj)
+    dependent[cols[dep]] = True
+    stop = zero | dep
+    codes.append((cols[stop], active[stop], coef[stop]))
+    go = ~stop
+    cols, active, cor, j, w, schur = (a[go] for a in (cols, active, cor, j, w, schur))
+    chol[cols, m, :m] = w
+    chol[cols, m, m] = np.sqrt(schur)
+    active = np.column_stack([active, j])
+    low = chol[cols, :m + 1, :m + 1]
+    cor_a = np.take_along_axis(cor, active, axis=1)
+    # swapaxes, not .mT: the matrix-transpose attribute needs numpy 2
+    upper = np.swapaxes(low, -1, -2)
+    coef = np.linalg.solve(upper, np.linalg.solve(low, cor_a[..., None]))[..., 0]
+    done = tt[cols] - (cor_a[:, None] @ coef[..., None])[:, 0, 0] < tol * tol
+    codes.append((cols[done], active[done], coef[done]))
+    go = ~done
+    return [(m + 1, (cols[go], active[go], coef[go]))]
 
 
 def self_express(data: np.ndarray, config: SparseCodingConfig) -> CoefficientMatrix:

@@ -432,6 +432,13 @@ class TestVectors:
         write_vectors(["a"], np.zeros((1, 2)), path)
         assert path.read_text().splitlines()[0] == "id,dim0,dim1"
 
+    def test_zero_columns_refused_before_writing(self, tmp_path):
+        # an id-only table is one read_vectors would refuse
+        path = tmp_path / "v.csv"
+        with pytest.raises(ValidationError, match="a dim column"):
+            write_vectors(["a", "b"], np.zeros((2, 0)), path)
+        assert not path.exists()
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("id,x0,x1\na,1,2\n")
@@ -565,7 +572,7 @@ class TestWriterBytes:
             path = tmp_path / "c" / f"centroid_{rank:02d}.csv"
             assert path.read_bytes() == per_value_matrix(mat).encode()
 
-    @pytest.mark.parametrize("width", [0, 1, 7])
+    @pytest.mark.parametrize("width", [1, 7])
     def test_vectors(self, tmp_path, width):
         ids = ["plain", "a,b", 'q"x', "", "line\nbreak", "cr\rid", "crlf\r\nin", " spaced "]
         coords = np.resize(AWKWARD, (len(ids), width))

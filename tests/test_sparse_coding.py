@@ -398,19 +398,23 @@ class TestBatchedPursuit:
         assert np.array_equal(blocked.y, whole.y)
         assert blocked.n_dependent == whole.n_dependent
 
-    @pytest.mark.parametrize("n, blocks", [(180, 1), (360, 3)])
-    def test_default_budget_blocks(self, monkeypatch, n, blocks):
-        # an omp_sweep archive's 180 inliers are one block; 360 are several
+    @pytest.mark.parametrize("n, first_round", [(180, [180]), (360, [145, 145, 70])],
+                             ids=["180", "360"])
+    def test_default_budget_chunks(self, monkeypatch, n, first_round):
+        # an omp_sweep archive's 180 inliers are one chunk; 360 are chunks
+        # of at most 4 MiB // (8 * 10 * 360) = 145 targets in every round
         calls = []
-        block = sparse_coding._omp_block
+        step = sparse_coding._omp_step
 
-        def counting(gram, corr, *args):
-            calls.append(corr.shape[0])
-            return block(gram, corr, *args)
+        def counting(gram, corr, tt, tol, barred, chol, dependent, group, codes):
+            calls.append((group[1].shape[1], group[0].size))
+            return step(gram, corr, tt, tol, barred, chol, dependent, group, codes)
 
-        monkeypatch.setattr(sparse_coding, "_omp_block", counting)
+        monkeypatch.setattr(sparse_coding, "_omp_step", counting)
         self_express(unit_dictionary(20, n, seed=n), SparseCodingConfig(method="omp"))
-        assert len(calls) == blocks and sum(calls) == n
+        assert [size for m, size in calls if m == 0] == first_round
+        assert max(size for _, size in calls) == first_round[0]
+        assert {m for m, _ in calls} == set(range(10))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.booleans())
@@ -431,7 +435,7 @@ class TestBatchedPursuit:
 
     @pytest.mark.parametrize("segments, seed", [(200, 100), (400, 1)])
     def test_segment_archives(self, segments, seed):
-        # an omp_sweep archive (180 inliers, one block) and 360 inliers
+        # an omp_sweep archive (180 inliers, one chunk a round) and 360 inliers
         archive, _ = generate_segments(segments, 5, seed, outlier_frac=0.1)
         features = vectorize(archive, PreprocessConfig(f=64, t=64))
         x = features.select(split(features, 0.8).inlier_idx).data
