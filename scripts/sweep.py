@@ -3,10 +3,12 @@
 
 Generates a segment archive with known contour classes and outliers, then
 runs the two-step pipeline once per value given to --vary, with the other
-settings from the options. A row gives the split's inlier and outlier counts,
-its precision and recall against the generator's outliers, and the centroid
-distance statistics. A refused value prints its message as the row; refused
-options stop the script with exit status 1.
+settings from the options. A row gives the split's inlier and outlier counts
+at the row's tau, its precision and recall against the generator's
+outliers, the count of split inliers that the run then demoted to outliers
+for having zero affinity degree, and the centroid distance statistics. A
+refused value prints its message as the row; refused options stop the
+script with exit status 1.
 
     python3 scripts/sweep.py --vary tau 0.5 0.6 0.7 0.8 0.9 0.95
     python3 scripts/sweep.py --vary method kmeans cs_sc lasso_ssc
@@ -27,7 +29,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from usvclust.config import SETTINGS, PipelineConfig, parse_setting
 from usvclust.errors import UsvClustError
 from usvclust.ingest import write_archive
-from usvclust.pipeline import run_pipeline
+from usvclust.outlier_split import split
+from usvclust.pipeline import load_features, run_pipeline
 from usvclust.synth import generate_segments
 
 
@@ -61,7 +64,8 @@ def main() -> int:
               f"k={args.k} method={args.method} tau={args.tau} "
               f"synth_seed={args.synth_seed} seed={args.seed}")
         head = (f"{key:<10} {'inliers':>8} {'outliers':>9} {'precision':>10} {'recall':>7} "
-                f"{'d_cos_hmean':>20} {'d_cos_std':>20} {'hmean_full':>20} {'std_full':>20}")
+                f"{'demoted':>8} {'d_cos_hmean':>20} {'d_cos_std':>20} "
+                f"{'hmean_full':>20} {'std_full':>20}")
         print(head, "-" * len(head), sep="\n")
         for value in values:
             try:
@@ -70,12 +74,16 @@ def main() -> int:
             except UsvClustError as exc:
                 print(f"{value:<10} {exc}")
                 continue
-            found = set(result.model.partition.outlier_idx.tolist())
+            # the run's outliers add the zero-degree inliers it demoted to
+            # the split's
+            found = set(split(load_features(cfg.input, cfg.f, cfg.t)[0],
+                              cfg.tau).outlier_idx.tolist())
+            demoted = len(result.model.partition.outlier_idx) - len(found)
             hit, rep = len(found & true_out), result.report
             print(f"{value:<10} {args.n - len(found):>8} {len(found):>9} "
                   f"{hit / len(found) if found else float('nan'):>10.3f} "
                   f"{hit / len(true_out) if true_out else float('nan'):>7.3f} "
-                  f"{rep.d_cos_hmean:>20.17f} {rep.d_cos_std:>20.17f} "
+                  f"{demoted:>8} {rep.d_cos_hmean:>20.17f} {rep.d_cos_std:>20.17f} "
                   f"{rep.d_cos_hmean_full:>20.17f} {rep.d_cos_std_full:>20.17f}")
     return 0
 

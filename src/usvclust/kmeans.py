@@ -4,10 +4,12 @@ All restarts draw from one seeded stream (``_PCG64``, the draws of
 ``np.random.default_rng(seed)``), so a (points, k, seed) triple fixes the
 result exactly.
 
-A call takes one of two paths, chosen by the shape of its n x d points,
-and one driver in ``kmeans`` runs the restarts of either. With n >= d,
-which covers every spectral embedding (d = K <= n), each k-means++
-distance and each Lloyd step works on the points themselves
+A call takes one of two paths, chosen by the shape of its n x d points.
+One k-means++ loop (``_plus_plus_init``) and one Lloyd loop (``_lloyd``)
+run the restarts of either, and the path supplies what differs: the
+distances to a drawn row, the next draw, one step's means and nearest-mean
+labels, and the final inertia with its slack. With n >= d, which covers
+every spectral embedding (d = K <= n), these work on the points themselves
 (``_PointSpace``). With n < d, as in raw k-means on the 4096-d features,
 the n x n Gram G = X X^T, no larger than the points, is formed once and
 every restart works on it (``_GramSpace``): a squared distance to the mean
@@ -207,16 +209,17 @@ def _next_row(d2: np.ndarray, rng: _PCG64) -> int:
     return rng.integers(d2.size)
 
 
-def _plus_plus_init(k: int, rng: _PCG64,
-                    seeds: _SeedDistances) -> np.ndarray:
+def _plus_plus_init(k: int, rng: _PCG64, space) -> np.ndarray:
     """The rows k-means++ seeding draws: each next center is drawn with
-    probability proportional to squared distance from the centers chosen so far."""
+    probability proportional to squared distance from the centers chosen so
+    far. ``space.distances(r)`` gives the distances of every row to row r,
+    and ``space.next_row`` draws from their running minimum."""
     rows = np.empty(k, dtype=np.intp)
-    rows[0] = rng.integers(seeds.slot.size)
-    d2 = seeds(rows[0])
+    rows[0] = rng.integers(space.points.shape[0])
+    d2 = space.distances(rows[0])
     for i in range(1, k):
-        rows[i] = _next_row(d2, rng)
-        d2 = np.minimum(d2, seeds(rows[i]))
+        rows[i] = space.next_row(d2, rng, rows[:i])
+        d2 = np.minimum(d2, space.distances(rows[i]))
     return rows
 
 
@@ -314,42 +317,61 @@ def _inertia(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
     return float(work.sum())
 
 
+def _centers(points: np.ndarray, rows: np.ndarray, labels: np.ndarray | None,
+             work: np.ndarray) -> np.ndarray:
+    """The means of ``labels`` by ``_update_centers``, or before the first
+    Lloyd step (``labels`` None) the seed ``rows``."""
+    centers = points[rows]
+    if labels is not None:
+        _update_centers(points, labels, centers, work)
+    return centers
+
+
+def _lloyd(space, rows: np.ndarray) -> tuple:
+    """One restart's Lloyd steps from the seed ``rows``. Returns the last
+    labels, the step count, whether they converged, and their inertia and
+    its slack by ``space.inertia``.
+
+    Each step takes the means of the labels so far, or of the seed rows,
+    from ``space.means``, and the new labels from ``space.nearest``. A
+    restart that converges ends on the means of its last labels; one that
+    reaches the step cap takes them once more.
+    """
+    labels = None
+    for iterations in range(1, _MAX_ITER + 1):
+        means = space.means(rows, labels)
+        new_labels = _repair_empty(space.points, space.nearest(means, rows, labels),
+                                   rows.size)
+        if labels is not None and np.array_equal(new_labels, labels):
+            return (labels, iterations, True, *space.inertia(means, labels))
+        labels = new_labels
+    return (labels, _MAX_ITER, False, *space.inertia(space.means(rows, labels), labels))
+
+
 @dataclass
 class _PointSpace:
-    """The points path of one ``kmeans`` call, for n >= d points, with the
-    interface of ``_GramSpace``: ``seed`` draws a restart's seed rows,
-    ``lloyd`` runs it, and ``slack`` bounds how far each final inertia may
-    lie from ``_inertia``'s, here 0 because it is ``_inertia``'s."""
+    """The points path of one ``kmeans`` call, for n >= d points: the
+    k-means++ distances come from ``distances`` (the call's
+    ``_SeedDistances``) and each draw from ``_next_row``; a Lloyd step's
+    means are centers and its labels ``_assign``'s; the final inertia is
+    ``_inertia``'s, with slack 0."""
 
     points: np.ndarray
     sq_norms: np.ndarray
-    seeds: _SeedDistances
+    distances: _SeedDistances
     work: np.ndarray
 
-    def seed(self, k: int, rng: _PCG64) -> np.ndarray:
-        return _plus_plus_init(k, rng, self.seeds)
+    def next_row(self, d2: np.ndarray, rng: _PCG64, rows: np.ndarray) -> int:
+        return _next_row(d2, rng)
 
-    def lloyd(self, rows: np.ndarray):
-        """One restart's Lloyd steps from the seed ``rows``. Returns the last
-        labels, the step count, whether they converged, and their inertia."""
-        points = self.points
-        centers = points[rows]
-        labels = np.full(points.shape[0], -1)
-        converged = False
-        for iterations in range(1, _MAX_ITER + 1):
-            new_labels = _repair_empty(points, _assign(points, centers, self.sq_norms),
-                                       rows.size)
-            if np.array_equal(new_labels, labels):
-                # nothing has written into ``centers`` since they were the
-                # means of these labels, so they stand as they are
-                converged = True
-                break
-            labels = new_labels
-            _update_centers(points, labels, centers, self.work)
-        return labels, iterations, converged, _inertia(points, centers, labels, self.work)
+    def means(self, rows: np.ndarray, labels) -> np.ndarray:
+        return _centers(self.points, rows, labels, self.work)
 
-    def slack(self, inertia: np.ndarray) -> np.ndarray:
-        return np.zeros_like(inertia)
+    def nearest(self, centers: np.ndarray, rows: np.ndarray, labels) -> np.ndarray:
+        return _assign(self.points, centers, self.sq_norms)
+
+    def inertia(self, centers: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+        return _inertia(self.points, centers, labels, self.work), 0.0
 
 
 def _partition_key(labels: np.ndarray) -> bytes:
@@ -383,9 +405,9 @@ class _GramSpace:
 
     G = X X^T is formed once. The squared distance of row i to the mean of
     a set C of m rows is G_ii - 2/m sum_{j in C} G_ij + 1/m^2 sum_{j,l in C} G_jl
-    in exact arithmetic; ``distances`` evaluates it for k sets at once by
-    one product of G with their 0/1 membership columns. A k-means++ seed is
-    the set of its one row.
+    in exact arithmetic; ``means`` evaluates it for k sets at once by one
+    product of G with their 0/1 membership columns. A k-means++ seed is the
+    set of its one row.
 
     The bound. Let u = eps, S the largest G_ii, and n + d < 1 / (100 u).
     Every row, exact mean and rounded mean then has a squared norm of at
@@ -409,7 +431,7 @@ class _GramSpace:
     Three kinds of decision are made from Gram values, each only when a
     certificate holds; otherwise the points path's kernels make it:
 
-    1. Each k-means++ draw (``seed``). The distances to the drawn rows, a
+    1. Each k-means++ draw (``next_row``). The distances to the drawn rows, a
        from the points path and b from G clamped at zero, differ by at most
        E per entry. If max b > E, the exact total is positive too. Their
        cdfs then differ by at most 4 n E / sum(b) + 16 (n + 1) u: in exact
@@ -418,11 +440,11 @@ class _GramSpace:
        moves each cdf by at most 1.01 (4n + 3) u. A uniform draw further
        than that from both neighbouring entries of the Gram cdf picks the
        same row on both cdfs.
-    2. Each label (``lloyd``). A row whose runner-up Gram distance lies more
+    2. Each label (``nearest``). A row whose runner-up Gram distance lies more
        than 2E behind its nearest has that nearest center on the points path
        too. The other rows are ranked by the direct kernel on the centers
        the points path holds at that step.
-    3. The restart pick (``slack``). The inertia summed from n Gram
+    3. The restart pick (``inertia``). The inertia summed from n Gram
        distances and the one ``_inertia`` sums from n d squares differ by
        at most n E + 4 (n d + n + 2) u (|I| + n E), the slack ``_pick``
        certifies the first minimum with.
@@ -441,16 +463,7 @@ class _GramSpace:
         self.diag = self.gram.diagonal().copy()
         self.bound = _GRAM_SLACK * (d + n + 2) * _EPS * self.diag.max()
 
-    def distances(self, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """The n x k Gram distances of every row to the mean of each column's members."""
-        prod = self.gram @ members
-        sums = np.einsum("ij,ij->j", members, prod)
-        prod *= -2.0 / counts
-        prod += self.diag[:, None]
-        prod += sums / (counts * counts)
-        return prod
-
-    def _row_distances(self, row: int) -> np.ndarray:
+    def distances(self, row: int) -> np.ndarray:
         """The Gram distances of every row to row ``row``, clamped at zero."""
         d2 = self.diag + self.gram[row, row]
         d2 -= 2.0 * self.gram[row]
@@ -463,67 +476,56 @@ class _GramSpace:
             d2 = np.minimum(d2, self.seeds(r))
         return d2
 
-    def seed(self, k: int, rng: _PCG64) -> np.ndarray:
-        """The rows ``_plus_plus_init`` draws from ``rng`` (certificate 1)."""
-        n = self.diag.size
-        rows = np.empty(k, dtype=np.intp)
-        rows[0] = rng.integers(n)
-        d2 = self._row_distances(rows[0])
-        for i in range(1, k):
-            if d2.max() > self.bound:
-                u = rng.random()
-                total = d2.sum()
-                cdf = _cdf(d2 / total)
-                j = int(cdf.searchsorted(u, side="right"))
-                margin = 4 * n * self.bound / total + 16 * (n + 1) * _EPS
-                if (j == 0 or u - cdf[j - 1] > margin) and cdf[j] - u > margin:
-                    rows[i] = j
-                else:
-                    exact = self._exact_distances(rows[:i])
-                    rows[i] = _draw(exact / exact.sum(), u)
-            else:
-                rows[i] = _next_row(self._exact_distances(rows[:i]), rng)
-            np.minimum(d2, self._row_distances(rows[i]), out=d2)
-        return rows
+    def next_row(self, d2: np.ndarray, rng: _PCG64, rows: np.ndarray) -> int:
+        """The row ``_next_row`` draws from ``rng`` on the points path's
+        distances to ``rows``, given ``d2``, their Gram values (certificate 1)."""
+        n = d2.size
+        if not d2.max() > self.bound:
+            return _next_row(self._exact_distances(rows), rng)
+        u = rng.random()
+        total = d2.sum()
+        cdf = _cdf(d2 / total)
+        j = int(cdf.searchsorted(u, side="right"))
+        margin = 4 * n * self.bound / total + 16 * (n + 1) * _EPS
+        if (j == 0 or u - cdf[j - 1] > margin) and cdf[j] - u > margin:
+            return j
+        exact = self._exact_distances(rows)
+        return _draw(exact / exact.sum(), u)
 
-    def lloyd(self, rows: np.ndarray):
-        """``_PointSpace.lloyd`` from the Gram (certificate 2); the inertia
-        it returns is that of the Gram distances."""
-        points = self.points
-        n, k = points.shape[0], rows.size
-        every = np.arange(n)
+    def means(self, rows: np.ndarray, labels) -> np.ndarray:
+        """The n x k Gram distances of every row to each mean of ``labels``,
+        or before the first Lloyd step to each seed row."""
+        n, k = self.diag.size, rows.size
+        at, of = (rows, np.arange(k)) if labels is None else (np.arange(n), labels)
         members = np.zeros((n, k))
-        members[rows, np.arange(k)] = 1.0
-        counts = np.ones(k)
-        labels = np.full(n, -1)
-        converged = False
-        for iterations in range(1, _MAX_ITER + 1):
-            dist = self.distances(members, counts)
-            new_labels = np.argmin(dist, axis=1)
-            if k > 1:
-                two = np.partition(dist, 1, axis=1)
-                unsure = np.flatnonzero(~(two[:, 1] - two[:, 0] > 2.0 * self.bound))
-                if unsure.size:
-                    centers = points[rows]
-                    if iterations > 1:  # the points path's centers at this step
-                        _update_centers(points, labels, centers, self.work)
-                    _direct_labels(points, unsure, centers, new_labels)
-            new_labels = _repair_empty(points, new_labels, k)
-            if np.array_equal(new_labels, labels):
-                converged = True
-                break
-            labels = new_labels
-            members.fill(0.0)
-            members[every, labels] = 1.0
-            counts = np.bincount(labels, minlength=k)
-        else:
-            dist = self.distances(members, counts)
-        return labels, iterations, converged, float(dist[every, labels].sum())
+        members[at, of] = 1.0
+        counts = np.bincount(of, minlength=k)
+        prod = self.gram @ members
+        sums = np.einsum("ij,ij->j", members, prod)
+        prod *= -2.0 / counts
+        prod += self.diag[:, None]
+        prod += sums / (counts * counts)
+        return prod
 
-    def slack(self, inertia: np.ndarray) -> np.ndarray:
-        """How far each Gram inertia may lie from ``_inertia``'s (certificate 3)."""
+    def nearest(self, dist: np.ndarray, rows: np.ndarray, labels) -> np.ndarray:
+        """The labels ``_assign`` gives on the points path's centers at this
+        step, from the Gram distances ``dist`` to them (certificate 2)."""
+        new_labels = np.argmin(dist, axis=1)
+        if rows.size > 1:
+            two = np.partition(dist, 1, axis=1)
+            unsure = np.flatnonzero(~(two[:, 1] - two[:, 0] > 2.0 * self.bound))
+            if unsure.size:
+                _direct_labels(self.points, unsure,
+                               _centers(self.points, rows, labels, self.work), new_labels)
+        return new_labels
+
+    def inertia(self, dist: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+        """The inertia of ``labels`` summed from their Gram distances
+        ``dist``, and how far it may lie from ``_inertia``'s (certificate 3)."""
         n, d = self.points.shape
-        return n * self.bound + 4 * (n * d + n + 2) * _EPS * (np.abs(inertia) + n * self.bound)
+        inertia = float(dist[np.arange(n), labels].sum())
+        slack = n * self.bound + 4 * (n * d + n + 2) * _EPS * (abs(inertia) + n * self.bound)
+        return inertia, slack
 
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
@@ -533,9 +535,10 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     k-means works on one C-ordered float64 copy of ``points`` (none is made
     when they already are one), so its results depend only on the values.
 
-    One driver serves both paths. It seeds and runs each restart in turn,
-    the seedings sharing one table of ``min(n, 10 k)`` distance vectors,
-    keeps only each restart's final labels and inertia, picks the winner
+    One driver serves both paths. It seeds (``_plus_plus_init``) and runs
+    (``_lloyd``) each restart in turn, the seedings sharing one table of
+    ``min(n, 10 k)`` distance vectors, keeps only each restart's final
+    labels, step count and inertia with its slack, picks the winner
     (``_pick``), and computes the winner's centers and inertia from its
     final labels. With n < d (and squared norms far from
     underflow and overflow) the restarts run on the n x n Gram of the
@@ -578,16 +581,16 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         space = _GramSpace(points, seeds, work)
     else:
         space = _PointSpace(points, sq_norms, seeds, work)
-    runs = [space.lloyd(space.seed(k, rng)) for _ in range(_N_INIT)]
+    runs = [_lloyd(space, _plus_plus_init(k, rng, space)) for _ in range(_N_INIT)]
     centers = np.empty((k, d))
 
     def exact(labels):  # the points path's inertia, and means in ``centers``
         _update_centers(points, labels, centers, work)
         return _inertia(points, centers, labels, work)
 
-    inertia = np.array([run[3] for run in runs])
-    winner = _pick([run[0] for run in runs], inertia, space.slack(inertia), exact)
-    labels, iterations, converged, _ = runs[winner]
+    inertia, slack = np.array([run[3:] for run in runs]).T
+    winner = _pick([run[0] for run in runs], inertia, slack, exact)
+    labels, iterations, converged = runs[winner][:3]
     return KMeansResult(labels=labels, centers=centers, inertia=exact(labels),
                         iterations=iterations, converged=converged)
 

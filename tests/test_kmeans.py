@@ -65,18 +65,19 @@ class TestKMeans:
         # result comes from its one run, not from running it again
         space = km._PointSpace if d == 3 else km._GramSpace
         runs = []
-        lloyd = space.lloyd
+        lloyd = km._lloyd
 
         def counting(*args):
             runs.append(args)
             return lloyd(*args)
 
-        monkeypatch.setattr(space, "lloyd", counting)
+        monkeypatch.setattr(km, "_lloyd", counting)
         pts = np.random.default_rng(3).standard_normal((30, d))
         for seed in range(3):
             runs.clear()
             kmeans(pts, 4, seed=seed)
             assert len(runs) == 10
+            assert all(type(run[0]) is space for run in runs)
 
     def test_every_cluster_nonempty_with_duplicates(self):
         # duplicated points invite empty clusters during Lloyd iterations
@@ -462,12 +463,14 @@ class TestGramPath:
         points = _seeding_case("distinct", "C")
         d2 = ((points - points[0]) ** 2).sum(axis=1)
         seeds = km._SeedDistances(points, points.shape[0])
-        space = km._GramSpace(points, seeds, np.empty_like(points))
+        work = np.empty_like(points)
+        gram = km._GramSpace(points, seeds, work)
+        exact = km._PointSpace(points, _sq_norms(points), seeds, work)
         for u in km._cdf(d2 / d2.sum())[:-1]:
             rng = _ScriptedGenerator(first=0, uniform=np.nextafter(u, nudge * np.inf)
                                      if nudge else u)
-            np.testing.assert_array_equal(space.seed(2, rng),
-                                          km._plus_plus_init(2, rng, seeds))
+            np.testing.assert_array_equal(km._plus_plus_init(2, rng, gram),
+                                          km._plus_plus_init(2, rng, exact))
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(-11, 30),
@@ -512,6 +515,21 @@ class TestLloydMatchesOracles:
         _assert_same_run(_kmeans(points, k, seed=5, n_init=3),
                           kmeans_lloyd_ref(np.ascontiguousarray(points), k, seed=5,
                                            n_init=3))
+
+    @pytest.mark.parametrize("path", ["gram", "points"])
+    @pytest.mark.parametrize("k", [6, 20])
+    def test_runs_that_reach_the_step_cap_match(self, segment_features, path, k):
+        # caps of 1-3 steps end most restarts unconverged, so the pick reads
+        # each one's inertia at the cap: that of the means of its last
+        # labels, not of the means a step before
+        points = segment_features  # 60 x 4096, the Gram path
+        if path == "points":  # the top 20 principal components, 60 x 20
+            centered, axes = km.principal_axes(segment_features)
+            points = centered @ axes[:20].T
+        for seed in range(4):
+            for cap in (1, 2, 3):
+                _assert_same_run(_kmeans(points, k, seed=seed, n_init=3, max_iter=cap),
+                                 _ref_run(points, k, seed=seed, n_init=3, max_iter=cap))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 8),

@@ -1,5 +1,6 @@
 """Smoke tests of scripts/sweep.py and scripts/compare_outputs.py, run as
-subprocesses on tiny archives."""
+subprocesses on tiny archives, and of scripts/src_lines.py on a small
+module."""
 
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP = ROOT / "scripts" / "sweep.py"
 COMPARE = ROOT / "scripts" / "compare_outputs.py"
+SRC_LINES = ROOT / "scripts" / "src_lines.py"
 
 
 def sweep_rows(*argv) -> list[list[str]]:
@@ -29,13 +31,27 @@ def sweep_rows(*argv) -> list[list[str]]:
 def test_one_row_per_value(argv, first):
     rows = sweep_rows(*argv)
     assert [row[0] for row in rows] == first
-    # value, inliers, outliers, precision, recall and four metrics
-    assert len(rows[0]) == 9
+    # value, inliers, outliers, precision, recall, demoted and four metrics
+    assert len(rows[0]) == 10
     if argv[1] == "tau":
         # at tau 0.99 too few inliers are left for K=8: the message is the row
         assert " ".join(rows[1][1:]) == "k=8 exceeds the 6 inliers at tau=0.99"
     else:
-        assert len(rows[1]) == 9
+        assert len(rows[1]) == 10
+
+
+def test_split_columns_do_not_count_demoted_inliers():
+    # at tau 0.2 the split keeps every segment of this archive whatever
+    # lambda is, while a larger lambda leaves more inliers with zero
+    # affinity degree, which the run demotes to outliers
+    rows = sweep_rows("--method", "lasso_ssc", "--tau", "0.2", "--k", "3",
+                      "--outlier_frac", "0.3", "--synth_seed", "1",
+                      "--vary", "lambda", "0.1", "0.4", "0.6")
+    assert [row[0] for row in rows] == ["0.1", "0.4", "0.6"]
+    # inliers, outliers, precision and recall are the split's
+    assert all(row[1:5] == rows[0][1:5] for row in rows)
+    assert rows[0][1:3] == ["40", "0"]
+    assert [row[5] for row in rows] == ["0", "5", "10"]
 
 
 def compare(change: Path) -> subprocess.CompletedProcess:
@@ -96,3 +112,38 @@ def test_compare_outputs_forwards_the_kmeans_seed():
                            "--segments", "40"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(" identical\n")
+
+
+# a module of 18 lines and 9 code lines: the import, the class line, its
+# attribute, the def line, the two lines of one statement and the three
+# lines of a string that is not a docstring. The docstrings of the module,
+# the class and the function, the comments and the blank lines do not count.
+SMALL_MODULE = '''"""A module docstring,
+
+on three lines."""
+import os
+
+# a comment
+class A:
+    "A class docstring."
+    x = 1  # a trailing comment
+
+    def f(self):
+        """A function
+        docstring."""
+        y = (1 +
+             2)
+        return """not a
+# docstring
+"""
+'''
+
+
+def test_src_lines_counts_code_lines(tmp_path):
+    (tmp_path / "small.py").write_text(SMALL_MODULE)
+    (tmp_path / "one.py").write_text("x = 1\n")
+    proc = subprocess.run([sys.executable, str(SRC_LINES), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        [str(tmp_path)], ["one", "1", "1"], ["small", "18", "9"], ["total", "19", "10"]]
