@@ -58,28 +58,25 @@ class _SeedDistances:
 
     ``self(r)`` is ``((points - points[r]) ** 2).sum(axis=1)`` bit for bit.
     Centers are data rows, so each drawn row's vector is computed once and
-    the restarts share it: ``table`` holds one vector per drawn row, at most
-    ``min(n, 10 k)`` of them, and ``slot`` maps a row to its vector.
+    the restarts share it: ``memo`` holds one vector per drawn row.
 
     A vector is computed in blocks of consecutive C rows, like those of that
     temporary, in one reused buffer, so numpy sums each row in the same order.
     """
 
-    def __init__(self, points: np.ndarray, capacity: int):
-        n, d = points.shape
+    def __init__(self, points: np.ndarray):
+        d = points.shape[1]
         self.points = points
-        self.table = np.empty((capacity, n))
-        self.slot = np.full(n, -1)
-        self.count = 0
+        self.memo: dict[int, np.ndarray] = {}
         self.block_rows = max(1, _SEED_BLOCK_BYTES // (8 * max(d, 1)))
         self.buf = np.empty(self.block_rows * d)
 
     def __call__(self, row: int) -> np.ndarray:
-        if self.slot[row] < 0:
-            self._fill(row, self.table[self.count])
-            self.slot[row] = self.count
-            self.count += 1
-        return self.table[self.slot[row]]
+        d2 = self.memo.get(row)
+        if d2 is None:
+            d2 = self.memo[row] = np.empty(self.points.shape[0])
+            self._fill(row, d2)
+        return d2
 
     def _fill(self, row: int, out: np.ndarray) -> None:
         """Write the squared distances of every row to row ``row`` into ``out``."""
@@ -289,41 +286,39 @@ def _repair_empty(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return labels
 
 
-def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray,
-                    work: np.ndarray) -> None:
+def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
     """``centers[c] = points[labels == c].mean(axis=0)`` for every c, bit for bit.
 
     That mean gathers the members in row order and sums them pairwise when
     d == 1 and left to right otherwise. The members of each cluster are
-    gathered the same way, into consecutive rows of ``work``, and summed by
+    gathered the same way, into consecutive rows of one array, and summed by
     the same reduction.
     """
     k = centers.shape[0]
     counts = np.bincount(labels, minlength=k)
-    np.take(points, np.argsort(labels, kind="stable"), axis=0, out=work, mode="clip")
+    members = np.take(points, np.argsort(labels, kind="stable"), axis=0, mode="clip")
     lo = 0
     for c, hi in enumerate(np.cumsum(counts).tolist()):
-        np.add.reduce(work[lo:hi], axis=0, out=centers[c])
+        np.add.reduce(members[lo:hi], axis=0, out=centers[c])
         lo = hi
     centers /= counts[:, None]
 
 
-def _inertia(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
-             work: np.ndarray) -> float:
+def _inertia(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
     """``float(((points - centers[labels]) ** 2).sum())`` bit for bit."""
-    np.take(centers, labels, axis=0, out=work, mode="clip")
-    np.subtract(points, work, out=work)
-    np.square(work, out=work)
-    return float(work.sum())
+    diff = np.take(centers, labels, axis=0, mode="clip")
+    np.subtract(points, diff, out=diff)
+    np.square(diff, out=diff)
+    return float(diff.sum())
 
 
-def _centers(points: np.ndarray, rows: np.ndarray, labels: np.ndarray | None,
-             work: np.ndarray) -> np.ndarray:
+def _centers(points: np.ndarray, rows: np.ndarray, labels: np.ndarray | None) -> np.ndarray:
     """The means of ``labels`` by ``_update_centers``, or before the first
     Lloyd step (``labels`` None) the seed ``rows``."""
-    centers = points[rows]
-    if labels is not None:
-        _update_centers(points, labels, centers, work)
+    if labels is None:
+        return points[rows]
+    centers = np.empty((rows.size, points.shape[1]))
+    _update_centers(points, labels, centers)
     return centers
 
 
@@ -359,19 +354,18 @@ class _PointSpace:
     points: np.ndarray
     sq_norms: np.ndarray
     distances: _SeedDistances
-    work: np.ndarray
 
     def next_row(self, d2: np.ndarray, rng: _PCG64, rows: np.ndarray) -> int:
         return _next_row(d2, rng)
 
     def means(self, rows: np.ndarray, labels) -> np.ndarray:
-        return _centers(self.points, rows, labels, self.work)
+        return _centers(self.points, rows, labels)
 
     def nearest(self, centers: np.ndarray, rows: np.ndarray, labels) -> np.ndarray:
         return _assign(self.points, centers, self.sq_norms)
 
     def inertia(self, centers: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-        return _inertia(self.points, centers, labels, self.work), 0.0
+        return _inertia(self.points, centers, labels), 0.0
 
 
 def _partition_key(labels: np.ndarray) -> bytes:
@@ -454,11 +448,10 @@ class _GramSpace:
     path's kernels.
     """
 
-    def __init__(self, points: np.ndarray, seeds: _SeedDistances, work: np.ndarray):
+    def __init__(self, points: np.ndarray, seeds: _SeedDistances):
         n, d = points.shape
         self.points = points
         self.seeds = seeds
-        self.work = work
         self.gram = points @ points.T
         self.diag = self.gram.diagonal().copy()
         self.bound = _GRAM_SLACK * (d + n + 2) * _EPS * self.diag.max()
@@ -516,7 +509,7 @@ class _GramSpace:
             unsure = np.flatnonzero(~(two[:, 1] - two[:, 0] > 2.0 * self.bound))
             if unsure.size:
                 _direct_labels(self.points, unsure,
-                               _centers(self.points, rows, labels, self.work), new_labels)
+                               _centers(self.points, rows, labels), new_labels)
         return new_labels
 
     def inertia(self, dist: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -536,11 +529,11 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     when they already are one), so its results depend only on the values.
 
     One driver serves both paths. It seeds (``_plus_plus_init``) and runs
-    (``_lloyd``) each restart in turn, the seedings sharing one table of
-    ``min(n, 10 k)`` distance vectors, keeps only each restart's final
-    labels, step count and inertia with its slack, picks the winner
-    (``_pick``), and computes the winner's centers and inertia from its
-    final labels. With n < d (and squared norms far from
+    (``_lloyd``) each restart in turn, the seedings sharing one memo of
+    distance vectors, keeps only each restart's final labels, step count
+    and inertia with its slack, drops the memo (and the Gram), picks the
+    winner (``_pick``), and computes the winner's centers and inertia from
+    its final labels. With n < d (and squared norms far from
     underflow and overflow) the restarts run on the n x n Gram of the
     points, each decision certified or else made from the points; with
     n >= d every distance comes from the points. Both paths return the same
@@ -574,19 +567,18 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         raise ValidationError("points must be finite, with squared norms below "
                               "the float64 maximum")
     rng = _PCG64(seed)
-    seeds = _SeedDistances(points, min(n, k * _N_INIT))
-    work = np.empty_like(points)
     scale = sq_norms.max()
     if n < d and 2.0 ** -900 < scale < np.finfo(np.float64).max / (4 * n * n):
-        space = _GramSpace(points, seeds, work)
+        space = _GramSpace(points, _SeedDistances(points))
     else:
-        space = _PointSpace(points, sq_norms, seeds, work)
+        space = _PointSpace(points, sq_norms, _SeedDistances(points))
     runs = [_lloyd(space, _plus_plus_init(k, rng, space)) for _ in range(_N_INIT)]
+    del space  # with its memo, and on the Gram path its n x n Gram
     centers = np.empty((k, d))
 
     def exact(labels):  # the points path's inertia, and means in ``centers``
-        _update_centers(points, labels, centers, work)
-        return _inertia(points, centers, labels, work)
+        _update_centers(points, labels, centers)
+        return _inertia(points, centers, labels)
 
     inertia, slack = np.array([run[3:] for run in runs]).T
     winner = _pick([run[0] for run in runs], inertia, slack, exact)

@@ -70,8 +70,10 @@ def write_report(rep: MetricsReport, path) -> None:
 def pairwise_cosine_distances(cents: np.ndarray) -> np.ndarray:
     """Unordered pairwise distances 1 - cos(c_i, c_j), i < j, sorted.
 
-    Sorting makes every downstream statistic independent of the arbitrary
-    cluster numbering, down to the last bit.
+    Sorting fixes the order in which every downstream statistic sums the
+    distances, but not the distances' last bits: BLAS rounds each Gram entry
+    by its position, so renumbering the clusters can move a statistic by a
+    few units in the last place.
     """
     cents = np.asarray(cents, dtype=np.float64)
     if cents.ndim != 2 or cents.shape[0] < 2:

@@ -95,8 +95,14 @@ class SpectralEmbedding:
 
 
 def embed(affinity: np.ndarray, k: int) -> SpectralEmbedding:
-    """Embed samples as the k smallest-eigenvalue eigenvectors of L_rw."""
-    a = np.asarray(affinity, dtype=np.float64)
+    """Embed samples as the k smallest-eigenvalue eigenvectors of L_rw.
+
+    L_sym is built in the affinity's own buffer, so the eigensolve holds no
+    second n x n array: a writable float64 ``affinity`` is overwritten once
+    it passes the checks, and a caller that reads it again passes a copy. A
+    read-only one is copied, and another dtype converted by ``np.asarray``.
+    """
+    a = np.require(affinity, np.float64, "W")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("affinity must be square")
     if k < 1 or k > a.shape[0]:
@@ -111,11 +117,11 @@ def embed(affinity: np.ndarray, k: int) -> SpectralEmbedding:
         )
     s = 1.0 / np.sqrt(deg)
     # s[i]*a[ij]*s[j] is exactly symmetric because each product commutes.
-    # I - that product is written over it: no second n x n array outlives it
-    lsym = a * np.outer(s, s)
-    np.subtract(np.eye(a.shape[0]), lsym, out=lsym)
+    # It, and then I minus it, are written over the affinity
+    np.multiply(a, np.outer(s, s), out=a)
+    np.subtract(np.eye(a.shape[0]), a, out=a)
     try:
-        w, u = np.linalg.eigh(lsym)
+        w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     return SpectralEmbedding(coords=s[:, None] * u[:, :k], eigenvalues=w[:k])

@@ -320,7 +320,7 @@ class TestSeedingMemo:
         def direct(pts, r):
             return ((pts - pts[r]) ** 2).sum(axis=1)
 
-        seeds = km._SeedDistances(c_points, 60)
+        seeds = km._SeedDistances(c_points)
         for r in rng.permutation(60):
             assert seeds(r).tobytes() == direct(c_points, r).tobytes()
         for r in range(60):  # later vectors never write into earlier ones
@@ -462,10 +462,9 @@ class TestGramPath:
         # path's cdf, where the Gram cdf's rounding could pick the next row
         points = _seeding_case("distinct", "C")
         d2 = ((points - points[0]) ** 2).sum(axis=1)
-        seeds = km._SeedDistances(points, points.shape[0])
-        work = np.empty_like(points)
-        gram = km._GramSpace(points, seeds, work)
-        exact = km._PointSpace(points, _sq_norms(points), seeds, work)
+        seeds = km._SeedDistances(points)
+        gram = km._GramSpace(points, seeds)
+        exact = km._PointSpace(points, _sq_norms(points), seeds)
         for u in km._cdf(d2 / d2.sum())[:-1]:
             rng = _ScriptedGenerator(first=0, uniform=np.nextafter(u, nudge * np.inf)
                                      if nudge else u)
@@ -603,7 +602,7 @@ class TestRepairEmpty:
 @pytest.mark.parametrize("n_init", [1, 10])
 def test_peak_memory_stays_near_input_size(n_init):
     # the direct kernel held an n x k x d tensor, about 30x the input here;
-    # the Lloyd steps now share one n x d work buffer
+    # each kernel now holds at most one n x d temporary at a time
     points = np.random.default_rng(12).standard_normal((200, 4096))
     tracemalloc.start()
     try:
@@ -615,10 +614,10 @@ def test_peak_memory_stays_near_input_size(n_init):
 
 
 def test_points_path_restarts_keep_only_final_labels():
-    # n >= d: the points path. Its seeding table is min(n, 10 k) rows of n;
-    # beyond it a call needs about 9 n x d buffers here, mostly the n x k
-    # distances of a step. A restart that kept the labels of each of its
-    # ~30 steps would add about 5 more.
+    # n >= d: the points path. Its seeding memo holds at most min(n, 10 k)
+    # rows of n; beyond it a call needs about 9 n x d buffers here, mostly
+    # the n x k distances of a step. A restart that kept the labels of each
+    # of its ~30 steps would add about 5 more.
     points = np.random.default_rng(12).standard_normal((3000, 8))
     tracemalloc.start()
     try:
@@ -628,6 +627,21 @@ def test_points_path_restarts_keep_only_final_labels():
         tracemalloc.stop()
     table = min(3000, 10 * 30) * 3000 * 8
     assert peak < table + 12 * points.nbytes
+
+
+def test_gram_path_holds_no_n_by_d_array_beside_the_gram():
+    # n < d: the Gram path. An n x d array is made only by the winner's
+    # exact kernels, after the restarts have dropped the n x n Gram and the
+    # seeding memo; an n x d scratch array held through the call made it
+    # about 1.3 x the input here
+    points = np.random.default_rng(13).standard_normal((900, 4096))
+    tracemalloc.start()
+    try:
+        kmeans(points, 20, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < points.nbytes + 900 * 900 * 8 / 2
 
 
 def pca_project(points, k):

@@ -75,6 +75,16 @@ class TestHmean:
         d2 = np.sort(pairwise_cosine_distances(cents[order]))
         np.testing.assert_allclose(d1, d2, atol=1e-12)
 
+    def test_relabeling_moves_both_measures_by_rounding_only(self):
+        # the sort fixes the summation order, but BLAS rounds each Gram entry
+        # by its position, so a relabeling may move the last bits
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            k = int(rng.integers(2, 70))
+            cents = rng.standard_normal((k, int(rng.choice([3, 60, 4096]))))
+            moved = distance_stats(cents[rng.permutation(k)])
+            np.testing.assert_allclose(moved, distance_stats(cents), rtol=1e-12, atol=0)
+
     def test_statistics_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

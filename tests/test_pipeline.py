@@ -234,7 +234,7 @@ class TestRunPipeline:
         idx = split(features, 0.8, gram=gram).inlier_idx
         affinity = affinity_from_cosine(gram[np.ix_(idx, idx)])
         for res in results:
-            coords = embed(affinity, res.k).coords
+            coords = embed(affinity.copy(), res.k).coords
             labels = kmeans(coords, res.k, seed=0).labels
             np.testing.assert_array_equal(res.embedding, coords)
             np.testing.assert_array_equal(res.model.inlier_labels, labels)

@@ -203,7 +203,7 @@ class TestEmbed:
         a = rng.uniform(0.1, 2.0, (6, 6))
         a = (a + a.T) / 2.0
         np.fill_diagonal(a, 0.0)
-        ours = embed(a, len(a)).eigenvalues
+        ours = embed(a.copy(), len(a)).eigenvalues
         ref = reference_lsym_eigvals(a)
         np.testing.assert_allclose(ours, ref, atol=1e-9)
 
@@ -238,6 +238,37 @@ class TestEmbed:
         with pytest.raises(ParameterError):
             embed(a, 5)
 
+    def test_overwrites_only_a_writable_float64_affinity(self):
+        # L_sym is built in the affinity's own buffer; a read-only or other
+        # dtype affinity is copied or converted first and left as it was
+        a = block_affinity([3, 4])
+        s = 1.0 / np.sqrt(a.sum(axis=1))
+        lsym = np.eye(7) - a * np.outer(s, s)
+        want = embed(a.copy(), 2).coords
+        frozen = a.copy()
+        frozen.flags.writeable = False
+        for other in (frozen, a.astype(np.float32), a.astype(np.int64)):
+            before = other.copy()
+            assert embed(other, 2).coords.tobytes() == want.tobytes()
+            assert other.tobytes() == before.tobytes()
+        assert embed(a, 2).coords.tobytes() == want.tobytes()
+        assert a.tobytes() == lsym.tobytes()
+
+    def test_peak_memory_is_one_n_by_n_array_beyond_the_input(self):
+        # eigh's eigenvectors are the one n x n array embed keeps; a separate
+        # L_sym beside the affinity made it two
+        rng = np.random.default_rng(8)
+        a = rng.uniform(0.1, 1.0, (1200, 1200))
+        a = (a + a.T) / 2.0
+        np.fill_diagonal(a, 0.0)
+        tracemalloc.start()
+        try:
+            embed(a, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * a.nbytes
+
     def test_coords_own_their_n_by_k_values(self):
         # the leading k columns of the scaled eigenvectors, in an n x k array
         # of their own rather than a view that keeps the n x n product alive
@@ -245,7 +276,7 @@ class TestEmbed:
         a = rng.uniform(0.1, 1.0, (9, 9))
         a = (a + a.T) / 2.0
         np.fill_diagonal(a, 0.0)
-        coords = embed(a, 3).coords
+        coords = embed(a.copy(), 3).coords
         full = embed(a, 9).coords
         assert coords.shape == (9, 3) and coords.flags.owndata
         assert coords.tobytes() == np.ascontiguousarray(full[:, :3]).tobytes()
@@ -256,7 +287,7 @@ class TestEmbed:
         a = rng.uniform(0.1, 1.0, (7, 7))
         a = (a + a.T) / 2.0
         np.fill_diagonal(a, 0.0)
-        emb = embed(a, 7)
+        emb = embed(a.copy(), 7)
         lrw = np.eye(7) - a / a.sum(axis=1)[:, None]
         for i in range(7):
             v = emb.coords[:, i]
@@ -280,6 +311,6 @@ class TestSpectralCluster:
         a = rng.uniform(0.0, 1.0, (12, 12))
         a = (a + a.T) / 2.0
         np.fill_diagonal(a, 0.0)
-        l1 = kmeans(embed(a, 3).coords, 3, seed=42).labels
+        l1 = kmeans(embed(a.copy(), 3).coords, 3, seed=42).labels
         l2 = kmeans(embed(a, 3).coords, 3, seed=42).labels
         np.testing.assert_array_equal(l1, l2)
